@@ -12,6 +12,7 @@ Exit codes: 0 success; 2 bad input or refused operation; compare uses
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -22,6 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import NotStabilizedError, ResourceCapError, ShiftError, ValidationError
+from .intlinalg import FgAbelianGroup
 from .invariants import compare_triples, dimension_triple, k_groups, per_level_k_data
 from .model import FiniteModel, run_all_checks
 from .partitions import (
@@ -30,7 +32,9 @@ from .partitions import (
     bowen_franks_matrix,
     build_chain,
     chain_to_json,
+    class_signatures,
     inclusion_matrix,
+    matrices_to_json,
     persistence_markers,
 )
 from .presentations import (
@@ -42,6 +46,18 @@ from .presentations import (
 from .transforms import BipartiteExpression, higher_block, split_letters, symbolic_expansion
 
 ENV_PREFIX = "SHIFTK_"
+
+# Raise when the layout or meaning of a cached record changes.
+CACHE_SCHEMA = 1
+
+
+@functools.cache
+def _source_hash() -> str:
+    """Hash of this package's own sources, so a code change never serves stale records."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -56,8 +72,9 @@ class RunConfig:
         return json.dumps({
             "lmax": self.lmax,
             "max_contexts": self.caps.max_contexts,
-            "max_signature_words": self.caps.max_signature_words,
             "max_language_words": self.caps.max_language_words,
+            "schema": CACHE_SCHEMA,
+            "source": _source_hash(),
             "version": __version__,
         }, sort_keys=True)
 
@@ -84,7 +101,6 @@ def _config_from(args) -> RunConfig:
     no_cache = bool(getattr(args, "no_cache", False)) or _env("NO_CACHE") == "1"
     caps = Caps(
         max_contexts=pick(None, "MAX_CONTEXTS", 4096, int),
-        max_signature_words=pick(None, "MAX_SIGNATURE_WORDS", 20000, int),
         max_language_words=pick(None, "MAX_LANGUAGE_WORDS", 200000, int),
     )
     if lmax < 1:
@@ -185,8 +201,7 @@ def _print_record(record: dict, cfg: RunConfig) -> None:
     if record.get("k0") is None:
         lines.append("K0/K1: not determined (tower not stabilized); per-level data:")
         for item in record.get("per_level", []):
-            g = item["cokernel"]
-            text = render_group_json(g)
+            text = FgAbelianGroup(**item["cokernel"]).render()
             lines.append(f"  level {item['level']}: shape {item['shape'][0]}x{item['shape'][1]} "
                          f"cokernel {text} kernel rank {item['kernel_rank']}")
     else:
@@ -197,16 +212,6 @@ def _print_record(record: dict, cfg: RunConfig) -> None:
         lines.append("step map: " + json.dumps(triple["step_map"]))
         lines.append("delta mask: " + json.dumps(triple["delta_mask"]))
     _emit("\n".join(lines))
-
-
-def render_group_json(g: dict) -> str:
-    parts = []
-    if g["free_rank"] == 1:
-        parts.append("Z")
-    elif g["free_rank"] > 1:
-        parts.append(f"Z^{g['free_rank']}")
-    parts.extend(f"Z/{d}" for d in g["torsion"])
-    return " + ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +251,14 @@ def cmd_classes(args) -> int:
              f"stabilization: {chain.stabilization.render()}"]
     for lv in chain.levels:
         markers = persistence_markers(chain, lv.level)
+        signatures = class_signatures(chain, lv.level)
         lines.append(f"level {lv.level}: m = {lv.m}")
         for ci, cls in enumerate(lv.classes):
             mark = markers[ci]
             members = ", ".join(p.render_context(p.contexts[i]) for i in cls.contexts[:6])
             if len(cls.contexts) > 6:
                 members += f", ... ({len(cls.contexts)} contexts)"
-            sig = _sig_text(p, cls.signature)
+            sig = _sig_text(p, signatures[ci])
             lines.append(f"  class {ci} [{mark}] {{{members}}} {sig}")
     _emit("\n".join(lines))
     return 0
@@ -279,7 +285,7 @@ def cmd_matrices(args) -> int:
     if cfg.fmt == "json":
         _emit_json({
             "presentation": p.content_hash(),
-            "matrices": chain_to_json(chain)["matrices"],
+            "matrices": matrices_to_json(chain),
         })
         return 0
     lines = []

@@ -3,8 +3,8 @@
 Once the partition tower stabilizes, the inclusion maps become identities, so
 the tower's limit group is the lattice at the stabilized level and the
 difference matrix (inclusion minus action) becomes a square endomorphism
-matrix B.  The two K-groups are its cokernel and kernel; both are computed
-at every stabilized level and must agree.
+matrix B.  The two K-groups are its cokernel and kernel, both read off one
+Smith normal form of B; B must be the same matrix at every stabilized level.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import ConsistencyError, NotStabilizedError, ValidationError
-from .intlinalg import FgAbelianGroup, IntMatrix, cokernel, kernel, matrix_rank
+from .intlinalg import FgAbelianGroup, IntMatrix, matrix_rank, smith_normal_form
 from .partitions import (
     PartitionChain,
     action_sum,
@@ -52,12 +52,6 @@ class StationarySystem:
         """The step map restricted to the persistent coordinates."""
         return self.step_map.submatrix(self.delta_mask, self.delta_mask)
 
-    @property
-    def positive_cone_gens(self) -> tuple[tuple[int, ...], ...]:
-        """Generators of the coordinatewise cone at the stabilized stage."""
-        return tuple(
-            tuple(1 if i == j else 0 for j in range(self.rank)) for i in range(self.rank))
-
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
@@ -66,15 +60,22 @@ class StationarySystem:
         }
 
 
+def _k_data(b: IntMatrix) -> tuple[FgAbelianGroup, int]:
+    """Cokernel and kernel rank of b from a single Smith normal form."""
+    snf = smith_normal_form(b)
+    return FgAbelianGroup(b.rows - snf.rank, snf.invariant_factors), b.cols - snf.rank
+
+
 def per_level_k_data(chain: PartitionChain) -> list[dict]:
     out = []
     for l in range(chain.length):
         b = bowen_franks_matrix(chain, l)
+        coker, kernel_rank = _k_data(b)
         out.append({
             "level": l,
             "shape": [b.rows, b.cols],
-            "cokernel": cokernel(b).to_json(),
-            "kernel_rank": kernel(b)[0],
+            "cokernel": coker.to_json(),
+            "kernel_rank": kernel_rank,
         })
     return out
 
@@ -91,19 +92,13 @@ def _require_stable(chain: PartitionChain) -> int:
 def k_groups(chain: PartitionChain) -> KGroups:
     """Cokernel and kernel of the stabilized difference matrix, level-checked."""
     l0 = _require_stable(chain)
-    results = []
-    for l in range(l0, chain.length):
-        b = bowen_franks_matrix(chain, l)
-        if not b.is_square():
-            raise ConsistencyError("difference matrix not square past stabilization")
-        k0 = cokernel(b)
-        k1_rank, _ = kernel(b)
-        results.append((k0, k1_rank))
-    first = results[0]
-    for other in results[1:]:
-        if other != first:
-            raise ConsistencyError("K-data differs between stabilized levels")
-    k0, k1_rank = first
+    b = bowen_franks_matrix(chain, l0)
+    if not b.is_square():
+        raise ConsistencyError("difference matrix not square past stabilization")
+    for l in range(l0 + 1, chain.length):
+        if bowen_franks_matrix(chain, l) != b:
+            raise ConsistencyError("difference matrix differs between stabilized levels")
+    k0, k1_rank = _k_data(b)
     return KGroups(k0, FgAbelianGroup(k1_rank, ()))
 
 
@@ -148,11 +143,10 @@ def triple_invariants(s: StationarySystem) -> dict:
     cokernels of powers of the step map are NOT stage-shift invariant and
     would wrongly distinguish conjugate presentations, so they are excluded.
     """
-    eye = IntMatrix.identity(s.rank)
-    b = eye.sub(s.step_map)
+    k0, k1_rank = _k_data(IntMatrix.identity(s.rank).sub(s.step_map))
     return {
-        "k0": cokernel(b).to_json(),
-        "k1_rank": kernel(b)[0],
+        "k0": k0.to_json(),
+        "k1_rank": k1_rank,
         "limit_rank": eventual_rank(s.core_map()),
     }
 
@@ -176,7 +170,8 @@ def compare_triples(s1: StationarySystem, s2: StationarySystem,
     ``equivalent`` requires an explicit intertwiner (search over coordinate
     permutations, bounded by ``depth``); anything else is ``inconclusive``.
     """
-    inv1, inv2 = triple_invariants(s1), triple_invariants(s2)
+    inv1 = triple_invariants(s1)
+    inv2 = inv1 if s2 == s1 else triple_invariants(s2)
     for key in inv1:
         if inv1[key] != inv2[key]:
             return CompareOutcome(

@@ -1,13 +1,13 @@
 """Past-equivalence partitions of a shift space and the matrix tower over them.
 
 Two points are level-l equivalent when their predecessor sets agree in every
-grade up to l.  On the finite context carrier this is computed two ways at
-once:
-
-* a grade-wise refinement over the prepend transition (exact, never
-  enumerates words), which defines the classes; and
-* explicit graded predecessor-word sets (capped), which give the canonical
-  class ordering and are checked against the refinement when available.
+grade up to l.  On the finite context carrier this is a partition refinement
+over the prepend transition, which never enumerates words: contexts get a
+rank per grade (``_grade_ranks``), and the classes of level l are the
+distinct rank vectors (grade 0, ..., grade l), numbered in the lexicographic
+order of those vectors.  The order is intrinsic to the transition, so it
+does not depend on context names or on any size limit.  Predecessor words
+are enumerated only to display the classes (``class_signatures``).
 
 The matrices attached to consecutive levels follow the source's indexing:
 entry (i, j) of the inclusion matrix is 1 when class i of level l+1 is
@@ -23,14 +23,15 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, StraddleError, ValidationError
 from .intlinalg import IntMatrix
-from .presentations import Presentation
-from .words import EPSILON
+from .presentations import Presentation, predecessor_frontiers
+
+# Predecessor words shown per grade; a larger grade is shown as its rank.
+SIGNATURE_WORD_LIMIT = 20000
 
 
 @dataclass(frozen=True)
 class PartitionClass:
     contexts: tuple[int, ...]          # context indices, sorted
-    signature: tuple                   # per grade: ("w", words...) or ("e", rank)
 
     @property
     def size(self) -> int:
@@ -79,10 +80,11 @@ class RestrictedMaps:
 class PartitionChain:
     """Partition levels 0..length plus the inclusion/action matrices between them."""
 
-    def __init__(self, presentation, steps, levels, inclusion, actions, reach, reach_limit,
-                 stabilization):
+    def __init__(self, presentation, steps, grade_ranks, levels, inclusion, actions, reach,
+                 reach_limit, stabilization):
         self.presentation: Presentation = presentation
         self.steps = steps
+        self.grade_ranks: tuple[tuple[int, ...], ...] = grade_ranks
         self.levels: tuple[PartitionLevel, ...] = levels
         self.length = len(levels) - 1
         self._inclusion: tuple[IntMatrix, ...] = inclusion
@@ -90,6 +92,7 @@ class PartitionChain:
         self.reach: tuple[frozenset[int], ...] = reach
         self.reach_limit: frozenset[int] = reach_limit
         self.stabilization: Stabilization = stabilization
+        self._signature_words: dict[int, list] = {}   # context -> sorted words per grade
 
     def m(self, level: int) -> int:
         return self.levels[level].m
@@ -121,7 +124,7 @@ def _step_table(p: Presentation):
 def _grade_ranks(steps, n_letters: int, upto: int):
     """Canonical rank of each context under single-grade equivalence, per grade."""
     n = len(steps)
-    ranks = [[0] * n]
+    ranks = [(0,) * n]
     for _ in range(upto):
         prev = ranks[-1]
         keys = [
@@ -129,47 +132,15 @@ def _grade_ranks(steps, n_letters: int, upto: int):
             for i in range(n)
         ]
         order = {key: r for r, key in enumerate(sorted(set(keys)))}
-        ranks.append([order[key] for key in keys])
-    return ranks
-
-
-def _graded_word_sets(steps, n_letters: int, start: int, upto: int, cap: int):
-    """Explicit predecessor-word sets per grade; None marks grades past the cap."""
-    sets: list[frozenset | None] = [frozenset([EPSILON])]
-    frontier = {EPSILON: start}
-    for _ in range(upto):
-        if frontier is None:
-            sets.append(None)
-            continue
-        nxt = {}
-        too_big = False
-        for w, ci in frontier.items():
-            for a in range(n_letters):
-                cj = steps[ci][a]
-                if cj is not None:
-                    nxt[(a,) + w] = cj
-            if len(nxt) > cap:
-                too_big = True
-                break
-        if too_big:
-            frontier = None
-            sets.append(None)
-        else:
-            frontier = nxt
-            sets.append(frozenset(nxt))
-    return sets
+        ranks.append(tuple(order[key] for key in keys))
+    return tuple(ranks)
 
 
 def _build_levels(p: Presentation, upto: int):
+    """Levels 0..upto; class ids rank the grade-rank vectors (grade 0, ..., grade l)."""
     steps = _step_table(p)
-    n = len(p.contexts)
-    n_letters = len(p.alphabet)
-    grade = _grade_ranks(steps, n_letters, upto)
-    word_sets = [
-        _graded_word_sets(steps, n_letters, i, upto, p.caps.max_signature_words)
-        for i in range(n)
-    ]
-
+    n = len(steps)
+    grade = _grade_ranks(steps, len(p.alphabet), upto)
     levels = []
     level_id = [0] * n
     for l in range(upto + 1):
@@ -177,46 +148,19 @@ def _build_levels(p: Presentation, upto: int):
             keys = [(level_id[i], grade[l][i]) for i in range(n)]
             order = {key: r for r, key in enumerate(sorted(set(keys)))}
             level_id = [order[key] for key in keys]
-        groups: dict[int, list[int]] = {}
+        members: list[list[int]] = [[] for _ in range(max(level_id) + 1)]
         for i, cid in enumerate(level_id):
-            groups.setdefault(cid, []).append(i)
-
-        classes = []
-        for members in groups.values():
-            members = sorted(members)
-            rep = min(members, key=lambda i: p.contexts[i].sort_key)
-            sig = []
-            for k in range(l + 1):
-                ws = word_sets[rep][k]
-                if ws is None:
-                    sig.append(("e", grade[k][rep]))
-                else:
-                    sig.append(("w",) + tuple(sorted(ws)))
-            # the signature is a class invariant; verify on the other members
-            for other in members:
-                for k in range(l + 1):
-                    ws, wo = word_sets[rep][k], word_sets[other][k]
-                    if ws is not None and wo is not None and ws != wo:
-                        raise ConsistencyError(
-                            "contexts in one class disagree on a predecessor set")
-            classes.append((tuple(sig), members))
-
-        classes.sort(key=lambda item: (item[0], p.contexts[item[1][0]].sort_key))
-        class_of = [0] * n
-        out = []
-        for ci, (sig, members) in enumerate(classes):
-            for i in members:
-                class_of[i] = ci
-            out.append(PartitionClass(tuple(members), sig))
-        levels.append(PartitionLevel(l, tuple(out), tuple(class_of)))
-    return steps, tuple(levels)
+            members[cid].append(i)
+        classes = tuple(PartitionClass(tuple(ms)) for ms in members)
+        levels.append(PartitionLevel(l, classes, tuple(level_id)))
+    return steps, grade, tuple(levels)
 
 
 def past_partition(p: Presentation, level: int) -> PartitionLevel:
     """Contexts grouped by equality of all predecessor sets up to ``level``."""
     if level < 0:
         raise ValidationError("level must be >= 0")
-    _, levels = _build_levels(p, level)
+    _, _, levels = _build_levels(p, level)
     return levels[level]
 
 
@@ -245,7 +189,7 @@ def build_chain(p: Presentation, length: int) -> PartitionChain:
     """Levels 0..length, all inter-level matrices, reach sets, stabilization."""
     if length < 1:
         raise ValidationError("chain length must be >= 1")
-    steps, levels = _build_levels(p, length)
+    steps, grade, levels = _build_levels(p, length)
     n_letters = len(p.alphabet)
 
     inclusion = []
@@ -301,7 +245,7 @@ def build_chain(p: Presentation, length: int) -> PartitionChain:
     else:
         stab = Stabilization(False, None, length)
 
-    return PartitionChain(p, steps, levels, tuple(inclusion), tuple(actions),
+    return PartitionChain(p, steps, grade, levels, tuple(inclusion), tuple(actions),
                           reach, reach_limit, stab)
 
 
@@ -340,19 +284,27 @@ def bowen_franks_matrix(chain: PartitionChain, l: int) -> IntMatrix:
     return inclusion_matrix(chain, l).sub(action_sum(chain, l))
 
 
+def _membership(chain: PartitionChain, l: int, subset) -> tuple[str, ...]:
+    """Per class of level l: '+' all its contexts lie in ``subset``, '-' none, '~' mixed."""
+    out = []
+    for cls in chain.levels[l].classes:
+        inside = [i in subset for i in cls.contexts]
+        out.append("+" if all(inside) else "-" if not any(inside) else "~")
+    return tuple(out)
+
+
+def _classes_inside(chain: PartitionChain, l: int, subset, what: str) -> tuple[int, ...]:
+    marks = _membership(chain, l, subset)
+    if "~" in marks:
+        raise ConsistencyError(f"{what} is not constant on a class")
+    return tuple(ci for ci, mark in enumerate(marks) if mark == "+")
+
+
 def m_index_set(chain: PartitionChain, k: int, l: int) -> tuple[int, ...]:
     """Classes of level l whose grade-k predecessor set is nonempty."""
     if not 0 <= k <= l <= chain.length:
         raise ValidationError("need 0 <= k <= l <= chain length")
-    level = chain.levels[l]
-    out = []
-    for ci, cls in enumerate(level.classes):
-        inside = [i in chain.reach[k] for i in cls.contexts]
-        if any(inside) != all(inside):
-            raise ConsistencyError("grade-k reachability is not constant on a class")
-        if inside[0]:
-            out.append(ci)
-    return tuple(out)
+    return _classes_inside(chain, l, chain.reach[k], "grade-k reachability")
 
 
 def restricted_maps(chain: PartitionChain, k: int, l: int) -> RestrictedMaps:
@@ -392,24 +344,37 @@ def persistent_classes(chain: PartitionChain, l: int) -> tuple[int, ...]:
     Persistence is constant on classes of stabilized levels; calling this on
     a level that still mixes persistent and dying contexts is an error.
     """
-    level = chain.levels[l]
-    out = []
-    for ci, cls in enumerate(level.classes):
-        inside = [i in chain.reach_limit for i in cls.contexts]
-        if any(inside) != all(inside):
-            raise ConsistencyError("persistent reachability is not constant on a class")
-        if inside[0]:
-            out.append(ci)
-    return tuple(out)
+    return _classes_inside(chain, l, chain.reach_limit, "persistent reachability")
 
 
 def persistence_markers(chain: PartitionChain, l: int) -> tuple[str, ...]:
     """Per-class display marker: '+' all persistent, '-' none, '~' mixed."""
-    level = chain.levels[l]
+    return _membership(chain, l, chain.reach_limit)
+
+
+def class_signatures(chain: PartitionChain, level: int) -> tuple[tuple, ...]:
+    """Per class of ``level``, its predecessor words for each grade k <= level.
+
+    Grade k reads ("w", words...) with the sorted length-k predecessor words
+    of the class's first context, or ("e", rank) with its grade-k rank once
+    that context has more than SIGNATURE_WORD_LIMIT words in some grade <= k.
+    Words are enumerated once per context and chain, only when asked for.
+    """
+    if not 0 <= level <= chain.length:
+        raise ValidationError(f"level {level} out of range 0..{chain.length}")
+    steps = chain.steps
     out = []
-    for cls in level.classes:
-        inside = [i in chain.reach_limit for i in cls.contexts]
-        out.append("+" if all(inside) else "-" if not any(inside) else "~")
+    for cls in chain.levels[level].classes:
+        rep = cls.contexts[0]
+        words = chain._signature_words.get(rep)
+        if words is None:
+            frontiers = predecessor_frontiers(
+                rep, lambda i, a: steps[i][a], range(len(chain.presentation.alphabet)),
+                chain.length, SIGNATURE_WORD_LIMIT)
+            words = chain._signature_words[rep] = [tuple(sorted(f)) for f in frontiers]
+        out.append(tuple(
+            ("w",) + words[k] if k < len(words) else ("e", chain.grade_ranks[k][rep])
+            for k in range(level + 1)))
     return tuple(out)
 
 
@@ -427,6 +392,24 @@ def _signature_json(p: Presentation, sig) -> list:
     return out
 
 
+def matrices_to_json(chain: PartitionChain) -> list[dict]:
+    """Per level l < length: inclusion, per-symbol action, action sum, difference."""
+    symbols = chain.presentation.alphabet.symbols
+    return [
+        {
+            "level": l,
+            "inclusion": inclusion_matrix(chain, l).to_lists(),
+            "action": {
+                symbols[a]: mat.to_lists()
+                for a, mat in sorted(action_matrices(chain, l).items())
+            },
+            "action_sum": action_sum(chain, l).to_lists(),
+            "bowen_franks": bowen_franks_matrix(chain, l).to_lists(),
+        }
+        for l in range(chain.length)
+    ]
+
+
 def chain_to_json(chain: PartitionChain) -> dict:
     """Chain export: class signatures, matrices row-major, M-sets, stabilization."""
     p = chain.presentation
@@ -438,22 +421,10 @@ def chain_to_json(chain: PartitionChain) -> dict:
             "classes": [
                 {
                     "contexts": [p.render_context(p.contexts[i]) for i in cls.contexts],
-                    "signature": _signature_json(p, cls.signature),
+                    "signature": _signature_json(p, sig),
                 }
-                for cls in lv.classes
+                for cls, sig in zip(lv.classes, class_signatures(chain, lv.level))
             ],
-        })
-    matrices = []
-    for l in range(chain.length):
-        matrices.append({
-            "level": l,
-            "inclusion": inclusion_matrix(chain, l).to_lists(),
-            "action": {
-                p.alphabet.symbols[a]: mat.to_lists()
-                for a, mat in sorted(action_matrices(chain, l).items())
-            },
-            "action_sum": action_sum(chain, l).to_lists(),
-            "bowen_franks": bowen_franks_matrix(chain, l).to_lists(),
         })
     m_sets = []
     for l in range(chain.length + 1):
@@ -470,6 +441,6 @@ def chain_to_json(chain: PartitionChain) -> dict:
             "checked_to": chain.stabilization.checked_to,
         },
         "levels": levels,
-        "matrices": matrices,
+        "matrices": matrices_to_json(chain),
         "m_sets": m_sets,
     }

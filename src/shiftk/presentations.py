@@ -38,11 +38,10 @@ class Caps:
     """Size limits for the enumerative parts of the library."""
 
     max_contexts: int = 4096
-    max_signature_words: int = 20000
     max_language_words: int = 200000
 
     def __post_init__(self):
-        if min(self.max_contexts, self.max_signature_words, self.max_language_words) < 1:
+        if min(self.max_contexts, self.max_language_words) < 1:
             raise ValidationError("caps must be positive")
 
 
@@ -693,6 +692,29 @@ def realizable_contexts(p: Presentation) -> tuple[Context, ...]:
     return p.contexts
 
 
+def predecessor_frontiers(start, step, letters, upto: int, cap: int) -> list[dict]:
+    """Predecessor words of ``start`` for grades 0..upto, each mapped to its context.
+
+    ``step(c, a)`` is the context after prepending ``a`` to a point with
+    context ``c`` (None when that leaves the shift).  The list stops before
+    the first grade with more than ``cap`` words.
+    """
+    frontier = {EPSILON: start}
+    out = [frontier]
+    for _ in range(upto):
+        nxt = {}
+        for w, c in frontier.items():
+            for a in letters:
+                c2 = step(c, a)
+                if c2 is not None:
+                    nxt[(a,) + w] = c2
+            if len(nxt) > cap:
+                return out
+        frontier = nxt
+        out.append(frontier)
+    return out
+
+
 def predecessor_set(p: Presentation, ctx: Context, k: int, cap: int | None = None) -> list[Word]:
     """P_k for any point with context ``ctx``: length-k words u with u.x in the shift."""
     if k < 0:
@@ -700,18 +722,10 @@ def predecessor_set(p: Presentation, ctx: Context, k: int, cap: int | None = Non
     cap = cap or p.caps.max_language_words
     if ctx not in p.context_index:
         raise ValidationError("context is not realizable for this presentation")
-    frontier = {EPSILON: ctx}
-    for _ in range(k):
-        nxt = {}
-        for w, c in frontier.items():
-            for a in p.alphabet:
-                c2 = p.prepend_context(c, a)
-                if c2 is not None:
-                    nxt[(a,) + w] = c2
-            if len(nxt) > cap:
-                raise ResourceCapError(f"predecessor set exceeds cap {cap}")
-        frontier = nxt
-    return sorted(frontier)
+    frontiers = predecessor_frontiers(ctx, p.prepend_context, p.alphabet, k, cap)
+    if len(frontiers) <= k:
+        raise ResourceCapError(f"predecessor set exceeds cap {cap}")
+    return sorted(frontiers[k])
 
 
 def in_cylinder(p: Presentation, u: Word, v: Word, x: Point) -> bool:

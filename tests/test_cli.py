@@ -1,7 +1,10 @@
 import json
+import random
 
 import pytest
 
+from helpers import random_essential_adjacency
+from shiftk import cli, partitions
 from shiftk.cli import main
 
 from conftest import CORPUS_OBJECTS
@@ -179,3 +182,68 @@ def test_env_overrides_format(files, capsys, monkeypatch):
     code, out, _ = run(capsys, "kgroups", files["full3"])
     assert code == 0
     assert json.loads(out)["k0"]["torsion"] == [2]
+
+
+def test_cache_misses_when_sources_change(files, capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    args = ("invariants", files["golden_mean"], "--cache-dir", str(cache), "--format", "json")
+    code, fresh, _ = run(capsys, *args)
+    assert code == 0 and len(list(cache.glob("*.json"))) == 1
+    monkeypatch.setattr(cli, "_source_hash", lambda: "0" * 64)
+    code, again, _ = run(capsys, *args)
+    assert code == 0 and again == fresh
+    assert len(list(cache.glob("*.json"))) == 2
+
+
+def _random_sofic(rng, n_states):
+    states = [f"s{i}" for i in range(n_states)]
+    edges = {(states[i], states[(i + 1) % n_states], "0") for i in range(n_states)}
+    while len(edges) < 2 * n_states:
+        edges.add((rng.choice(states), rng.choice(states), rng.choice("01")))
+    return {"type": "sofic", "states": states, "edges": [list(e) for e in sorted(edges)]}
+
+
+def test_output_independent_of_caps_and_state_names(tmp_path, capsys, monkeypatch):
+    rng = random.Random(5)
+    objects = [CORPUS_OBJECTS[name] for name in ("golden_mean", "pair", "even")]
+    objects.append({"type": "sft_matrix", "adjacency": random_essential_adjacency(rng, 7)})
+    objects.append(_random_sofic(rng, 5))
+    paths = []
+    for i, obj in enumerate(objects):
+        paths.append(tmp_path / f"p{i}.json")
+        paths[-1].write_text(json.dumps(obj))
+
+    def outputs():
+        out = []
+        for path in paths:
+            for command in ("invariants", "matrices", "classes"):
+                code, text, _ = run(capsys, command, str(path), "--no-cache",
+                                    "--format", "json", "--lmax", "6")
+                assert code == 0, (command, path)
+                data = json.loads(text)
+                for level in data.get("levels", ()):
+                    for cls in level["classes"]:
+                        del cls["signature"]      # the displayed words, limited on purpose
+                out.append(data if command == "classes" else text)
+        return out
+
+    default = outputs()
+    monkeypatch.setenv("SHIFTK_MAX_CONTEXTS", "300")
+    monkeypatch.setenv("SHIFTK_MAX_LANGUAGE_WORDS", "1")
+    monkeypatch.setattr(partitions, "SIGNATURE_WORD_LIMIT", 2)
+    assert outputs() == default
+
+    # renaming states reorders the state sets that serve as contexts, but
+    # the class order follows the prepend transition, not the names
+    for obj in (CORPUS_OBJECTS["even"], objects[-1]):
+        rename = {s: f"t{len(obj['states']) - i}" for i, s in enumerate(obj["states"])}
+        renamed = {"type": "sofic", "states": [rename[s] for s in obj["states"]],
+                   "edges": [[rename[q], rename[r], a] for q, r, a in obj["edges"]]}
+        triples = []
+        for i, o in enumerate((obj, renamed)):
+            path = tmp_path / f"named{i}.json"
+            path.write_text(json.dumps(o))
+            code, out, _ = run(capsys, "triple", str(path), "--format", "json")
+            assert code == 0
+            triples.append(json.loads(out))
+        assert triples[0] == triples[1]

@@ -59,7 +59,7 @@ def test_random_presentations_agree_with_oracles():
         except (ValidationError, ResourceCapError):
             continue
         chain = build_chain(p, 5)       # internal consistency asserts run here
-        for level in range(3):
+        for level in range(chain.length + 1):
             assert partition_as_context_groups(p, chain.levels[level]) == \
                 oracle_partition(p, level), obj
         for ctx in p.contexts:

@@ -20,7 +20,8 @@ from shiftk import (
     past_partition,
     restricted_maps,
 )
-from shiftk.partitions import chain_to_json, persistent_classes
+from shiftk import partitions
+from shiftk.partitions import chain_to_json, class_signatures, persistent_classes
 from shiftk.presentations import SuffixContext, context_of
 
 from conftest import make
@@ -50,14 +51,22 @@ def test_golden_mean_level_one(golden_mean):
 
 
 def test_pair_level_one_signatures(pair):
-    lv = past_partition(pair, 1)
-    assert lv.m == 2
+    chain = build_chain(pair, 1)
+    assert chain.m(1) == 2
     # signatures are ({eps}, {0,1}) and ({eps}, {})
-    sigs = {cls.signature for cls in lv.classes}
+    sigs = set(class_signatures(chain, 1))
     assert sigs == {
         (("w", ()), ("w",)),
         (("w", ()), ("w", (0,), (1,))),
     }
+
+
+def test_signatures_elide_to_grade_rank(full2, monkeypatch):
+    monkeypatch.setattr(partitions, "SIGNATURE_WORD_LIMIT", 2)
+    chain = build_chain(full2, 3)
+    assert class_signatures(chain, 3) == (
+        (("w", ()), ("w", (0,), (1,)), ("e", 0), ("e", 0)),
+    )
 
 
 def test_chain_stabilization(corpus):
