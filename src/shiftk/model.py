@@ -9,6 +9,12 @@ on the rational span of the points.  Every identity the word operators are
 supposed to satisfy becomes an exact matrix identity here, checked in
 rational arithmetic with no floating point anywhere.
 
+Matrices are sparse and exact: a ``Matrix`` stores only its nonzero
+Fraction entries, keyed by (row, col), and never stores a zero, so two
+matrices of one size are equal exactly when their stored nonzero entries
+are equal.  A word operator is a partial injection with at most n entries, and a product
+costs time in the stored entries it joins, not n^3.
+
 The graded transfer operator appearing in the composition formula averages
 over n-step preimages in a single step (it is not the n-fold composite of
 the one-step transfer; the two differ as soon as preimage counts vary).
@@ -17,14 +23,15 @@ the one-step transfer; the two differ as soon as preimage counts vary).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
 from .presentations import FiniteShift, in_cylinder
 from .words import EPSILON, Word
 
-Matrix = tuple[tuple[Fraction, ...], ...]
 Func = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
@@ -55,6 +62,11 @@ class FiniteModel:
         except KeyError:
             raise ValidationError("point is not in the model's shift space") from None
 
+    @cached_property
+    def shift_indices(self) -> tuple[int, ...]:
+        """Basis index of the shift of each basis point."""
+        return tuple(self.index(x.shift()) for x in self.basis)
+
     def words_upto(self, max_len: int) -> list[Word]:
         out = [EPSILON]
         frontier = [EPSILON]
@@ -65,44 +77,76 @@ class FiniteModel:
 
 
 # ---------------------------------------------------------------------------
-# rational matrices
+# sparse rational matrices
+
+
+class Matrix:
+    """Square n x n rational matrix stored as its nonzero entries.
+
+    ``entries`` maps ``(row, col)`` to a nonzero Fraction and a missing key
+    is a zero entry.  The constructor drops zeros, so no matrix ever stores
+    one and ``==`` (same size, same stored entries) is exact matrix equality.
+    """
+
+    __slots__ = ("n", "entries")
+
+    def __init__(self, n: int, entries: dict | None = None):
+        self.n = n
+        self.entries = {k: v for k, v in entries.items() if v} if entries else {}
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.n == other.n and self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.n}, {self.entries!r})"
 
 
 def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
+    return Matrix(n, {(i, i): _ONE for i in range(n)})
 
 
 def mat_zero(n: int) -> Matrix:
-    return tuple((_ZERO,) * n for _ in range(n))
+    return Matrix(n)
 
 
 def mat_diag(values: Func) -> Matrix:
-    n = len(values)
-    return tuple(tuple(values[i] if i == j else _ZERO for j in range(n)) for i in range(n))
+    return Matrix(len(values), {(i, i): v for i, v in enumerate(values)})
 
 
 def mat_transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
+    return Matrix(m.n, {(j, i): v for (i, j), v in m.entries.items()})
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = mat_transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    """Sparse join: each stored a[i, k] meets the stored entries of row k of b."""
+    b_rows: dict[int, list] = {}
+    for (k, j), y in b.entries.items():
+        b_rows.setdefault(k, []).append((j, y))
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i, k), x in a.entries.items():
+        for j, y in b_rows.get(k, ()):
+            if (i, j) in out:
+                out[i, j] += x * y
+            else:
+                out[i, j] = x * y
+    return Matrix(a.n, out)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
+    out = dict(a.entries)
+    for key, y in b.entries.items():
+        out[key] = out[key] + y if key in out else y
+    return Matrix(a.n, out)
 
 
 def diag_inverse(m: Matrix) -> Matrix:
-    n = len(m)
-    for i in range(n):
-        for j in range(n):
-            if i != j and m[i][j] != 0:
-                raise ConsistencyError("matrix expected to be diagonal is not")
-        if m[i][i] == 0:
-            raise ConsistencyError("diagonal operator expected invertible has a zero entry")
-    return mat_diag(tuple(_ONE / m[i][i] for i in range(n)))
+    if any(i != j for (i, j) in m.entries):
+        raise ConsistencyError("matrix expected to be diagonal is not")
+    if len(m.entries) != m.n:
+        raise ConsistencyError("diagonal operator expected invertible has a zero entry")
+    return Matrix(m.n, {key: _ONE / v for key, v in m.entries.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +155,20 @@ def diag_inverse(m: Matrix) -> Matrix:
 
 def op_word(model: FiniteModel, u: Word) -> Matrix:
     """Matrix of e_x -> e_{u.x} (zero column when u.x leaves the shift)."""
-    model.shift.alphabet.check_word(tuple(u))
-    cols = []
-    for x in model.basis:
-        ux = x.prepend(tuple(u))
-        cols.append(model._index.get(ux))
-    return tuple(
-        tuple(_ONE if cols[j] == i else _ZERO for j in range(model.n))
-        for i in range(model.n)
-    )
+    u = tuple(u)
+    model.shift.alphabet.check_word(u)
+    entries = {}
+    for j, x in enumerate(model.basis):
+        i = model._index.get(x.prepend(u))
+        if i is not None:
+            entries[i, j] = _ONE
+    return Matrix(model.n, entries)
 
 
 def op_diagonal(model: FiniteModel, f: Func) -> Matrix:
     if len(f) != model.n:
         raise ValidationError("function length does not match the basis")
-    return mat_diag(tuple(Fraction(v) for v in f))
+    return mat_diag(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in f))
 
 
 def generator_sum(model: FiniteModel, n: int = 1) -> Matrix:
@@ -149,7 +192,7 @@ def indicator_cylinder(model: FiniteModel, u: Word, v: Word) -> Func:
 
 def fn_compose_shift(model: FiniteModel, f: Func) -> Func:
     """f after the shift map."""
-    return tuple(f[model.index(x.shift())] for x in model.basis)
+    return tuple(f[i] for i in model.shift_indices)
 
 
 def fn_prepend(model: FiniteModel, w: Word, f: Func) -> Func:
@@ -164,10 +207,12 @@ def fn_prepend(model: FiniteModel, w: Word, f: Func) -> Func:
 
 def fn_transfer(model: FiniteModel, f: Func, steps: int = 1) -> Func:
     """Average of f over the n-step preimages; 0 outside the n-step image."""
-    shifted = [x.shift_by(steps) for x in model.basis]
+    preimages: dict = {}
+    for i, x in enumerate(model.basis):
+        preimages.setdefault(x.shift_by(steps), []).append(i)
     out = []
     for x in model.basis:
-        pre = [i for i, s in enumerate(shifted) if s == x]
+        pre = preimages.get(x)
         if pre:
             out.append(sum(f[i] for i in pre) / len(pre))
         else:
@@ -178,10 +223,8 @@ def fn_transfer(model: FiniteModel, f: Func, steps: int = 1) -> Func:
 def preimage_count_function(model: FiniteModel, steps: int) -> Func:
     """x -> number of points with the same n-step image as x (always >= 1)."""
     shifted = [x.shift_by(steps) for x in model.basis]
-    counts = []
-    for i in range(model.n):
-        counts.append(Fraction(sum(1 for s in shifted if s == shifted[i])))
-    return tuple(counts)
+    counts = Counter(shifted)
+    return tuple(Fraction(counts[s]) for s in shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +428,8 @@ class RationalSpan:
 
 
 def flatten(m: Matrix) -> tuple[Fraction, ...]:
-    return tuple(x for row in m for x in row)
+    """The dense row-major vector of all n * n entries."""
+    return tuple(m.entries.get((i, j), _ZERO) for i in range(m.n) for j in range(m.n))
 
 
 def monomial(model: FiniteModel, u: Word, f: Func, v: Word) -> Matrix:

@@ -75,3 +75,27 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 12):
         for k in range(n):
             m[i][k] += c * m[j][k]
     return m
+
+
+def oracle_cylinder_indicators(p, max_len: int) -> set:
+    """Distinct indicators of {v.y : y and u.y in the shift} over |u|, |v| <= max_len,
+    by direct prefix and membership tests on the points of a finite shift."""
+    words = [w for k in range(max_len + 1) for w in p.alphabet.words_of_length(k)]
+    out = set()
+    for u in words:
+        for v in words:
+            out.add(tuple(
+                x.prefix(len(v)) == tuple(v) and p.contains(x.shift_by(len(v)).prepend(u))
+                for x in p.points))
+    return out
+
+
+def model_check_counts(n_words: int, n_letters: int, n_funcs: int, max_len: int) -> dict:
+    """Closed-form number of identities each report of ``run_all_checks`` records:
+    W words up to length L over a letters, F test functions."""
+    w, a, f = n_words, n_letters, n_funcs
+    return {
+        "representation": 2 * w * w,
+        "structure": 2 + 4 * w + sum(a ** k * (a ** k - 1) for k in range(1, max_len + 1)),
+        "composition rules": 3 * w * f + max_len * (2 * f + 1),
+    }

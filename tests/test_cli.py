@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,23 @@ def test_model_verify(files, capsys):
     code, _, err = run(capsys, "model", "verify", files["golden_mean"])
     assert code == 2
     assert "finite presentation" in err
+
+
+def test_reused_parser_leaks_no_state(files, capsys):
+    """One process, several commands: each prints what a fresh process prints."""
+    commands = [
+        ("model", "verify", files["pair"], "--L", "2"),
+        ("invariants", files["golden_mean"], "--no-cache", "--format", "json"),
+        ("kgroups", files["full3"], "--no-cache"),
+        ("model", "verify", files["pair"]),     # the default --L, not the last one
+    ]
+    in_process = [run(capsys, *command)[:2] for command in commands]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for command, (code, out) in zip(commands, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "shiftk.cli", *command],
+                               capture_output=True, text=True, env=env, check=False)
+        assert (fresh.returncode, fresh.stdout) == (code, out), command
+    assert in_process[0][1] != in_process[3][1]
 
 
 def test_env_overrides_format(files, capsys, monkeypatch):
