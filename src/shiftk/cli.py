@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -27,6 +27,7 @@ from .intlinalg import FgAbelianGroup
 from .invariants import compare_triples, dimension_triple, k_groups, per_level_k_data
 from .model import FiniteModel, run_all_checks
 from .partitions import (
+    Stabilization,
     action_matrices,
     action_sum,
     bowen_franks_matrix,
@@ -135,11 +136,7 @@ def _invariant_record(p, cfg: RunConfig) -> dict:
         "presentation": p.content_hash(),
         "tool_version": __version__,
         "m_sequence": list(chain.m_sequence),
-        "stabilization": {
-            "stable": chain.stabilization.stable,
-            "level": chain.stabilization.level,
-            "checked_to": chain.stabilization.checked_to,
-        },
+        "stabilization": asdict(chain.stabilization),
     }
     try:
         kg = k_groups(chain)
@@ -192,12 +189,7 @@ def _print_record(record: dict, cfg: RunConfig) -> None:
         f"tool version: {record['tool_version']}",
         "m-sequence: " + " ".join(str(m) for m in record["m_sequence"]),
     ]
-    st = record["stabilization"]
-    if st["stable"]:
-        lines.append(f"stabilization: stable at level {st['level']} "
-                     f"(verified through {st['checked_to']})")
-    else:
-        lines.append(f"stabilization: not stable within {st['checked_to']} levels")
+    lines.append("stabilization: " + Stabilization(**record["stabilization"]).render())
     if record.get("k0") is None:
         lines.append("K0/K1: not determined (tower not stabilized); per-level data:")
         for item in record.get("per_level", []):
@@ -249,10 +241,10 @@ def cmd_classes(args) -> int:
         return 0
     lines = ["m-sequence: " + " ".join(str(m) for m in chain.m_sequence),
              f"stabilization: {chain.stabilization.render()}"]
-    for lv in chain.levels:
-        markers = persistence_markers(chain, lv.level)
-        signatures = class_signatures(chain, lv.level)
-        lines.append(f"level {lv.level}: m = {lv.m}")
+    for l, lv in enumerate(chain.levels):
+        markers = persistence_markers(chain, l)
+        signatures = class_signatures(chain, l)
+        lines.append(f"level {l}: m = {lv.m}")
         for ci, cls in enumerate(lv.classes):
             mark = markers[ci]
             members = ", ".join(p.render_context(p.contexts[i]) for i in cls.contexts[:6])

@@ -85,18 +85,6 @@ class IntMatrix:
         rows = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
         return IntMatrix(len(row_idx), len(col_idx), rows)
 
-    def power(self, n: int) -> "IntMatrix":
-        if not self.is_square():
-            raise ValidationError("power of non-square matrix")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            n >>= 1
-        return result
-
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 

@@ -4,7 +4,8 @@ Once the partition tower stabilizes, the inclusion maps become identities, so
 the tower's limit group is the lattice at the stabilized level and the
 difference matrix (inclusion minus action) becomes a square endomorphism
 matrix B.  The two K-groups are its cokernel and kernel, both read off one
-Smith normal form of B; B must be the same matrix at every stabilized level.
+Smith normal form of B.  The levels past the stable level are that level
+itself, so B and the triple are read there once.
 """
 
 from __future__ import annotations
@@ -90,14 +91,11 @@ def _require_stable(chain: PartitionChain) -> int:
 
 
 def k_groups(chain: PartitionChain) -> KGroups:
-    """Cokernel and kernel of the stabilized difference matrix, level-checked."""
+    """Cokernel and kernel of the stabilized difference matrix."""
     l0 = _require_stable(chain)
     b = bowen_franks_matrix(chain, l0)
     if not b.is_square():
         raise ConsistencyError("difference matrix not square past stabilization")
-    for l in range(l0 + 1, chain.length):
-        if bowen_franks_matrix(chain, l) != b:
-            raise ConsistencyError("difference matrix differs between stabilized levels")
     k0, k1_rank = _k_data(b)
     return KGroups(k0, FgAbelianGroup(k1_rank, ()))
 
@@ -105,15 +103,7 @@ def k_groups(chain: PartitionChain) -> KGroups:
 def dimension_triple(chain: PartitionChain) -> StationarySystem:
     """Stationary certificate: stabilized step map plus the persistent-coordinate mask."""
     l0 = _require_stable(chain)
-    step = action_sum(chain, l0)
-    for l in range(l0, chain.length):
-        if action_sum(chain, l).entries != step.entries:
-            raise ConsistencyError("action matrix differs between stabilized levels")
-    mask = persistent_classes(chain, l0)
-    for l in range(l0, chain.length + 1):
-        if persistent_classes(chain, l) != mask:
-            raise ConsistencyError("persistent coordinates differ between stabilized levels")
-    return StationarySystem(chain.m(l0), step, mask)
+    return StationarySystem(chain.m(l0), action_sum(chain, l0), persistent_classes(chain, l0))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,12 @@ order of those vectors.  The order is intrinsic to the transition, so it
 does not depend on context names or on any size limit.  Predecessor words
 are enumerated only to display the classes (``class_signatures``).
 
+Level l+1 is level 0 refined by the level-l classes of the successors (Moore
+refinement), so the first step that adds no class is a fixed point: every
+later level is the same partition.  The tower is refined and its matrices
+are built only up to that stable level; the levels past it are that level
+itself, and the chain length (``lmax``) only bounds how many are shown.
+
 The matrices attached to consecutive levels follow the source's indexing:
 entry (i, j) of the inclusion matrix is 1 when class i of level l+1 is
 contained in class j of level l, and entry (i, j) of the per-symbol action
@@ -19,7 +25,7 @@ error).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConsistencyError, StraddleError, ValidationError
 from .intlinalg import IntMatrix
@@ -40,16 +46,12 @@ class PartitionClass:
 
 @dataclass(frozen=True)
 class PartitionLevel:
-    level: int
     classes: tuple[PartitionClass, ...]
     class_of: tuple[int, ...]          # context index -> class index
 
     @property
     def m(self) -> int:
         return len(self.classes)
-
-    def groups(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(c.contexts) for c in self.classes)
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,12 @@ def _grade_ranks(steps, n_letters: int, upto: int):
 
 
 def _build_levels(p: Presentation, upto: int):
-    """Levels 0..upto; class ids rank the grade-rank vectors (grade 0, ..., grade l)."""
+    """Levels 0..upto and the first stable level (None if not reached before upto).
+
+    Class ids rank the grade-rank vectors (grade 0, ..., grade l).  The levels
+    are nested, so the first step that adds no class changes no partition and,
+    ranking (old id, grade), no id; the levels after it are that same object.
+    """
     steps = _step_table(p)
     n = len(steps)
     grade = _grade_ranks(steps, len(p.alphabet), upto)
@@ -147,54 +154,55 @@ def _build_levels(p: Presentation, upto: int):
         if l > 0:
             keys = [(level_id[i], grade[l][i]) for i in range(n)]
             order = {key: r for r, key in enumerate(sorted(set(keys)))}
+            if len(order) == levels[-1].m:
+                stable = l - 1
+                return steps, grade, tuple(levels) + (levels[-1],) * (upto - stable), stable
             level_id = [order[key] for key in keys]
         members: list[list[int]] = [[] for _ in range(max(level_id) + 1)]
         for i, cid in enumerate(level_id):
             members[cid].append(i)
         classes = tuple(PartitionClass(tuple(ms)) for ms in members)
-        levels.append(PartitionLevel(l, classes, tuple(level_id)))
-    return steps, grade, tuple(levels)
+        levels.append(PartitionLevel(classes, tuple(level_id)))
+    return steps, grade, tuple(levels), None
 
 
 def past_partition(p: Presentation, level: int) -> PartitionLevel:
     """Contexts grouped by equality of all predecessor sets up to ``level``."""
     if level < 0:
         raise ValidationError("level must be >= 0")
-    _, _, levels = _build_levels(p, level)
-    return levels[level]
+    return _build_levels(p, level)[2][level]
 
 
 def _reach_sets(steps, n_letters: int, upto: int):
-    n = len(steps)
-    reach = [frozenset(range(n))]
-    for _ in range(upto):
-        prev = reach[-1]
-        reach.append(frozenset(
-            i for i in range(n)
-            if any(steps[i][a] is not None and steps[i][a] in prev for a in range(n_letters))
-        ))
-    cur = reach[-1]
-    while True:
-        nxt = frozenset(
+    """Contexts with a predecessor word of each length 0..upto, and of every length."""
+    def shrink(cur):
+        return frozenset(
             i for i in cur
             if any(steps[i][a] is not None and steps[i][a] in cur for a in range(n_letters))
         )
-        if nxt == cur:
-            break
+
+    reach = [frozenset(range(len(steps)))]
+    for _ in range(upto):
+        reach.append(shrink(reach[-1]))
+    cur = reach[-1]
+    while (nxt := shrink(cur)) != cur:
         cur = nxt
     return tuple(reach), cur
 
 
 def build_chain(p: Presentation, length: int) -> PartitionChain:
-    """Levels 0..length, all inter-level matrices, reach sets, stabilization."""
+    """Levels 0..length, inter-level matrices, reach sets, stabilization.
+
+    Past the stable level the matrices repeat its identity step.
+    """
     if length < 1:
         raise ValidationError("chain length must be >= 1")
-    steps, grade, levels = _build_levels(p, length)
+    steps, grade, levels, stable_level = _build_levels(p, length)
     n_letters = len(p.alphabet)
 
     inclusion = []
     actions = []
-    for l in range(length):
+    for l in range(length if stable_level is None else stable_level + 1):
         fine, coarse = levels[l + 1], levels[l]
         rows = []
         for cls in fine.classes:
@@ -224,27 +232,12 @@ def build_chain(p: Presentation, length: int) -> PartitionChain:
                 rows.append(tuple(row))
             per_symbol[a] = IntMatrix.from_rows(rows)
         actions.append(per_symbol)
+    tail = length - len(inclusion)
+    inclusion += inclusion[-1:] * tail
+    actions += actions[-1:] * tail
 
     reach, reach_limit = _reach_sets(steps, n_letters, length)
-
-    stable_level = None
-    for l in range(length):
-        if levels[l].groups() == levels[l + 1].groups():
-            stable_level = l
-            break
-    if stable_level is not None:
-        for l in range(stable_level, length):
-            if levels[l].groups() != levels[l + 1].groups():
-                raise ConsistencyError(
-                    "partition refined again after stabilizing; monotonicity broken")
-            ident = IntMatrix.identity(levels[l].m)
-            if inclusion[l].entries != ident.entries:
-                raise ConsistencyError(
-                    "inclusion matrix is not the identity past stabilization")
-        stab = Stabilization(True, stable_level, length)
-    else:
-        stab = Stabilization(False, None, length)
-
+    stab = Stabilization(stable_level is not None, stable_level, length)
     return PartitionChain(p, steps, grade, levels, tuple(inclusion), tuple(actions),
                           reach, reach_limit, stab)
 
@@ -414,16 +407,16 @@ def chain_to_json(chain: PartitionChain) -> dict:
     """Chain export: class signatures, matrices row-major, M-sets, stabilization."""
     p = chain.presentation
     levels = []
-    for lv in chain.levels:
+    for l, lv in enumerate(chain.levels):
         levels.append({
-            "level": lv.level,
+            "level": l,
             "m": lv.m,
             "classes": [
                 {
                     "contexts": [p.render_context(p.contexts[i]) for i in cls.contexts],
                     "signature": _signature_json(p, sig),
                 }
-                for cls, sig in zip(lv.classes, class_signatures(chain, lv.level))
+                for cls, sig in zip(lv.classes, class_signatures(chain, l))
             ],
         })
     m_sets = []
@@ -435,11 +428,7 @@ def chain_to_json(chain: PartitionChain) -> dict:
         })
     return {
         "m_sequence": list(chain.m_sequence),
-        "stabilization": {
-            "stable": chain.stabilization.stable,
-            "level": chain.stabilization.level,
-            "checked_to": chain.stabilization.checked_to,
-        },
+        "stabilization": asdict(chain.stabilization),
         "levels": levels,
         "matrices": matrices_to_json(chain),
         "m_sets": m_sets,

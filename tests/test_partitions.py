@@ -92,6 +92,29 @@ def test_not_stable_within_short_chain(even):
     assert err.value.per_level
 
 
+def test_refinement_stops_at_its_fixed_point(corpus):
+    for name, p in corpus.items():
+        l0 = build_chain(p, 40).stabilization.level
+        chains = [build_chain(p, length) for length in (l0 + 1, 12, 40)]
+        for chain in chains:
+            assert chain.stabilization.stable and chain.stabilization.level == l0, name
+            assert all(lv == chain.levels[l0] for lv in chain.levels[l0 + 1:]), name
+        if l0 > 0:
+            short = build_chain(p, l0)
+            assert not short.stabilization.stable, name
+            with pytest.raises(NotStabilizedError):
+                k_groups(short)
+            chains.insert(0, short)
+        longest = chains[-1]
+        for chain in chains[:-1]:
+            common = chain.length + 1
+            assert longest.m_sequence[:common] == chain.m_sequence, name
+            assert longest.levels[:common] == chain.levels, name
+            for l in range(chain.length):
+                assert inclusion_matrix(longest, l) == inclusion_matrix(chain, l), (name, l)
+                assert action_matrices(longest, l) == action_matrices(chain, l), (name, l)
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
