@@ -1,13 +1,26 @@
-"""Exact integer linear algebra: Smith normal form, kernels, cokernels.
+"""Exact integer linear algebra: invariant factors, Smith normal form, kernels.
 
-Everything runs on Python's arbitrary-precision integers; intermediate
-entries of a Smith reduction can blow up far past machine words, so no
-fixed-width arithmetic is used anywhere.
+Everything runs on Python's arbitrary-precision integers; no fixed-width
+arithmetic is used anywhere.
+
+Ranks, cokernels and K-groups need only the rank and the invariant factors,
+which ``invariant_factors`` computes without unimodular transforms: one
+fraction-free (Bareiss) pass gives the rank r and a nonzero r x r minor
+Delta, and the row and column elimination then runs with every entry reduced
+modulo Delta (Domich-Kannan-Trotter 1987, Hafner-McCurley 1991), so entries
+never grow past Delta.  Each nonzero invariant factor divides Delta, so the
+reduction loses none of them.  The result is certified by a divisibility
+chain, a rank count and the product of the factors against Delta (equal to
+|det| on a square nonsingular matrix).  Only ``kernel`` needs a transform; it
+reads V from ``smith_normal_form``, which builds U and V and verifies them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, prod
+import operator
+
 from .errors import ConsistencyError, ValidationError
 
 
@@ -30,18 +43,25 @@ class IntMatrix:
                     raise ValidationError(f"non-integer entry {x!r}")
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, entries) -> "IntMatrix":
+        """A matrix of int entries already known to have this shape; no checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(map(int, r)) for r in rows)
         ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, rows)
+        if any(len(r) != ncols for r in rows):
+            raise ValidationError("ragged matrix rows")
+        return cls._trusted(len(rows), ncols, rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return cls._trusted(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
@@ -51,29 +71,26 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         if not self.entries:
-            return IntMatrix(self.cols, self.rows, tuple(() for _ in range(self.cols)))
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
+            return IntMatrix._trusted(self.cols, self.rows, tuple(() for _ in range(self.cols)))
+        return IntMatrix._trusted(self.cols, self.rows, tuple(zip(*self.entries)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValidationError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         ot = other.transpose().entries
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
-        )
-        return IntMatrix(self.rows, other.cols, out)
+        out = tuple(tuple(sum(map(operator.mul, row, col)) for col in ot) for row in self.entries)
+        return IntMatrix._trusted(self.rows, other.cols, out)
 
     def add(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("shape mismatch in add")
-        return IntMatrix(self.rows, self.cols, tuple(
+        return IntMatrix._trusted(self.rows, self.cols, tuple(
             tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
 
     def sub(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("shape mismatch in sub")
-        return IntMatrix(self.rows, self.cols, tuple(
+        return IntMatrix._trusted(self.rows, self.cols, tuple(
             tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
 
     def apply(self, vector: tuple[int, ...]) -> tuple[int, ...]:
@@ -83,35 +100,54 @@ class IntMatrix:
 
     def submatrix(self, row_idx, col_idx) -> "IntMatrix":
         rows = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
-        return IntMatrix(len(row_idx), len(col_idx), rows)
+        return IntMatrix._trusted(len(row_idx), len(col_idx), rows)
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
+
+
+def _echelon(m: IntMatrix) -> tuple[int, int]:
+    """Rank r and last pivot of a fraction-free (Bareiss) row elimination.
+
+    The pivot is the r x r minor on the pivot rows and columns, signed by the
+    row swaps (1 when r == 0), so it is the determinant of a square
+    nonsingular matrix.  Every division is exact.
+    """
+    a = [list(r) for r in m.entries]
+    rows = m.rows
+    rank, sign, prev = 0, 1, 1
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(rank, rows) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            a[rank], a[pivot_row] = a[pivot_row], a[rank]
+            sign = -sign
+        top = a[rank][c + 1:]
+        p = a[rank][c]
+        for i in range(rank + 1, rows):
+            row = a[i]
+            f = row[c]
+            if f or p != prev:
+                row[c + 1:] = [(x * p - f * y) // prev for x, y in zip(row[c + 1:], top)]
+        prev = p
+        rank += 1
+        if rank == rows:
+            break
+    return rank, sign * prev
 
 
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not m.is_square():
         raise ValidationError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rank, pivot = _echelon(m)
+    return pivot if rank == m.rows else 0
+
+
+def matrix_rank(m: IntMatrix) -> int:
+    """Rank over Q, from the fraction-free elimination alone."""
+    return _echelon(m)[0]
 
 
 def _swap_rows(a, i, j):
@@ -165,10 +201,6 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x != 0)
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(x for x in self.diagonal if x > 1)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -282,8 +314,114 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(um, dm, vm, diag)
 
 
-def matrix_rank(m: IntMatrix) -> int:
-    return smith_normal_form(m).rank
+def _diagonal_mod(m: IntMatrix, modulus: int) -> list[int]:
+    """Diagonal of a row and column reduction of m over Z/modulus.
+
+    The pivot only shrinks (a gcd step replaces it by a proper divisor) and
+    an entry it divides is cleared by a quotient multiple, so the loop ends.
+    The list stops where the remaining block is zero.
+    """
+    rows, cols = m.rows, m.cols
+    a = [[x % modulus for x in r] for r in m.entries]
+    diag = []
+    for t in range(min(rows, cols)):
+        pos = next(((i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]), None)
+        if pos is None:
+            break
+        i, j = pos
+        a[t], a[i] = a[i], a[t]
+        for row in a[t:]:
+            row[t], row[j] = row[j], row[t]
+        top = a[t]
+        while True:
+            for row in a[t + 1:]:
+                b = row[t]
+                if not b:
+                    continue
+                p = top[t]
+                q, r = divmod(b, p)
+                if r == 0:
+                    row[t:] = [(f - q * e) % modulus for e, f in zip(top[t:], row[t:])]
+                else:
+                    s, u, g = _gcdex(p, b)
+                    x, y = p // g, b // g
+                    pairs = list(zip(top[t:], row[t:]))
+                    top[t:] = [(s * e + u * f) % modulus for e, f in pairs]
+                    row[t:] = [(x * f - y * e) % modulus for e, f in pairs]
+            # column t is now zero below the pivot, so a column operation with
+            # a quotient multiple only clears row t; a gcd step refills column t
+            refilled = False
+            for j in range(t + 1, cols):
+                e = top[j]
+                if not e:
+                    continue
+                p = top[t]
+                q, r = divmod(e, p)
+                if r == 0:
+                    if refilled:
+                        for row in a[t + 1:]:
+                            row[j] = (row[j] - q * row[t]) % modulus
+                    top[j] = 0
+                else:
+                    s, u, g = _gcdex(p, e)
+                    x, y = p // g, e // g
+                    for row in a[t:]:
+                        e0, e1 = row[t], row[j]
+                        row[t] = (s * e0 + u * e1) % modulus
+                        row[j] = (x * e1 - y * e0) % modulus
+                    refilled = True
+            if not refilled:
+                break
+        diag.append(top[t])
+    return diag
+
+
+def _divisibility_chain(diag: list[int]) -> list[int]:
+    """The invariant factors of a diagonal matrix: diag(x, y) ~ diag(gcd, lcm)."""
+    chain = [x for x in diag if x != 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            x, y = chain[i], chain[j]
+            g = gcd(x, y)
+            chain[i], chain[j] = g, x // g * y
+    return [1] * (len(diag) - len(chain)) + chain
+
+
+def invariant_factors(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
+    """Rank r and the r nonzero invariant factors d1 | d2 | ... | dr of m.
+
+    The diagonal of the reduction modulo Delta, a nonzero r x r minor, gives
+    gcd(di, Delta) = di for i <= r and Delta for the zero factors; missing
+    diagonal entries of a rectangular matrix count as zero, so it needs no
+    padding, and gcd/lcm exchanges order the diagonal into a chain.  The
+    result is certified (chain, rank count, product against Delta) and a
+    failure raises ConsistencyError naming the check.
+
+    >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    (2, (2, 4))
+    """
+    rank, minor = _echelon(m)
+    delta = abs(minor)
+    diag = [gcd(x, delta) for x in _diagonal_mod(m, delta)]
+    diag += [delta] * (min(m.rows, m.cols) - len(diag))
+    diag = _divisibility_chain(diag)
+    factors = tuple(diag[:rank])
+
+    def fail(check: str):
+        raise ConsistencyError(
+            f"invariant factors failed the {check} check on a {m.rows}x{m.cols} matrix "
+            f"(modulus of {delta.bit_length()} bits)")
+
+    if any(y % x for x, y in zip(factors, factors[1:])):
+        fail("divisibility chain")
+    if len(factors) != rank or any(x != delta for x in diag[rank:]):
+        fail("rank count")
+    if rank == m.rows == m.cols:
+        if prod(factors) != delta:
+            fail("product equals |det|")
+    elif delta % prod(factors):
+        fail("product divides the minor")
+    return rank, factors
 
 
 @dataclass(frozen=True)
@@ -341,8 +479,8 @@ class FgAbelianGroup:
 
 def cokernel(m: IntMatrix) -> FgAbelianGroup:
     """Z^rows / im(M) in canonical invariant-factor form."""
-    snf = smith_normal_form(m)
-    return FgAbelianGroup(m.rows - snf.rank, snf.invariant_factors)
+    rank, factors = invariant_factors(m)
+    return FgAbelianGroup(m.rows - rank, tuple(d for d in factors if d > 1))
 
 
 def kernel(m: IntMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -3,9 +3,9 @@
 Once the partition tower stabilizes, the inclusion maps become identities, so
 the tower's limit group is the lattice at the stabilized level and the
 difference matrix (inclusion minus action) becomes a square endomorphism
-matrix B.  The two K-groups are its cokernel and kernel, both read off one
-Smith normal form of B.  The levels past the stable level are that level
-itself, so B and the triple are read there once.
+matrix B.  The two K-groups are its cokernel and kernel, both read off the
+rank and invariant factors of B.  The levels past the stable level are that
+level itself, so B and the triple are read there once.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import ConsistencyError, NotStabilizedError, ValidationError
-from .intlinalg import FgAbelianGroup, IntMatrix, matrix_rank, smith_normal_form
+from .intlinalg import FgAbelianGroup, IntMatrix, cokernel, matrix_rank
 from .partitions import (
     PartitionChain,
     action_sum,
@@ -62,9 +62,9 @@ class StationarySystem:
 
 
 def _k_data(b: IntMatrix) -> tuple[FgAbelianGroup, int]:
-    """Cokernel and kernel rank of b from a single Smith normal form."""
-    snf = smith_normal_form(b)
-    return FgAbelianGroup(b.rows - snf.rank, snf.invariant_factors), b.cols - snf.rank
+    """Cokernel and kernel rank of b, both from its rank and invariant factors."""
+    coker = cokernel(b)
+    return coker, b.cols - (b.rows - coker.free_rank)
 
 
 def per_level_k_data(chain: PartitionChain) -> list[dict]:

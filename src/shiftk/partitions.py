@@ -82,8 +82,8 @@ class RestrictedMaps:
 class PartitionChain:
     """Partition levels 0..length plus the inclusion/action matrices between them."""
 
-    def __init__(self, presentation, steps, grade_ranks, levels, inclusion, actions, reach,
-                 reach_limit, stabilization):
+    def __init__(self, presentation, steps, grade_ranks, levels, inclusion, actions, action_sums,
+                 reach, reach_limit, stabilization):
         self.presentation: Presentation = presentation
         self.steps = steps
         self.grade_ranks: tuple[tuple[int, ...], ...] = grade_ranks
@@ -91,6 +91,7 @@ class PartitionChain:
         self.length = len(levels) - 1
         self._inclusion: tuple[IntMatrix, ...] = inclusion
         self._actions: tuple[dict, ...] = actions
+        self._action_sums: tuple[IntMatrix, ...] = action_sums
         self.reach: tuple[frozenset[int], ...] = reach
         self.reach_limit: frozenset[int] = reach_limit
         self.stabilization: Stabilization = stabilization
@@ -202,6 +203,7 @@ def build_chain(p: Presentation, length: int) -> PartitionChain:
 
     inclusion = []
     actions = []
+    action_sums = []
     for l in range(length if stable_level is None else stable_level + 1):
         fine, coarse = levels[l + 1], levels[l]
         rows = []
@@ -214,9 +216,10 @@ def build_chain(p: Presentation, length: int) -> PartitionChain:
         inclusion.append(IntMatrix.from_rows(rows))
 
         per_symbol = {}
+        total = [[0] * coarse.m for _ in fine.classes]
         for a in range(n_letters):
             rows = []
-            for cls in fine.classes:
+            for cls, total_row in zip(fine.classes, total):
                 images = [steps[i][a] for i in cls.contexts]
                 defined = [x for x in images if x is not None]
                 if defined and len(defined) != len(images):
@@ -228,18 +231,22 @@ def build_chain(p: Presentation, length: int) -> PartitionChain:
                     if len(targets) != 1:
                         raise StraddleError(
                             f"prepending symbol {a} moves one class into two classes")
-                    row[targets.pop()] = 1
+                    j = targets.pop()
+                    row[j] = 1
+                    total_row[j] += 1
                 rows.append(tuple(row))
             per_symbol[a] = IntMatrix.from_rows(rows)
         actions.append(per_symbol)
+        action_sums.append(IntMatrix.from_rows(total))
     tail = length - len(inclusion)
     inclusion += inclusion[-1:] * tail
     actions += actions[-1:] * tail
+    action_sums += action_sums[-1:] * tail
 
     reach, reach_limit = _reach_sets(steps, n_letters, length)
     stab = Stabilization(stable_level is not None, stable_level, length)
     return PartitionChain(p, steps, grade, levels, tuple(inclusion), tuple(actions),
-                          reach, reach_limit, stab)
+                          tuple(action_sums), reach, reach_limit, stab)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +271,9 @@ def action_matrices(chain: PartitionChain, l: int) -> dict[int, IntMatrix]:
 
 
 def action_sum(chain: PartitionChain, l: int) -> IntMatrix:
+    """Sum of the per-symbol action matrices, counted once when the chain is built."""
     _check_level(chain, l)
-    per = chain._actions[l]
-    total = IntMatrix.zeros(chain.m(l + 1), chain.m(l))
-    for a in sorted(per):
-        total = total.add(per[a])
-    return total
+    return chain._action_sums[l]
 
 
 def bowen_franks_matrix(chain: PartitionChain, l: int) -> IntMatrix:

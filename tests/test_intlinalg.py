@@ -1,10 +1,13 @@
+import math
 import random
+import signal
 
 import pytest
 
 from helpers import random_unimodular
 from shiftk import FgAbelianGroup, IntMatrix, ValidationError, cokernel, kernel, smith_normal_form
-from shiftk.intlinalg import determinant
+from shiftk import ConsistencyError, intlinalg
+from shiftk.intlinalg import determinant, invariant_factors, matrix_rank
 
 
 def rows(*rs):
@@ -103,3 +106,139 @@ def test_matrix_validation():
         rows([1, 2]).mul(rows([1, 2]))
     with pytest.raises(ValidationError):
         determinant(rows([1, 2]))
+
+
+def snf_factors(m):
+    snf = smith_normal_form(m)
+    return snf.rank, tuple(x for x in snf.diagonal if x)
+
+
+def random_matrix(rng, kind, r, c):
+    """Seeded matrices of three kinds: dense, low rank, and I - A for a 0/1 matrix A."""
+    if kind == "dense":
+        return IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
+    if kind == "low-rank":
+        k = rng.randint(0, min(r, c))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+        right = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k)]
+        return IntMatrix.from_rows(
+            [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(c)]
+             for i in range(r)])
+    return IntMatrix.from_rows(
+        [[(i == j) - (rng.random() < 0.35) for j in range(r)] for i in range(r)])
+
+
+def test_invariant_factors_match_sympy_and_smith():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+    rng = random.Random(20261018)
+    seen = {"nonsingular": 0, "singular": 0, "rectangular": 0}
+    for _ in range(300):
+        kind = rng.choice(["dense", "low-rank", "i-minus-a"])
+        r = rng.randint(1, 9)
+        c = r if kind == "i-minus-a" or rng.random() < 0.5 else rng.randint(1, 9)
+        m = random_matrix(rng, kind, r, c)
+        rank, factors = invariant_factors(m)
+        assert (rank, factors) == snf_factors(m)
+        assert rank == matrix_rank(m)
+        expected = sympy_factors(sympy.Matrix(m.to_lists()), domain=sympy.ZZ)
+        assert factors + (0,) * (min(r, c) - rank) == tuple(abs(int(x)) for x in expected)
+        if r != c:
+            seen["rectangular"] += 1
+        else:
+            seen["nonsingular" if rank == r else "singular"] += 1
+    assert min(seen.values()) >= 30, seen
+    for r, c in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (4, 4)]:
+        zero = IntMatrix.from_rows([[0] * c for _ in range(r)]) if r else IntMatrix(0, c, ())
+        assert invariant_factors(zero) == (0, ()) == snf_factors(zero)
+        assert cokernel(zero) == FgAbelianGroup(r)
+
+
+def rank_mod(m, p):
+    """Rank over GF(p) by plain Gaussian elimination."""
+    a = [[x % p for x in row] for row in m.entries]
+    rank = 0
+    for c in range(m.cols):
+        pivot = next((i for i in range(rank, m.rows) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][c], -1, p)
+        top = [x * inv % p for x in a[rank]]
+        a[rank] = top
+        for i in range(rank + 1, m.rows):
+            f = a[i][c]
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("n", [64, 96])
+def test_invariant_factors_of_large_difference_matrices(n):
+    rng = random.Random(n)
+    b = random_matrix(rng, "i-minus-a", n, n)
+    det = determinant(b)
+    assert det != 0
+    rank, factors = invariant_factors(b)
+    assert rank == n
+    assert math.prod(factors) == abs(det)
+    for p in (2, 3, 5, 7):
+        assert sum(1 for d in factors if d % p == 0) == n - rank_mod(b, p)
+
+
+def test_pivot_one_is_cleared_by_a_quotient():
+    # Clearing an entry that the pivot divides by a gcd step instead of a
+    # quotient multiple (_gcdex(1, 1) has s == 0, which swaps the two lines)
+    # moves entries back into the pivot row and column forever on this matrix.
+    def expire(signum, frame):
+        raise TimeoutError("modular elimination did not finish")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        check_det_five_matrix()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def check_det_five_matrix():
+    b = rows([1, -1, 0, -1, 0, 0, 0, 0], [0, 0, 0, 0, 0, -1, 0, 0],
+             [0, -1, 1, -1, 0, 0, 0, -1], [0, -1, 0, 1, -1, 0, 0, 0],
+             [0, -1, 0, 0, 1, 0, 0, -1], [0, 0, -1, 0, 0, 1, 0, 0],
+             [0, 0, 0, -1, 0, 0, 1, 0], [0, -1, -1, 0, 0, 0, 0, 1])
+    assert determinant(b) == -5
+    assert invariant_factors(b) == (8, (1,) * 7 + (5,)) == snf_factors(b)
+
+
+@pytest.mark.parametrize("matrix, patch, check", [
+    ([[2, 0], [0, 3]], ("_diagonal_mod", lambda m, modulus: []), "product equals |det|"),
+    ([[2, 4], [4, 8]], ("_diagonal_mod", lambda m, modulus: [1, 1]), "rank count"),
+    ([[4, 0, 0], [0, 4, 2]], ("_diagonal_mod", lambda m, modulus: [8, 8]),
+     "product divides the minor"),
+    ([[2, 0], [0, 3]], ("_divisibility_chain", lambda diag: [6, 1]), "divisibility chain"),
+])
+def test_certificate_failures_name_check_shape_and_modulus(monkeypatch, matrix, patch, check):
+    m = IntMatrix.from_rows(matrix)
+    invariant_factors(m)
+    monkeypatch.setattr(intlinalg, *patch)
+    with pytest.raises(ConsistencyError) as info:
+        invariant_factors(m)
+    message = str(info.value)
+    assert check in message
+    assert f"{m.rows}x{m.cols} matrix" in message
+    assert "modulus of" in message and "bits" in message
+
+
+def test_caller_data_is_checked_and_results_are_plain_matrices():
+    with pytest.raises(ValidationError):
+        rows([1, 2], [3])
+    with pytest.raises(ValidationError):
+        IntMatrix(1, 1, ((1.5,),))
+    a, b = rows([1, 2], [3, 4]), rows([0, 1], [1, 0])
+    for result, expected in [(a.mul(b), ((2, 1), (4, 3))), (a.add(b), ((1, 3), (4, 4))),
+                             (a.sub(b), ((1, 1), (2, 4))), (a.transpose(), ((1, 3), (2, 4))),
+                             (a.submatrix((1,), (0, 1)), ((3, 4),))]:
+        assert result == IntMatrix(len(expected), len(expected[0]), expected)
+        assert hash(result) == hash(IntMatrix(len(expected), len(expected[0]), expected))

@@ -163,6 +163,19 @@ def test_action_examples(full2, full3, golden_mean, pair):
     assert a.entries[i1] == (0, 0)
 
 
+def test_action_sum_is_the_sum_of_the_symbol_matrices(corpus):
+    for name, p in corpus.items():
+        chain = build_chain(p, 6)
+        for l in range(chain.length):
+            per_symbol = action_matrices(chain, l)
+            total = action_sum(chain, l)
+            assert total.rows == chain.m(l + 1) and total.cols == chain.m(l), name
+            assert [
+                [sum(per_symbol[a].entry(i, j) for a in per_symbol) for j in range(total.cols)]
+                for i in range(total.rows)
+            ] == total.to_lists(), (name, l)
+
+
 def test_bowen_franks_examples(full2, golden_mean):
     assert bowen_franks_matrix(build_chain(full2, 2), 1).to_lists() == [[-1]]
     single = make("single_point")
