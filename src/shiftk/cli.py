@@ -22,9 +22,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .errors import NotStabilizedError, ResourceCapError, ShiftError, ValidationError
-from .intlinalg import FgAbelianGroup
-from .invariants import compare_triples, dimension_triple, k_groups, per_level_k_data
+from .errors import ResourceCapError, ShiftError, ValidationError
+from .invariants import compare_triples, dimension_triple, k_groups
 from .model import FiniteModel, run_all_checks
 from .partitions import (
     Stabilization,
@@ -132,27 +131,18 @@ def _matrix_lines(name: str, mat) -> list[str]:
 
 def _invariant_record(p, cfg: RunConfig) -> dict:
     chain = build_chain(p, cfg.lmax)
-    record = {
+    kg = k_groups(chain)
+    return {
         "presentation": p.content_hash(),
         "tool_version": __version__,
         "m_sequence": list(chain.m_sequence),
         "stabilization": asdict(chain.stabilization),
+        "k0": kg.k0.to_json(),
+        "k0_text": kg.k0.render(),
+        "k1": kg.k1.to_json(),
+        "k1_text": kg.k1.render(),
+        "triple": dimension_triple(chain).to_json(),
     }
-    try:
-        kg = k_groups(chain)
-        triple = dimension_triple(chain)
-    except NotStabilizedError:
-        record["k0"] = None
-        record["k1"] = None
-        record["triple"] = None
-        record["per_level"] = per_level_k_data(chain)
-        return record
-    record["k0"] = kg.k0.to_json()
-    record["k0_text"] = kg.k0.render()
-    record["k1"] = kg.k1.to_json()
-    record["k1_text"] = kg.k1.render()
-    record["triple"] = triple.to_json()
-    return record
 
 
 def _cache_path(cfg: RunConfig, p) -> Path:
@@ -184,26 +174,18 @@ def _print_record(record: dict, cfg: RunConfig) -> None:
     if cfg.fmt == "json":
         _emit_json(record)
         return
-    lines = [
+    triple = record["triple"]
+    _emit("\n".join([
         f"presentation: {record['presentation']}",
         f"tool version: {record['tool_version']}",
         "m-sequence: " + " ".join(str(m) for m in record["m_sequence"]),
-    ]
-    lines.append("stabilization: " + Stabilization(**record["stabilization"]).render())
-    if record.get("k0") is None:
-        lines.append("K0/K1: not determined (tower not stabilized); per-level data:")
-        for item in record.get("per_level", []):
-            text = FgAbelianGroup(**item["cokernel"]).render()
-            lines.append(f"  level {item['level']}: shape {item['shape'][0]}x{item['shape'][1]} "
-                         f"cokernel {text} kernel rank {item['kernel_rank']}")
-    else:
-        lines.append(f"K0: {record['k0_text']}")
-        lines.append(f"K1: {record['k1_text']}")
-        triple = record["triple"]
-        lines.append(f"triple rank: {triple['rank']}")
-        lines.append("step map: " + json.dumps(triple["step_map"]))
-        lines.append("delta mask: " + json.dumps(triple["delta_mask"]))
-    _emit("\n".join(lines))
+        "stabilization: " + Stabilization(**record["stabilization"]).render(),
+        f"K0: {record['k0_text']}",
+        f"K1: {record['k1_text']}",
+        f"triple rank: {triple['rank']}",
+        "step map: " + json.dumps(triple["step_map"]),
+        "delta mask: " + json.dumps(triple["delta_mask"]),
+    ]))
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +278,7 @@ def cmd_matrices(args) -> int:
 def cmd_kgroups(args) -> int:
     cfg = _config_from(args)
     p = load_presentation(args.file, cfg.caps)
-    chain = build_chain(p, cfg.lmax)
-    try:
-        kg = k_groups(chain)
-    except NotStabilizedError as exc:
-        if cfg.fmt == "json":
-            _emit_json({"stable": False, "per_level": list(exc.per_level)})
-        else:
-            _emit("not stabilized; rerun with a larger --lmax")
-        return 2
+    kg = k_groups(build_chain(p, cfg.lmax))
     if cfg.fmt == "json":
         _emit_json({"k0": kg.k0.to_json(), "k1": kg.k1.to_json()})
     else:
@@ -315,12 +289,7 @@ def cmd_kgroups(args) -> int:
 def cmd_triple(args) -> int:
     cfg = _config_from(args)
     p = load_presentation(args.file, cfg.caps)
-    chain = build_chain(p, cfg.lmax)
-    try:
-        triple = dimension_triple(chain)
-    except NotStabilizedError:
-        _emit("not stabilized; rerun with a larger --lmax")
-        return 2
+    triple = dimension_triple(build_chain(p, cfg.lmax))
     if cfg.fmt == "json":
         _emit_json(triple.to_json())
     else:
@@ -389,28 +358,16 @@ def cmd_compare(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 3
 
-    rows = []
-    verdict = None
-    witness = None
     sides = []
     for p in (pa, pb):
         chain = build_chain(p, cfg.lmax)
-        try:
-            kg = k_groups(chain)
-            triple = dimension_triple(chain)
-            sides.append((kg, triple))
-        except NotStabilizedError:
-            sides.append(None)
-    if sides[0] is None or sides[1] is None:
-        verdict, witness = "inconclusive", "a side did not stabilize"
-        rows.append(("stabilized", str(sides[0] is not None), str(sides[1] is not None)))
-    else:
-        (kga, ta), (kgb, tb) = sides
-        rows.append(("K0", kga.k0.render(), kgb.k0.render()))
-        rows.append(("K1", kga.k1.render(), kgb.k1.render()))
-        rows.append(("triple rank", str(ta.rank), str(tb.rank)))
-        outcome = compare_triples(ta, tb)
-        verdict, witness = outcome.verdict, outcome.witness
+        sides.append((k_groups(chain), dimension_triple(chain)))
+    (kga, ta), (kgb, tb) = sides
+    rows = [("K0", kga.k0.render(), kgb.k0.render()),
+            ("K1", kga.k1.render(), kgb.k1.render()),
+            ("triple rank", str(ta.rank), str(tb.rank))]
+    outcome = compare_triples(ta, tb)
+    verdict, witness = outcome.verdict, outcome.witness
 
     if cfg.fmt == "json":
         _emit_json({
@@ -450,7 +407,7 @@ def cmd_model_verify(args) -> int:
 
 
 def _add_common(sub):
-    sub.add_argument("--lmax", type=int, default=None, help="partition levels to compute (default 12)")
+    sub.add_argument("--lmax", type=int, default=None, help="partition levels to show (default 12)")
     sub.add_argument("--format", choices=["table", "json"], default=None)
     sub.add_argument("--cache-dir", default=None)
     sub.add_argument("--no-cache", action="store_true")

@@ -17,18 +17,6 @@ class ResourceCapError(ShiftError):
     """A configured size cap (contexts, words, subset graph) was exceeded."""
 
 
-class NotStabilizedError(ShiftError):
-    """The partition tower did not stabilize within the computed levels.
-
-    Carries the per-level data that *was* computed so callers can report
-    partial results instead of silently failing.
-    """
-
-    def __init__(self, message, per_level=()):
-        super().__init__(message)
-        self.per_level = tuple(per_level)
-
-
 class ConsistencyError(ShiftError):
     """An internal invariant that must hold by theory was violated.
 

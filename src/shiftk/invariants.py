@@ -1,11 +1,11 @@
-"""K-groups and the stationary dimension data of a stabilized partition chain.
+"""K-groups and the stationary dimension data of the stable partition level.
 
-Once the partition tower stabilizes, the inclusion maps become identities, so
-the tower's limit group is the lattice at the stabilized level and the
-difference matrix (inclusion minus action) becomes a square endomorphism
-matrix B.  The two K-groups are its cokernel and kernel, both read off the
-rank and invariant factors of B.  The levels past the stable level are that
-level itself, so B and the triple are read there once.
+The partition chain is always refined to its stable level l0, where the
+inclusion map is the identity, so the tower's limit group is the lattice at
+l0 and the difference matrix (inclusion minus action) is the square
+endomorphism matrix B = I - S, with S the stable step map.  The two K-groups
+are its cokernel and kernel, both read off the rank and invariant factors of
+B.  They and the triple are read at l0 once, whatever the chain length.
 """
 
 from __future__ import annotations
@@ -13,14 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import ConsistencyError, NotStabilizedError, ValidationError
+from .errors import ValidationError
 from .intlinalg import FgAbelianGroup, IntMatrix, cokernel, matrix_rank
-from .partitions import (
-    PartitionChain,
-    action_sum,
-    bowen_franks_matrix,
-    persistent_classes,
-)
+from .partitions import PartitionChain, persistent_classes, stable_step_map
 
 
 @dataclass(frozen=True)
@@ -67,43 +62,17 @@ def _k_data(b: IntMatrix) -> tuple[FgAbelianGroup, int]:
     return coker, b.cols - (b.rows - coker.free_rank)
 
 
-def per_level_k_data(chain: PartitionChain) -> list[dict]:
-    out = []
-    for l in range(chain.length):
-        b = bowen_franks_matrix(chain, l)
-        coker, kernel_rank = _k_data(b)
-        out.append({
-            "level": l,
-            "shape": [b.rows, b.cols],
-            "cokernel": coker.to_json(),
-            "kernel_rank": kernel_rank,
-        })
-    return out
-
-
-def _require_stable(chain: PartitionChain) -> int:
-    if not chain.stabilization.stable:
-        raise NotStabilizedError(
-            f"partition tower not stable within {chain.length} levels; "
-            "raise the level bound to compute the limit invariants",
-            per_level=per_level_k_data(chain))
-    return chain.stabilization.level
-
-
 def k_groups(chain: PartitionChain) -> KGroups:
-    """Cokernel and kernel of the stabilized difference matrix."""
-    l0 = _require_stable(chain)
-    b = bowen_franks_matrix(chain, l0)
-    if not b.is_square():
-        raise ConsistencyError("difference matrix not square past stabilization")
-    k0, k1_rank = _k_data(b)
+    """Cokernel and kernel of the stable difference matrix I - S."""
+    s = stable_step_map(chain)
+    k0, k1_rank = _k_data(IntMatrix.identity(s.rows).sub(s))
     return KGroups(k0, FgAbelianGroup(k1_rank, ()))
 
 
 def dimension_triple(chain: PartitionChain) -> StationarySystem:
-    """Stationary certificate: stabilized step map plus the persistent-coordinate mask."""
-    l0 = _require_stable(chain)
-    return StationarySystem(chain.m(l0), action_sum(chain, l0), persistent_classes(chain, l0))
+    """Stationary certificate: stable step map plus the persistent-coordinate mask."""
+    l0 = chain.stabilization.level
+    return StationarySystem(chain.m(l0), stable_step_map(chain), persistent_classes(chain, l0))
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +80,17 @@ def dimension_triple(chain: PartitionChain) -> StationarySystem:
 
 
 def eventual_rank(m: IntMatrix) -> int:
-    """Stable value of rank(m^n); reached by n = dimension."""
-    if m.rows == 0:
-        return 0
-    power = m
-    ranks = [matrix_rank(power)]
-    for _ in range(m.rows):
-        power = power.mul(m)
-        ranks.append(matrix_rank(power))
-        if ranks[-1] == ranks[-2]:
-            return ranks[-1]
-    return ranks[-1]
+    """Stable value of rank(m^n); reached by n = dimension.
+
+    The rank drops of successive powers never grow, so rank(m^j) equal to
+    rank(m^2j) means the ranks are constant from j on: squaring until two
+    consecutive ranks agree finds the limit.
+    """
+    power, rank, prev = m, matrix_rank(m), None
+    while 0 < rank < m.rows and rank != prev:
+        power = power.mul(power)
+        prev, rank = rank, matrix_rank(power)
+    return rank
 
 
 def triple_invariants(s: StationarySystem) -> dict:

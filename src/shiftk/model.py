@@ -29,7 +29,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
-from .presentations import FiniteShift, in_cylinder
+from .presentations import FiniteShift, _in_cylinder
 from .words import EPSILON, Word
 
 Func = tuple[Fraction, ...]
@@ -186,8 +186,11 @@ def op_lambda_shift(model: FiniteModel, x: Matrix) -> Matrix:
 
 
 def indicator_cylinder(model: FiniteModel, u: Word, v: Word) -> Func:
+    u, v = tuple(u), tuple(v)
+    model.shift.alphabet.check_word(u)
+    model.shift.alphabet.check_word(v)
     return tuple(
-        _ONE if in_cylinder(model.shift, u, v, x) else _ZERO for x in model.basis)
+        _ONE if _in_cylinder(model.shift, u, v, x) else _ZERO for x in model.basis)
 
 
 def fn_compose_shift(model: FiniteModel, f: Func) -> Func:

@@ -3,24 +3,29 @@
 Two points are level-l equivalent when their predecessor sets agree in every
 grade up to l.  On the finite context carrier this is a partition refinement
 over the prepend transition, which never enumerates words: contexts get a
-rank per grade (``_grade_ranks``), and the classes of level l are the
-distinct rank vectors (grade 0, ..., grade l), numbered in the lexicographic
-order of those vectors.  The order is intrinsic to the transition, so it
-does not depend on context names or on any size limit.  Predecessor words
-are enumerated only to display the classes (``class_signatures``).
+rank per grade, and the classes of level l are the distinct rank vectors
+(grade 0, ..., grade l), numbered in the lexicographic order of those
+vectors.  The order is intrinsic to the transition, so it does not depend on
+context names or on any size limit.  Predecessor words are enumerated only
+to display the classes (``class_signatures``).
 
 Level l+1 is level 0 refined by the level-l classes of the successors (Moore
 refinement), so the first step that adds no class is a fixed point: every
-later level is the same partition.  The tower is refined and its matrices
-are built only up to that stable level; the levels past it are that level
-itself, and the chain length (``lmax``) only bounds how many are shown.
+later level is the same partition.  Every other step adds a class, so the
+stable level l0 is at most the number of contexts minus one, and the chain
+is always refined to it.  The chain stores the distinct levels 0..l0 and,
+for each l <= l0, two class maps from level l+1 to level l: the parent of
+each class, and per symbol the class it lands in once the symbol is
+prepended.  The levels past l0 are level l0 itself.  The chain length
+(``lmax``) only bounds which levels, matrices, M-sets and reach sets are
+shown and checked; the stable level and the limit data never depend on it.
 
-The matrices attached to consecutive levels follow the source's indexing:
-entry (i, j) of the inclusion matrix is 1 when class i of level l+1 is
-contained in class j of level l, and entry (i, j) of the per-symbol action
-matrix is 1 when prepending that symbol maps class i of level l+1 into
-class j of level l (never into two classes; that would be a hard internal
-error).
+The matrices are built from the class maps on demand and follow the
+source's indexing: entry (i, j) of the inclusion matrix is 1 when class i of
+level l+1 is contained in class j of level l, and entry (i, j) of the
+per-symbol action matrix is 1 when prepending that symbol maps class i of
+level l+1 into class j of level l (never into two classes; that would be a
+hard internal error).
 """
 
 from __future__ import annotations
@@ -56,14 +61,20 @@ class PartitionLevel:
 
 @dataclass(frozen=True)
 class Stabilization:
-    stable: bool
-    level: int | None
+    stable: bool                       # always true: the tower is refined to its fixed point
+    level: int
     checked_to: int
 
     def render(self) -> str:
-        if self.stable:
-            return f"stable at level {self.level} (verified through {self.checked_to})"
-        return f"not stable within {self.checked_to} levels"
+        return f"stable at level {self.level} (verified through {self.checked_to})"
+
+
+@dataclass(frozen=True)
+class ClassMaps:
+    """Where each class of level l+1 goes in level l."""
+
+    parent: tuple[int, ...]                    # the level-l class containing it
+    image: tuple[tuple[int | None, ...], ...]  # per symbol: the level-l class after prepending it
 
 
 @dataclass(frozen=True)
@@ -80,25 +91,28 @@ class RestrictedMaps:
 
 
 class PartitionChain:
-    """Partition levels 0..length plus the inclusion/action matrices between them."""
+    """The distinct levels 0..l0 and their class maps, shown through level ``length``."""
 
-    def __init__(self, presentation, steps, grade_ranks, levels, inclusion, actions, action_sums,
-                 reach, reach_limit, stabilization):
+    def __init__(self, presentation, steps, grade_ranks, tower, maps, reach, reach_limit, length):
         self.presentation: Presentation = presentation
         self.steps = steps
         self.grade_ranks: tuple[tuple[int, ...], ...] = grade_ranks
-        self.levels: tuple[PartitionLevel, ...] = levels
-        self.length = len(levels) - 1
-        self._inclusion: tuple[IntMatrix, ...] = inclusion
-        self._actions: tuple[dict, ...] = actions
-        self._action_sums: tuple[IntMatrix, ...] = action_sums
+        self.tower: tuple[PartitionLevel, ...] = tower      # levels 0..l0, all distinct
+        self.maps: tuple[ClassMaps, ...] = maps             # level l+1 -> level l, l = 0..l0
+        self.length = length
+        self.levels: tuple[PartitionLevel, ...] = tuple(self.level(l) for l in range(length + 1))
         self.reach: tuple[frozenset[int], ...] = reach
         self.reach_limit: frozenset[int] = reach_limit
-        self.stabilization: Stabilization = stabilization
+        l0 = len(tower) - 1
+        self.stabilization = Stabilization(True, l0, max(length, l0 + 1))
         self._signature_words: dict[int, list] = {}   # context -> sorted words per grade
 
+    def level(self, l: int) -> PartitionLevel:
+        """Level l for any l >= 0; the levels past the stable level are that level."""
+        return self.tower[min(l, len(self.tower) - 1)]
+
     def m(self, level: int) -> int:
-        return self.levels[level].m
+        return self.level(level).m
 
     @property
     def m_sequence(self) -> tuple[int, ...]:
@@ -124,54 +138,73 @@ def _step_table(p: Presentation):
     return tuple(steps)
 
 
-def _grade_ranks(steps, n_letters: int, upto: int):
-    """Canonical rank of each context under single-grade equivalence, per grade."""
-    n = len(steps)
-    ranks = [(0,) * n]
-    for _ in range(upto):
-        prev = ranks[-1]
-        keys = [
-            tuple(-1 if steps[i][a] is None else prev[steps[i][a]] for a in range(n_letters))
-            for i in range(n)
-        ]
-        order = {key: r for r, key in enumerate(sorted(set(keys)))}
-        ranks.append(tuple(order[key] for key in keys))
-    return tuple(ranks)
+def _next_grade(steps, n_letters: int, prev: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical rank of each context under the next single-grade equivalence."""
+    keys = [tuple(-1 if s[a] is None else prev[s[a]] for a in range(n_letters)) for s in steps]
+    order = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return tuple(order[key] for key in keys)
 
 
-def _build_levels(p: Presentation, upto: int):
-    """Levels 0..upto and the first stable level (None if not reached before upto).
+def _level(level_id) -> PartitionLevel:
+    members: list[list[int]] = [[] for _ in range(max(level_id) + 1)]
+    for i, cid in enumerate(level_id):
+        members[cid].append(i)
+    return PartitionLevel(tuple(PartitionClass(tuple(ms)) for ms in members), tuple(level_id))
+
+
+def _refine(steps, n_letters: int):
+    """Grade ranks 0..l0+1 and the distinct levels 0..l0, l0 the first fixed point.
 
     Class ids rank the grade-rank vectors (grade 0, ..., grade l).  The levels
     are nested, so the first step that adds no class changes no partition and,
-    ranking (old id, grade), no id; the levels after it are that same object.
+    ranking (old id, grade), no id.  Every other step adds a class, so the
+    loop ends by step len(steps).
     """
-    steps = _step_table(p)
-    n = len(steps)
-    grade = _grade_ranks(steps, len(p.alphabet), upto)
-    levels = []
-    level_id = [0] * n
-    for l in range(upto + 1):
-        if l > 0:
-            keys = [(level_id[i], grade[l][i]) for i in range(n)]
-            order = {key: r for r, key in enumerate(sorted(set(keys)))}
-            if len(order) == levels[-1].m:
-                stable = l - 1
-                return steps, grade, tuple(levels) + (levels[-1],) * (upto - stable), stable
-            level_id = [order[key] for key in keys]
-        members: list[list[int]] = [[] for _ in range(max(level_id) + 1)]
-        for i, cid in enumerate(level_id):
-            members[cid].append(i)
-        classes = tuple(PartitionClass(tuple(ms)) for ms in members)
-        levels.append(PartitionLevel(classes, tuple(level_id)))
-    return steps, grade, tuple(levels), None
+    grade = [(0,) * len(steps)]
+    level_id = grade[0]
+    tower = [_level(level_id)]
+    while True:
+        grade.append(_next_grade(steps, n_letters, grade[-1]))
+        keys = list(zip(level_id, grade[-1]))
+        order = {key: r for r, key in enumerate(sorted(set(keys)))}
+        if len(order) == tower[-1].m:
+            return grade, tower
+        level_id = tuple(order[key] for key in keys)
+        tower.append(_level(level_id))
+
+
+def _class_maps(steps, n_letters: int, fine: PartitionLevel, coarse: PartitionLevel) -> ClassMaps:
+    """Parent and per-symbol image of each fine class, checked to be single-valued."""
+    parent = []
+    for cls in fine.classes:
+        targets = {coarse.class_of[i] for i in cls.contexts}
+        if len(targets) != 1:
+            raise ConsistencyError("a refined class straddles two coarser classes")
+        parent.append(targets.pop())
+    image = []
+    for a in range(n_letters):
+        row = []
+        for cls in fine.classes:
+            images = [steps[i][a] for i in cls.contexts]
+            defined = [x for x in images if x is not None]
+            if defined and len(defined) != len(images):
+                raise ConsistencyError(
+                    f"prepending symbol {a} is defined on part of a class only")
+            targets = {coarse.class_of[x] for x in defined}
+            if len(targets) > 1:
+                raise StraddleError(
+                    f"prepending symbol {a} moves one class into two classes")
+            row.append(targets.pop() if targets else None)
+        image.append(tuple(row))
+    return ClassMaps(tuple(parent), tuple(image))
 
 
 def past_partition(p: Presentation, level: int) -> PartitionLevel:
     """Contexts grouped by equality of all predecessor sets up to ``level``."""
     if level < 0:
         raise ValidationError("level must be >= 0")
-    return _build_levels(p, level)[2][level]
+    tower = _refine(_step_table(p), len(p.alphabet))[1]
+    return tower[min(level, len(tower) - 1)]
 
 
 def _reach_sets(steps, n_letters: int, upto: int):
@@ -192,61 +225,22 @@ def _reach_sets(steps, n_letters: int, upto: int):
 
 
 def build_chain(p: Presentation, length: int) -> PartitionChain:
-    """Levels 0..length, inter-level matrices, reach sets, stabilization.
+    """The tower refined to its stable level, its class maps, and the reach sets.
 
-    Past the stable level the matrices repeat its identity step.
+    ``length`` bounds only what the chain shows (levels, matrices, M-sets,
+    reach sets); the tower and its maps are the same for every length.
     """
     if length < 1:
         raise ValidationError("chain length must be >= 1")
-    steps, grade, levels, stable_level = _build_levels(p, length)
+    steps = _step_table(p)
     n_letters = len(p.alphabet)
-
-    inclusion = []
-    actions = []
-    action_sums = []
-    for l in range(length if stable_level is None else stable_level + 1):
-        fine, coarse = levels[l + 1], levels[l]
-        rows = []
-        for cls in fine.classes:
-            targets = {coarse.class_of[i] for i in cls.contexts}
-            if len(targets) != 1:
-                raise ConsistencyError("a refined class straddles two coarser classes")
-            j = targets.pop()
-            rows.append(tuple(1 if jj == j else 0 for jj in range(coarse.m)))
-        inclusion.append(IntMatrix.from_rows(rows))
-
-        per_symbol = {}
-        total = [[0] * coarse.m for _ in fine.classes]
-        for a in range(n_letters):
-            rows = []
-            for cls, total_row in zip(fine.classes, total):
-                images = [steps[i][a] for i in cls.contexts]
-                defined = [x for x in images if x is not None]
-                if defined and len(defined) != len(images):
-                    raise ConsistencyError(
-                        f"prepending symbol {a} is defined on part of a class only")
-                row = [0] * coarse.m
-                if defined:
-                    targets = {coarse.class_of[x] for x in defined}
-                    if len(targets) != 1:
-                        raise StraddleError(
-                            f"prepending symbol {a} moves one class into two classes")
-                    j = targets.pop()
-                    row[j] = 1
-                    total_row[j] += 1
-                rows.append(tuple(row))
-            per_symbol[a] = IntMatrix.from_rows(rows)
-        actions.append(per_symbol)
-        action_sums.append(IntMatrix.from_rows(total))
-    tail = length - len(inclusion)
-    inclusion += inclusion[-1:] * tail
-    actions += actions[-1:] * tail
-    action_sums += action_sums[-1:] * tail
-
+    grade, tower = _refine(steps, n_letters)
+    while len(grade) <= length:
+        grade.append(_next_grade(steps, n_letters, grade[-1]))
+    maps = tuple(_class_maps(steps, n_letters, fine, coarse)
+                 for coarse, fine in zip(tower, tower[1:] + tower[-1:]))
     reach, reach_limit = _reach_sets(steps, n_letters, length)
-    stab = Stabilization(stable_level is not None, stable_level, length)
-    return PartitionChain(p, steps, grade, levels, tuple(inclusion), tuple(actions),
-                          tuple(action_sums), reach, reach_limit, stab)
+    return PartitionChain(p, steps, tuple(grade), tuple(tower), maps, reach, reach_limit, length)
 
 
 # ---------------------------------------------------------------------------
@@ -258,33 +252,53 @@ def _check_level(chain: PartitionChain, l: int) -> None:
         raise ValidationError(f"level {l} out of range; chain has matrices for 0..{chain.length - 1}")
 
 
+def _level_matrix(chain: PartitionChain, l: int, inclusion: int, symbols, action: int) -> IntMatrix:
+    """m(l+1) x m(l): ``inclusion`` at each parent, plus ``action`` at each symbol's image."""
+    maps = chain.maps[min(l, len(chain.maps) - 1)]
+    out = [[0] * chain.m(l) for _ in maps.parent]
+    for i, j in enumerate(maps.parent):
+        out[i][j] += inclusion
+    for a in symbols:
+        for i, j in enumerate(maps.image[a]):
+            if j is not None:
+                out[i][j] += action
+    return IntMatrix.from_rows(out)
+
+
 def inclusion_matrix(chain: PartitionChain, l: int) -> IntMatrix:
     """0/1 matrix with one 1 per row: class i of level l+1 inside class j of level l."""
     _check_level(chain, l)
-    return chain._inclusion[l]
+    return _level_matrix(chain, l, 1, (), 0)
 
 
 def action_matrices(chain: PartitionChain, l: int) -> dict[int, IntMatrix]:
     """Per-symbol 0/1 matrices: prepending the symbol maps class i (level l+1) into class j (level l)."""
     _check_level(chain, l)
-    return dict(chain._actions[l])
+    return {a: _level_matrix(chain, l, 0, (a,), 1) for a in range(len(chain.presentation.alphabet))}
 
 
 def action_sum(chain: PartitionChain, l: int) -> IntMatrix:
-    """Sum of the per-symbol action matrices, counted once when the chain is built."""
+    """Sum of the per-symbol action matrices."""
     _check_level(chain, l)
-    return chain._action_sums[l]
+    return _level_matrix(chain, l, 0, range(len(chain.presentation.alphabet)), 1)
+
+
+def stable_step_map(chain: PartitionChain) -> IntMatrix:
+    """The action sum at the stable level, a square matrix, whatever the chain length."""
+    return _level_matrix(chain, chain.stabilization.level, 0,
+                         range(len(chain.presentation.alphabet)), 1)
 
 
 def bowen_franks_matrix(chain: PartitionChain, l: int) -> IntMatrix:
     """Inclusion minus summed action; its cokernel/kernel carry the K-data."""
-    return inclusion_matrix(chain, l).sub(action_sum(chain, l))
+    _check_level(chain, l)
+    return _level_matrix(chain, l, 1, range(len(chain.presentation.alphabet)), -1)
 
 
 def _membership(chain: PartitionChain, l: int, subset) -> tuple[str, ...]:
     """Per class of level l: '+' all its contexts lie in ``subset``, '-' none, '~' mixed."""
     out = []
-    for cls in chain.levels[l].classes:
+    for cls in chain.level(l).classes:
         inside = [i in subset for i in cls.contexts]
         out.append("+" if all(inside) else "-" if not any(inside) else "~")
     return tuple(out)

@@ -733,12 +733,16 @@ def in_cylinder(p: Presentation, u: Word, v: Word, x: Point) -> bool:
     p.alphabet.check_word(tuple(u))
     p.alphabet.check_word(tuple(v))
     p.check_point(x)
+    return _in_cylinder(p, tuple(u), tuple(v), x)
+
+
+def _in_cylinder(p: Presentation, u: Word, v: Word, x: Point) -> bool:
+    """``in_cylinder`` for words already checked against the alphabet."""
     if not p.contains(x):
         return False
-    if x.prefix(len(v)) != tuple(v):
+    if x.prefix(len(v)) != v:
         return False
-    y = x.shift_by(len(v))
-    return p.contains(y.prepend(tuple(u)))
+    return p.contains(x.shift_by(len(v)).prepend(u))
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,44 @@ def random_essential_adjacency(rng: random.Random, n: int) -> list:
             return m
 
 
+def random_presentation(rng: random.Random) -> dict:
+    """A small random SFT (forbidden words), sofic graph or finite shift, as JSON."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        n_letters = rng.randint(1, 3)
+        alphabet = [str(i) for i in range(n_letters)]
+        forb = {tuple(rng.randrange(n_letters) for _ in range(rng.randint(1, 3)))
+                for _ in range(rng.randint(0, 4))}
+        return {"type": "sft", "alphabet": alphabet,
+                "forbidden": [[alphabet[a] for a in w] for w in sorted(forb)]}
+    if kind == 1:
+        states = [f"s{i}" for i in range(rng.randint(1, 4))]
+        letters = [str(i) for i in range(rng.randint(1, 3))]
+        edges = {(rng.choice(states), rng.choice(states), rng.choice(letters))
+                 for _ in range(rng.randint(1, 3 * len(states)))}
+        return {"type": "sofic", "states": states, "edges": [list(e) for e in sorted(edges)]}
+    n_letters = rng.randint(1, 2)
+    alphabet = [str(i) for i in range(n_letters)]
+    pts = set()
+    for _ in range(rng.randint(1, 3)):
+        x = Point(tuple(rng.randrange(n_letters) for _ in range(rng.randint(0, 2))),
+                  tuple(rng.randrange(n_letters) for _ in range(rng.randint(1, 3))))
+        for _ in range(8):
+            pts.add(x)
+            x = x.shift()
+    return {"type": "finite", "alphabet": alphabet,
+            "points": [{"pre": [alphabet[a] for a in p.pre],
+                        "per": [alphabet[a] for a in p.per]}
+                       for p in sorted(pts, key=lambda q: q.sort_key)]}
+
+
+def periodic_orbit(n: int) -> dict:
+    """The orbit of (0^(n-1) 1)^inf: n points, one per rotation."""
+    word = ["0"] * (n - 1) + ["1"]
+    return {"type": "finite", "alphabet": ["0", "1"],
+            "points": [{"pre": [], "per": word[i:] + word[:i]} for i in range(n)]}
+
+
 def random_unimodular(rng: random.Random, n: int, ops: int = 12):
     """Product of random elementary row operations applied to the identity."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

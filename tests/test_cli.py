@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_essential_adjacency
-from shiftk import cli, partitions
+from helpers import periodic_orbit, random_essential_adjacency, random_presentation
+from shiftk import ResourceCapError, ValidationError, cli, parse_presentation, partitions
 from shiftk.cli import main
 
 from conftest import CORPUS_OBJECTS
@@ -71,12 +71,15 @@ def test_invariants_malformed_json(tmp_path, capsys):
     assert "line" in err
 
 
-def test_invariants_not_stabilized_partial_data(files, capsys, monkeypatch):
+def test_invariants_at_short_lmax_read_the_stable_level(files, capsys, monkeypatch):
+    # golden_mean stabilizes at level 1: lmax 1 shows levels 0..1 only, and
+    # the limit invariants are still read at the stable level
     monkeypatch.setenv("SHIFTK_LMAX", "1")
     code, out, _ = run(capsys, "invariants", files["golden_mean"], "--no-cache")
     assert code == 0
-    assert "not stable within 1" in out
-    assert "per-level" in out or "level 0" in out
+    assert "m-sequence: 1 2\n" in out
+    assert "stabilization: stable at level 1 (verified through 2)" in out
+    assert "K0: 0" in out and "K1: 0" in out and "triple rank: 2" in out
 
 
 def test_classes_output(files, capsys):
@@ -268,3 +271,78 @@ def test_output_independent_of_caps_and_state_names(tmp_path, capsys, monkeypatc
             assert code == 0
             triples.append(json.loads(out))
         assert triples[0] == triples[1]
+
+
+def _random_memory_sft(rng, m):
+    """Binary SFT with a few random forbidden words of length m + 1."""
+    while True:
+        forbidden = sorted({tuple(rng.choice("01") for _ in range(m + 1)) for _ in range(3)})
+        obj = {"type": "sft", "alphabet": ["0", "1"], "forbidden": [list(w) for w in forbidden]}
+        try:
+            parse_presentation(obj)
+        except ValidationError:
+            continue
+        return obj
+
+
+def _limit_json(text):
+    """Command JSON without what --lmax bounds: the shown levels and the check depth."""
+    data = json.loads(text)
+    data.pop("m_sequence", None)
+    data.get("stabilization", {}).pop("checked_to", None)
+    return data
+
+
+def test_limit_invariants_do_not_depend_on_lmax(tmp_path, capsys):
+    rng = random.Random(17)
+    objects = list(CORPUS_OBJECTS.values())
+    objects += [{"type": "sft_matrix", "adjacency": random_essential_adjacency(rng, n)}
+                for n in (3, 4, 5, 6)]
+    objects += [_random_sofic(rng, n) for n in (3, 4, 5)]
+    objects += [_random_memory_sft(rng, m) for m in (2, 3, 3, 4)]
+    objects += [periodic_orbit(n) for n in (5, 8)]
+    while len(objects) < len(CORPUS_OBJECTS) + 25:
+        obj = random_presentation(rng)
+        try:
+            parse_presentation(obj)
+        except (ValidationError, ResourceCapError):
+            continue
+        objects.append(obj)
+    assert {"sft", "sft_matrix", "sofic", "finite"} <= {obj["type"] for obj in objects}
+    paths = []
+    for i, obj in enumerate(objects):
+        paths.append(str(tmp_path / f"p{i}.json"))
+        Path(paths[-1]).write_text(json.dumps(obj))
+
+    def answers(path, partner, lmax):
+        out = {}
+        for command in ("invariants", "kgroups", "triple"):
+            code, text, _ = run(capsys, command, path, "--no-cache", "--format", "json",
+                                "--lmax", str(lmax))
+            assert code == 0, (command, path, lmax)
+            out[command] = _limit_json(text)
+        code, text, _ = run(capsys, "compare", path, partner, "--format", "json",
+                            "--lmax", str(lmax))
+        out["compare"] = (code, json.loads(text))
+        return out
+
+    below_l0 = 0
+    for i, path in enumerate(paths):
+        partner = paths[(i + 1) % len(paths)]
+        limit = answers(path, partner, 40)
+        l0 = limit["invariants"]["stabilization"]["level"]
+        for lmax in range(1, l0 + 3):
+            assert answers(path, partner, lmax) == limit, (objects[i], lmax)
+            below_l0 += lmax <= l0
+    assert below_l0 >= 40
+
+
+def test_kgroups_of_a_long_periodic_orbit_at_the_default_lmax(tmp_path, capsys):
+    # the orbit of (0^(n-1) 1)^inf stabilizes at level n - 1, past the default lmax 12
+    for n in (13, 30):
+        path = tmp_path / f"orbit{n}.json"
+        path.write_text(json.dumps(periodic_orbit(n)))
+        code, out, _ = run(capsys, "kgroups", str(path))
+        assert (code, out) == (0, "K0: Z\nK1: Z\n"), n
+        code, out, _ = run(capsys, "invariants", str(path), "--no-cache", "--format", "json")
+        assert code == 0 and json.loads(out)["stabilization"]["level"] == n - 1, n

@@ -2,9 +2,13 @@
 
 import random
 
-from helpers import oracle_partition, oracle_predecessors, partition_as_context_groups
+from helpers import (
+    oracle_partition,
+    oracle_predecessors,
+    partition_as_context_groups,
+    random_presentation,
+)
 from shiftk import (
-    Point,
     ResourceCapError,
     ValidationError,
     build_chain,
@@ -19,46 +23,17 @@ from shiftk.model import FiniteModel, run_all_checks
 from shiftk.partitions import restricted_maps
 
 
-def _random_presentation(rng):
-    kind = rng.randrange(3)
-    if kind == 0:
-        n_letters = rng.randint(1, 3)
-        alphabet = [str(i) for i in range(n_letters)]
-        forb = {tuple(rng.randrange(n_letters) for _ in range(rng.randint(1, 3)))
-                for _ in range(rng.randint(0, 4))}
-        return {"type": "sft", "alphabet": alphabet,
-                "forbidden": [[alphabet[a] for a in w] for w in sorted(forb)]}
-    if kind == 1:
-        states = [f"s{i}" for i in range(rng.randint(1, 4))]
-        letters = [str(i) for i in range(rng.randint(1, 3))]
-        edges = {(rng.choice(states), rng.choice(states), rng.choice(letters))
-                 for _ in range(rng.randint(1, 3 * len(states)))}
-        return {"type": "sofic", "states": states, "edges": [list(e) for e in sorted(edges)]}
-    n_letters = rng.randint(1, 2)
-    alphabet = [str(i) for i in range(n_letters)]
-    pts = set()
-    for _ in range(rng.randint(1, 3)):
-        x = Point(tuple(rng.randrange(n_letters) for _ in range(rng.randint(0, 2))),
-                  tuple(rng.randrange(n_letters) for _ in range(rng.randint(1, 3))))
-        for _ in range(8):
-            pts.add(x)
-            x = x.shift()
-    return {"type": "finite", "alphabet": alphabet,
-            "points": [{"pre": [alphabet[a] for a in p.pre],
-                        "per": [alphabet[a] for a in p.per]}
-                       for p in sorted(pts, key=lambda q: q.sort_key)]}
-
-
 def test_random_presentations_agree_with_oracles():
     rng = random.Random(20260809)
     checked = 0
     while checked < 60:
-        obj = _random_presentation(rng)
+        obj = random_presentation(rng)
         try:
             p = parse_presentation(obj)
         except (ValidationError, ResourceCapError):
             continue
         chain = build_chain(p, 5)       # internal consistency asserts run here
+        assert chain.stabilization.level <= len(p.contexts) - 1, obj
         for level in range(chain.length + 1):
             assert partition_as_context_groups(p, chain.levels[level]) == \
                 oracle_partition(p, level), obj
@@ -73,8 +48,7 @@ def test_random_presentations_agree_with_oracles():
                 rm_k1 = restricted_maps(chain, k + 1, l + 1)
                 assert rm_up.action.mul(rm.inclusion).entries == \
                     rm_k1.inclusion.mul(rm.action).entries, obj
-        if chain.stabilization.stable:
-            k_groups(chain)
+        assert k_groups(chain) == k_groups(build_chain(p, 40)), obj
         checked += 1
 
 
@@ -82,7 +56,7 @@ def test_random_finite_models_satisfy_identities():
     rng = random.Random(11)
     checked = 0
     while checked < 15:
-        obj = _random_presentation(rng)
+        obj = random_presentation(rng)
         if obj["type"] != "finite":
             continue
         try:
@@ -112,11 +86,8 @@ def test_random_sfts_transform_invariance():
         for k in range(1, 4):
             assert len(language(out, k)) == len(language(p, k + 1)), (forb, k)
         ch_p, ch_o = build_chain(p, 6), build_chain(out, 6)
-        if ch_p.stabilization.stable and ch_o.stabilization.stable:
-            assert k_groups(ch_p) == k_groups(ch_o), forb
+        assert k_groups(ch_p) == k_groups(ch_o), forb
         if p.sigma_surjective:
             exp, _ = symbolic_expansion(p, alphabet[0], "*")
-            ch_e = build_chain(exp, 7)
-            if ch_p.stabilization.stable and ch_e.stabilization.stable:
-                assert k_groups(ch_p).k0 == k_groups(ch_e).k0, forb
+            assert k_groups(ch_p).k0 == k_groups(build_chain(exp, 7)).k0, forb
         checked += 1

@@ -1,15 +1,15 @@
-import pytest
+import random
 
 from shiftk import (
     FgAbelianGroup,
     IntMatrix,
-    NotStabilizedError,
     build_chain,
     compare_triples,
     dimension_triple,
     higher_block,
     k_groups,
 )
+from shiftk.intlinalg import matrix_rank
 from shiftk.invariants import StationarySystem, eventual_rank, triple_invariants
 from shiftk.presentations import context_of
 
@@ -60,9 +60,12 @@ def test_dimension_triple_examples():
     assert t.step_map.to_lists()[other] == [0, 0]
 
 
-def test_dimension_triple_requires_stability():
-    with pytest.raises(NotStabilizedError):
-        dimension_triple(build_chain(make("even"), 1))
+def test_dimension_triple_at_short_length():
+    # even stabilizes at level 2; a chain of length 1 still reads the triple there
+    for name in ("even", "pair", "chain3"):
+        p = make(name)
+        short, long = build_chain(p, 1), build_chain(p, 40)
+        assert dimension_triple(short) == dimension_triple(long), name
 
 
 def test_eventual_rank():
@@ -70,6 +73,66 @@ def test_eventual_rank():
     assert eventual_rank(IntMatrix.from_rows([[0, 1], [0, 0]])) == 0
     assert eventual_rank(IntMatrix.identity(3)) == 3
     assert eventual_rank(IntMatrix.from_rows([[2]])) == 1
+
+
+def _conjugate_by_permutation(rows, perm):
+    n = len(rows)
+    return [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def _random_eventual_rank_cases(rng):
+    """Nilpotent, idempotent, singular, nonsingular and mixed square matrices."""
+    n = rng.randint(1, 7)
+    kind = rng.choice(("nilpotent", "idempotent", "singular", "nonsingular", "mixed"))
+    if kind == "nilpotent":
+        rows = [[rng.randint(-3, 3) if j > i else 0 for j in range(n)] for i in range(n)]
+    elif kind == "idempotent":
+        r = rng.randint(0, n)
+        rows = [[(1 if i == j else 0) if j < r else (rng.randint(-2, 2) if i < r else 0)
+                 for j in range(n)] for i in range(n)]
+    elif kind == "singular":
+        r = rng.randint(0, n - 1)
+        left = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+        right = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+        rows = [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)]
+                for i in range(n)]
+    elif kind == "nonsingular":
+        # unit lower triangular times upper triangular with a nonzero diagonal
+        lower = [[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(n)]
+                 for i in range(n)]
+        upper = [[rng.choice((-2, -1, 1, 3)) if i == j else rng.randint(-2, 2) if j > i else 0
+                  for j in range(n)] for i in range(n)]
+        rows = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+    else:
+        # a nilpotent block beside an invertible one: the rank falls, then stays
+        k = rng.randint(0, n)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                rows[i][j] = rng.randint(-2, 2)
+        for i in range(k, n):
+            for j in range(k, n):
+                rows[i][j] = rng.randint(-2, 2) + (3 if i == j else 0)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return kind, IntMatrix.from_rows(_conjugate_by_permutation(rows, perm))
+
+
+def test_eventual_rank_matches_rank_of_the_dimension_power():
+    rng = random.Random(7331)
+    kinds = {}
+    cases = [("empty", IntMatrix.from_rows([]))]
+    cases += [_random_eventual_rank_cases(rng) for _ in range(240)]
+    for kind, m in cases:
+        power = IntMatrix.identity(m.rows)
+        for _ in range(m.rows):
+            power = power.mul(m)
+        assert eventual_rank(m) == matrix_rank(power), (kind, m.to_lists())
+        kinds.setdefault(kind, set()).add((matrix_rank(m), matrix_rank(power), m.rows))
+    assert set(kinds) == {"empty", "nilpotent", "idempotent", "singular", "nonsingular", "mixed"}
+    # the rank must fall after the first power on some matrices
+    assert any(r1 > r_n > 0 for seen in kinds.values() for r1, r_n, _ in seen)
 
 
 def test_compare_identical_is_equivalent():

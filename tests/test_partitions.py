@@ -6,17 +6,19 @@ from helpers import (
     oracle_graded,
     oracle_partition,
     partition_as_context_groups,
+    periodic_orbit,
 )
 from shiftk import (
-    NotStabilizedError,
     ValidationError,
     action_matrices,
     action_sum,
     bowen_franks_matrix,
     build_chain,
+    dimension_triple,
     inclusion_matrix,
     k_groups,
     m_index_set,
+    parse_presentation,
     past_partition,
     restricted_maps,
 )
@@ -84,12 +86,16 @@ def test_chain_stabilization(corpus):
         assert chain.stabilization.stable and chain.stabilization.level == level, name
 
 
-def test_not_stable_within_short_chain(even):
+def test_short_chain_reads_the_stable_level(even):
+    # even stabilizes at level 2, past a chain of length 1: the chain shows
+    # levels 0..1 but is refined to level 2 and reads its limit data there
     chain = build_chain(even, 1)
-    assert not chain.stabilization.stable
-    with pytest.raises(NotStabilizedError) as err:
-        k_groups(chain)
-    assert err.value.per_level
+    assert chain.m_sequence == (1, 2)
+    assert (chain.stabilization.stable, chain.stabilization.level,
+            chain.stabilization.checked_to) == (True, 2, 3)
+    long = build_chain(even, 40)
+    assert k_groups(chain) == k_groups(long)
+    assert dimension_triple(chain) == dimension_triple(long)
 
 
 def test_refinement_stops_at_its_fixed_point(corpus):
@@ -101,9 +107,9 @@ def test_refinement_stops_at_its_fixed_point(corpus):
             assert all(lv == chain.levels[l0] for lv in chain.levels[l0 + 1:]), name
         if l0 > 0:
             short = build_chain(p, l0)
-            assert not short.stabilization.stable, name
-            with pytest.raises(NotStabilizedError):
-                k_groups(short)
+            assert short.stabilization == chains[0].stabilization, name
+            assert k_groups(short) == k_groups(chains[-1]), name
+            assert dimension_triple(short) == dimension_triple(chains[-1]), name
             chains.insert(0, short)
         longest = chains[-1]
         for chain in chains[:-1]:
@@ -113,6 +119,20 @@ def test_refinement_stops_at_its_fixed_point(corpus):
             for l in range(chain.length):
                 assert inclusion_matrix(longest, l) == inclusion_matrix(chain, l), (name, l)
                 assert action_matrices(longest, l) == action_matrices(chain, l), (name, l)
+
+
+def test_stable_level_is_below_the_context_count(corpus):
+    # each step before the fixed point adds a class, and there are at most
+    # len(contexts) classes: the refinement needs no level cap to end (the
+    # fuzz test checks the same bound on random presentations)
+    for p in corpus.values():
+        chain = build_chain(p, 1)
+        assert chain.stabilization.level <= len(p.contexts) - 1
+        assert chain.stabilization.level == build_chain(p, 40).stabilization.level
+    for n in (13, 30):
+        p = parse_presentation(periodic_orbit(n))
+        assert len(p.contexts) == n
+        assert build_chain(p, 12).stabilization.level == n - 1
 
 
 # ---------------------------------------------------------------------------
