@@ -131,7 +131,8 @@ def _matrix_lines(name: str, mat) -> list[str]:
 
 def _invariant_record(p, cfg: RunConfig) -> dict:
     chain = build_chain(p, cfg.lmax)
-    kg = k_groups(chain)
+    triple = dimension_triple(chain)
+    kg = triple.k_groups
     return {
         "presentation": p.content_hash(),
         "tool_version": __version__,
@@ -141,7 +142,7 @@ def _invariant_record(p, cfg: RunConfig) -> dict:
         "k0_text": kg.k0.render(),
         "k1": kg.k1.to_json(),
         "k1_text": kg.k1.render(),
-        "triple": dimension_triple(chain).to_json(),
+        "triple": triple.to_json(),
     }
 
 
@@ -358,13 +359,9 @@ def cmd_compare(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 3
 
-    sides = []
-    for p in (pa, pb):
-        chain = build_chain(p, cfg.lmax)
-        sides.append((k_groups(chain), dimension_triple(chain)))
-    (kga, ta), (kgb, tb) = sides
-    rows = [("K0", kga.k0.render(), kgb.k0.render()),
-            ("K1", kga.k1.render(), kgb.k1.render()),
+    ta, tb = (dimension_triple(build_chain(p, cfg.lmax)) for p in (pa, pb))
+    rows = [("K0", ta.k_groups.k0.render(), tb.k_groups.k0.render()),
+            ("K1", ta.k_groups.k1.render(), tb.k_groups.k1.render()),
             ("triple rank", str(ta.rank), str(tb.rank))]
     outcome = compare_triples(ta, tb)
     verdict, witness = outcome.verdict, outcome.witness
@@ -381,7 +378,7 @@ def cmd_compare(args) -> int:
         lines = [f"{n}: {a} | {b}" for (n, a, b) in rows]
         lines.append(f"verdict: {verdict}" + (f" ({witness})" if witness else ""))
         _emit("\n".join(lines))
-    return {"equivalent": 0, "distinguished": 1, "inconclusive": 2}[verdict]
+    return outcome.exit_code
 
 
 def cmd_model_verify(args) -> int:

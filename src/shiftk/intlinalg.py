@@ -447,9 +447,6 @@ class FgAbelianGroup:
                 raise ValidationError("torsion invariants must form a divisibility chain")
             prev = d
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def order(self) -> int:
         """Group order; only defined when the free rank is zero."""
         if self.free_rank:

@@ -11,6 +11,7 @@ B.  They and the triple are read at l0 once, whatever the chain length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .errors import ValidationError
@@ -44,6 +45,15 @@ class StationarySystem:
         if any(not 0 <= i < self.rank for i in self.delta_mask):
             raise ValidationError("delta mask out of range")
 
+    @cached_property
+    def k_groups(self) -> KGroups:
+        """Cokernel and kernel of I - S, from one rank and invariant-factor pass.
+
+        I - S is square, so its kernel rank is the cokernel's free rank.
+        """
+        k0 = cokernel(IntMatrix.identity(self.rank).sub(self.step_map))
+        return KGroups(k0, FgAbelianGroup(k0.free_rank, ()))
+
     def core_map(self) -> IntMatrix:
         """The step map restricted to the persistent coordinates."""
         return self.step_map.submatrix(self.delta_mask, self.delta_mask)
@@ -56,17 +66,9 @@ class StationarySystem:
         }
 
 
-def _k_data(b: IntMatrix) -> tuple[FgAbelianGroup, int]:
-    """Cokernel and kernel rank of b, both from its rank and invariant factors."""
-    coker = cokernel(b)
-    return coker, b.cols - (b.rows - coker.free_rank)
-
-
 def k_groups(chain: PartitionChain) -> KGroups:
     """Cokernel and kernel of the stable difference matrix I - S."""
-    s = stable_step_map(chain)
-    k0, k1_rank = _k_data(IntMatrix.identity(s.rows).sub(s))
-    return KGroups(k0, FgAbelianGroup(k1_rank, ()))
+    return dimension_triple(chain).k_groups
 
 
 def dimension_triple(chain: PartitionChain) -> StationarySystem:
@@ -102,10 +104,10 @@ def triple_invariants(s: StationarySystem) -> dict:
     cokernels of powers of the step map are NOT stage-shift invariant and
     would wrongly distinguish conjugate presentations, so they are excluded.
     """
-    k0, k1_rank = _k_data(IntMatrix.identity(s.rank).sub(s.step_map))
+    kg = s.k_groups
     return {
-        "k0": k0.to_json(),
-        "k1_rank": k1_rank,
+        "k0": kg.k0.to_json(),
+        "k1_rank": kg.k1.free_rank,
         "limit_rank": eventual_rank(s.core_map()),
     }
 

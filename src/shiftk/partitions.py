@@ -44,10 +44,6 @@ SIGNATURE_WORD_LIMIT = 20000
 class PartitionClass:
     contexts: tuple[int, ...]          # context indices, sorted
 
-    @property
-    def size(self) -> int:
-        return len(self.contexts)
-
 
 @dataclass(frozen=True)
 class PartitionLevel:
@@ -93,9 +89,8 @@ class RestrictedMaps:
 class PartitionChain:
     """The distinct levels 0..l0 and their class maps, shown through level ``length``."""
 
-    def __init__(self, presentation, steps, grade_ranks, tower, maps, reach, reach_limit, length):
+    def __init__(self, presentation, grade_ranks, tower, maps, reach, reach_limit, length):
         self.presentation: Presentation = presentation
-        self.steps = steps
         self.grade_ranks: tuple[tuple[int, ...], ...] = grade_ranks
         self.tower: tuple[PartitionLevel, ...] = tower      # levels 0..l0, all distinct
         self.maps: tuple[ClassMaps, ...] = maps             # level l+1 -> level l, l = 0..l0
@@ -117,25 +112,6 @@ class PartitionChain:
     @property
     def m_sequence(self) -> tuple[int, ...]:
         return tuple(lv.m for lv in self.levels)
-
-
-def _step_table(p: Presentation):
-    ctxs = p.contexts
-    idx = p.context_index
-    steps = []
-    for c in ctxs:
-        row = []
-        for a in p.alphabet:
-            c2 = p.prepend_context(c, a)
-            if c2 is None:
-                row.append(None)
-            else:
-                j = idx.get(c2)
-                if j is None:
-                    raise ConsistencyError("prepending left the realizable context set")
-                row.append(j)
-        steps.append(tuple(row))
-    return tuple(steps)
 
 
 def _next_grade(steps, n_letters: int, prev: tuple[int, ...]) -> tuple[int, ...]:
@@ -174,36 +150,36 @@ def _refine(steps, n_letters: int):
 
 
 def _class_maps(steps, n_letters: int, fine: PartitionLevel, coarse: PartitionLevel) -> ClassMaps:
-    """Parent and per-symbol image of each fine class, checked to be single-valued."""
-    parent = []
-    for cls in fine.classes:
-        targets = {coarse.class_of[i] for i in cls.contexts}
-        if len(targets) != 1:
+    """Parent and per-symbol image of each fine class, checked to be single-valued.
+
+    Each map is one pass over the contexts: the first context of a fine class
+    sets its coarse id (or None), and every other context must agree.
+    """
+    fine_of, coarse_of = fine.class_of, coarse.class_of
+    parent = {}
+    for f, c in zip(fine_of, coarse_of):
+        if parent.setdefault(f, c) != c:
             raise ConsistencyError("a refined class straddles two coarser classes")
-        parent.append(targets.pop())
     image = []
     for a in range(n_letters):
-        row = []
-        for cls in fine.classes:
-            images = [steps[i][a] for i in cls.contexts]
-            defined = [x for x in images if x is not None]
-            if defined and len(defined) != len(images):
-                raise ConsistencyError(
-                    f"prepending symbol {a} is defined on part of a class only")
-            targets = {coarse.class_of[x] for x in defined}
-            if len(targets) > 1:
-                raise StraddleError(
-                    f"prepending symbol {a} moves one class into two classes")
-            row.append(targets.pop() if targets else None)
-        image.append(tuple(row))
-    return ClassMaps(tuple(parent), tuple(image))
+        row = {}
+        for f, s in zip(fine_of, steps):
+            t = None if s[a] is None else coarse_of[s[a]]
+            first = row.setdefault(f, t)
+            if first != t:
+                if first is None or t is None:
+                    raise ConsistencyError(
+                        f"prepending symbol {a} is defined on part of a class only")
+                raise StraddleError(f"prepending symbol {a} moves one class into two classes")
+        image.append(tuple(row[f] for f in range(fine.m)))
+    return ClassMaps(tuple(parent[f] for f in range(fine.m)), tuple(image))
 
 
 def past_partition(p: Presentation, level: int) -> PartitionLevel:
     """Contexts grouped by equality of all predecessor sets up to ``level``."""
     if level < 0:
         raise ValidationError("level must be >= 0")
-    tower = _refine(_step_table(p), len(p.alphabet))[1]
+    tower = _refine(p.steps, len(p.alphabet))[1]
     return tower[min(level, len(tower) - 1)]
 
 
@@ -232,7 +208,7 @@ def build_chain(p: Presentation, length: int) -> PartitionChain:
     """
     if length < 1:
         raise ValidationError("chain length must be >= 1")
-    steps = _step_table(p)
+    steps = p.steps
     n_letters = len(p.alphabet)
     grade, tower = _refine(steps, n_letters)
     while len(grade) <= length:
@@ -240,7 +216,7 @@ def build_chain(p: Presentation, length: int) -> PartitionChain:
     maps = tuple(_class_maps(steps, n_letters, fine, coarse)
                  for coarse, fine in zip(tower, tower[1:] + tower[-1:]))
     reach, reach_limit = _reach_sets(steps, n_letters, length)
-    return PartitionChain(p, steps, tuple(grade), tuple(tower), maps, reach, reach_limit, length)
+    return PartitionChain(p, tuple(grade), tuple(tower), maps, reach, reach_limit, length)
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +349,14 @@ def class_signatures(chain: PartitionChain, level: int) -> tuple[tuple, ...]:
     """
     if not 0 <= level <= chain.length:
         raise ValidationError(f"level {level} out of range 0..{chain.length}")
-    steps = chain.steps
+    p = chain.presentation
     out = []
     for cls in chain.levels[level].classes:
         rep = cls.contexts[0]
         words = chain._signature_words.get(rep)
         if words is None:
             frontiers = predecessor_frontiers(
-                rep, lambda i, a: steps[i][a], range(len(chain.presentation.alphabet)),
-                chain.length, SIGNATURE_WORD_LIMIT)
+                (rep,), p.steps, len(p.alphabet), chain.length, SIGNATURE_WORD_LIMIT)
             words = chain._signature_words[rep] = [tuple(sorted(f)) for f in frontiers]
         out.append(tuple(
             ("w",) + words[k] if k < len(words) else ("e", chain.grade_ranks[k][rep])
@@ -393,11 +368,15 @@ def class_signatures(chain: PartitionChain, level: int) -> tuple[tuple, ...]:
 # export
 
 
-def _signature_json(p: Presentation, sig) -> list:
+def _signature_json(p: Presentation, rep: int, sig, rendered: dict) -> list:
+    """JSON of a class signature; ``rendered`` keeps each (representative,
+    grade) word list rendered once, as every level repeats it."""
     out = []
     for k, entry in enumerate(sig):
         if entry[0] == "w":
-            out.append({"grade": k, "words": [p.alphabet.render_word(w) for w in entry[1:]]})
+            if (rep, k) not in rendered:
+                rendered[rep, k] = [p.alphabet.render_word(w) for w in entry[1:]]
+            out.append({"grade": k, "words": rendered[rep, k]})
         else:
             out.append({"grade": k, "elided": True, "rank": entry[1]})
     return out
@@ -424,6 +403,7 @@ def matrices_to_json(chain: PartitionChain) -> list[dict]:
 def chain_to_json(chain: PartitionChain) -> dict:
     """Chain export: class signatures, matrices row-major, M-sets, stabilization."""
     p = chain.presentation
+    rendered = {}
     levels = []
     for l, lv in enumerate(chain.levels):
         levels.append({
@@ -432,7 +412,7 @@ def chain_to_json(chain: PartitionChain) -> dict:
             "classes": [
                 {
                     "contexts": [p.render_context(p.contexts[i]) for i in cls.contexts],
-                    "signature": _signature_json(p, sig),
+                    "signature": _signature_json(p, cls.contexts[0], sig, rendered),
                 }
                 for cls, sig in zip(lv.classes, class_signatures(chain, l))
             ],

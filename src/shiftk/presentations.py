@@ -14,8 +14,13 @@ finite datum context(x) through which every predecessor set
 
     P_k(x) = { u of length k : u . x lies in the shift }
 
-factors.  Prepending a letter acts on contexts (``prepend_context``), and
-that single transition function drives the whole partition tower downstream.
+factors.  Prepending a letter acts on contexts (``prepend_context``); its
+table on context indices (``Presentation.steps``) is the one transition every
+word query reads.  The partition tower downstream refines over it, and since
+the shift of a point is again a point of the shift, the language is that
+predecessor set taken over every context:
+
+    L_k = union of P_k(c) over all contexts c.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from functools import cached_property
 
 from .errors import (
     AlphabetMismatchError,
+    ConsistencyError,
     ResourceCapError,
     ValidationError,
 )
@@ -115,9 +121,6 @@ class Presentation:
     def contains(self, point: Point) -> bool:
         raise NotImplementedError
 
-    def language(self, k: int, cap: int | None = None) -> list[Word]:
-        raise NotImplementedError
-
     def witness(self, ctx: Context) -> Point:
         """Some point of the shift whose context is ``ctx``."""
         raise NotImplementedError
@@ -128,12 +131,28 @@ class Presentation:
     # -- shared derived operations -----------------------------------------
 
     @cached_property
+    def steps(self) -> tuple[tuple[int | None, ...], ...]:
+        """Prepend table on context indices: ``steps[i][a]`` is the index of the
+        context of a.x for x with context i, or None when a.x leaves the shift."""
+        idx = self.context_index
+        steps = []
+        for c in self.contexts:
+            row = []
+            for a in self.alphabet:
+                c2 = self.prepend_context(c, a)
+                if c2 is None:
+                    row.append(None)
+                elif c2 in idx:
+                    row.append(idx[c2])
+                else:
+                    raise ConsistencyError("prepending left the realizable context set")
+            steps.append(tuple(row))
+        return tuple(steps)
+
+    @cached_property
     def sigma_surjective(self) -> bool:
         """True iff every point has a one-letter predecessor in the shift."""
-        return all(
-            any(self.prepend_context(c, a) is not None for a in self.alphabet)
-            for c in self.contexts
-        )
+        return all(any(j is not None for j in row) for row in self.steps)
 
     def check_point(self, point: Point) -> None:
         if point.max_letter() >= len(self.alphabet):
@@ -206,13 +225,6 @@ class FiniteShift(Presentation):
         if not self.contains(point):
             raise ValidationError("point is not in the shift space")
         return PointContext(point)
-
-    def language(self, k, cap=None):
-        cap = cap or self.caps.max_language_words
-        words = sorted({p.prefix(k) for p in self.points})
-        if len(words) > cap:
-            raise ResourceCapError(f"language size exceeds cap {cap}")
-        return words
 
     def witness(self, ctx):
         return ctx.point
@@ -312,6 +324,23 @@ class SftShift(Presentation):
                     changed = True
         return frozenset(alive)
 
+    @cached_property
+    def window_graph(self) -> dict[Word, tuple[tuple[int, Word], ...]]:
+        """Each live window, in sorted order, with its (letter, next live window)
+        edges in alphabet order: the forward graph whose label shift is the SFT's
+        left-extendable part."""
+        live = self._live_states
+        graph = {}
+        for w in sorted(live):
+            edges = []
+            for a in self.alphabet:
+                if self._tail_ok(w + (a,)):
+                    w2 = self._suffix_after(w, a)
+                    if w2 in live:
+                        edges.append((a, w2))
+            graph[w] = tuple(edges)
+        return graph
+
     def _realizable_contexts(self):
         return [SuffixContext(w) for w in self._live_states]
 
@@ -337,46 +366,17 @@ class SftShift(Presentation):
             raise ValidationError("point is not in the shift space")
         return SuffixContext(point.prefix(self.memory))
 
-    def language(self, k, cap=None):
-        cap = cap or self.caps.max_language_words
-        m = self.memory
-        live = self._live_states
-        out = []
-
-        def extendable(w):
-            if m == 0:
-                return True
-            if len(w) >= m:
-                return w[-m:] in live
-            return any(self._tail_ok(w + (a,)) and extendable(w + (a,)) for a in self.alphabet)
-
-        def rec(w):
-            if len(w) == k:
-                if extendable(w):
-                    if len(out) >= cap:
-                        raise ResourceCapError(f"language size exceeds cap {cap}")
-                    out.append(w)
-                return
-            for a in self.alphabet:
-                nxt = w + (a,)
-                if self._tail_ok(nxt):
-                    rec(nxt)
-
-        rec(EPSILON)
-        return out
-
     def witness(self, ctx):
+        graph = self.window_graph
         cur = ctx.word
         letters = []
         seen = {cur: 0}
         while True:
-            for a in self.alphabet:
-                if self._tail_ok(cur + (a,)) and self._suffix_after(cur, a) in self._live_states:
-                    letters.append(a)
-                    cur = self._suffix_after(cur, a)
-                    break
-            else:
+            edges = graph.get(cur)
+            if not edges:
                 raise ValidationError("context is not realizable")
+            a, cur = edges[0]
+            letters.append(a)
             if cur in seen:
                 p = seen[cur]
                 return Point(ctx.word + tuple(letters[:p]), tuple(letters[p:]))
@@ -504,16 +504,6 @@ class SoficShift(Presentation):
                 out |= 1 << q
         return out
 
-    def _post_mask(self, a: int, mask: int) -> int:
-        rows = self._rows[a]
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            out |= rows[low.bit_length() - 1]
-            m ^= low
-        return out
-
     @cached_property
     def _monoid(self):
         """Reachable boolean matrices with a first-reaching word each (BFS order)."""
@@ -612,24 +602,6 @@ class SoficShift(Presentation):
             raise ValidationError("point is not in the shift space")
         return StateSetContext(frozenset(q for q in range(len(self.states)) if mask >> q & 1))
 
-    def language(self, k, cap=None):
-        cap = cap or self.caps.max_language_words
-        out = []
-
-        def rec(w, mask):
-            if len(w) == k:
-                if len(out) >= cap:
-                    raise ResourceCapError(f"language size exceeds cap {cap}")
-                out.append(w)
-                return
-            for a in self.alphabet:
-                nxt = self._post_mask(a, mask)
-                if nxt:
-                    rec(w + (a,), nxt)
-
-        rec(EPSILON, self._full)
-        return out
-
     def witness(self, ctx):
         reps = self._context_reps
         key = frozenset(ctx.states)
@@ -674,10 +646,19 @@ class SoficShift(Presentation):
 
 
 def language(p: Presentation, k: int, cap: int | None = None) -> list[Word]:
-    """All length-k words occurring in the shift, in lexicographic order."""
+    """All length-k words occurring in the shift, in lexicographic order.
+
+    These are the predecessor words of every context.  |L_k| never decreases
+    with k (each word extends to the right), so the frontier stops short of
+    grade k exactly when |L_k| exceeds the cap.
+    """
     if k < 0:
         raise ValidationError("word length must be >= 0")
-    return p.language(k, cap)
+    cap = cap or p.caps.max_language_words
+    frontiers = predecessor_frontiers(range(len(p.contexts)), p.steps, len(p.alphabet), k, cap)
+    if len(frontiers) <= k:
+        raise ResourceCapError(f"language size exceeds cap {cap}")
+    return sorted(frontiers[k])
 
 
 def contains(p: Presentation, x: Point) -> bool:
@@ -692,22 +673,25 @@ def realizable_contexts(p: Presentation) -> tuple[Context, ...]:
     return p.contexts
 
 
-def predecessor_frontiers(start, step, letters, upto: int, cap: int) -> list[dict]:
-    """Predecessor words of ``start`` for grades 0..upto, each mapped to its context.
+def predecessor_frontiers(starts, steps, n_letters: int, upto: int, cap: int) -> list[dict]:
+    """Predecessor words of the contexts ``starts``, grades 0..upto.
 
-    ``step(c, a)`` is the context after prepending ``a`` to a point with
-    context ``c`` (None when that leaves the shift).  The list stops before
-    the first grade with more than ``cap`` words.
+    Grade k maps each length-k word u with u.x in the shift, for some x with
+    context in ``starts``, to the set of context indices of those u.x.
+    ``steps`` is a prepend table (``Presentation.steps``).  The list stops
+    before the first grade with more than ``cap`` words.
     """
-    frontier = {EPSILON: start}
+    frontier = {EPSILON: frozenset(starts)}
     out = [frontier]
+    moves = {}   # context set -> [(letter, nonempty context set after prepending it)]
     for _ in range(upto):
         nxt = {}
-        for w, c in frontier.items():
-            for a in letters:
-                c2 = step(c, a)
-                if c2 is not None:
-                    nxt[(a,) + w] = c2
+        for w, cs in frontier.items():
+            if cs not in moves:
+                targets = [{steps[c][a] for c in cs} - {None} for a in range(n_letters)]
+                moves[cs] = [(a, frozenset(t)) for a, t in enumerate(targets) if t]
+            for a, cs2 in moves[cs]:
+                nxt[(a,) + w] = cs2
             if len(nxt) > cap:
                 return out
         frontier = nxt
@@ -722,7 +706,7 @@ def predecessor_set(p: Presentation, ctx: Context, k: int, cap: int | None = Non
     cap = cap or p.caps.max_language_words
     if ctx not in p.context_index:
         raise ValidationError("context is not realizable for this presentation")
-    frontiers = predecessor_frontiers(ctx, p.prepend_context, p.alphabet, k, cap)
+    frontiers = predecessor_frontiers((p.context_index[ctx],), p.steps, len(p.alphabet), k, cap)
     if len(frontiers) <= k:
         raise ResourceCapError(f"predecessor set exceeds cap {cap}")
     return sorted(frontiers[k])

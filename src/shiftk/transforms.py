@@ -24,6 +24,7 @@ from .presentations import (
     Presentation,
     SftShift,
     SoficShift,
+    language,
 )
 from .words import Alphabet, Point, Word
 
@@ -138,16 +139,10 @@ def _as_labeled_graph(p: Presentation):
         edges = [(p.states[q], p.states[r], p.alphabet.symbols[a]) for (q, r, a) in p.edges]
         return states, edges
     if isinstance(p, SftShift):
-        windows = sorted(c.word for c in p.contexts)
-        name = {w: f"w{i:04d}" for i, w in enumerate(windows)}
-        live = set(windows)
-        edges = []
-        for w in windows:
-            for a in p.alphabet:
-                if p._tail_ok(w + (a,)):
-                    w2 = p._suffix_after(w, a)
-                    if w2 in live:
-                        edges.append((name[w], name[w2], p.alphabet.symbols[a]))
+        graph = p.window_graph
+        name = {w: f"w{i:04d}" for i, w in enumerate(graph)}
+        edges = [(name[w], name[w2], p.alphabet.symbols[a])
+                 for w, out in graph.items() for a, w2 in out]
         return list(name.values()), edges
     if isinstance(p, FiniteShift):
         # shift-surjective finite sets consist of periodic points, i.e. cycles
@@ -169,7 +164,7 @@ def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport
     if isinstance(p, FiniteShift):
         raise ValidationError("higher-block recoding expects an SFT or sofic presentation")
 
-    blocks = p.language(n)
+    blocks = language(p, n)
     names = [_block_name(p.alphabet, w) for w in blocks]
     symbol_map = {nm: list(p.alphabet.word_symbols(w)) for nm, w in zip(names, blocks)}
     move = {"move": "higher_block", "n": n}

@@ -2,7 +2,7 @@
 
 import random
 
-from shiftk import Point, SoficShift
+from shiftk import Point, SoficShift, ValidationError, parse_presentation
 from shiftk.presentations import Presentation
 
 
@@ -93,6 +93,18 @@ def random_presentation(rng: random.Random) -> dict:
             "points": [{"pre": [alphabet[a] for a in p.pre],
                         "per": [alphabet[a] for a in p.per]}
                        for p in sorted(pts, key=lambda q: q.sort_key)]}
+
+
+def random_memory_sft(rng: random.Random, m: int) -> dict:
+    """Binary SFT with a few random forbidden words of length m + 1."""
+    while True:
+        forbidden = sorted({tuple(rng.choice("01") for _ in range(m + 1)) for _ in range(3)})
+        obj = {"type": "sft", "alphabet": ["0", "1"], "forbidden": [list(w) for w in forbidden]}
+        try:
+            parse_presentation(obj)
+        except ValidationError:
+            continue
+        return obj
 
 
 def periodic_orbit(n: int) -> dict:

@@ -7,8 +7,21 @@ from pathlib import Path
 
 import pytest
 
-from helpers import periodic_orbit, random_essential_adjacency, random_presentation
-from shiftk import ResourceCapError, ValidationError, cli, parse_presentation, partitions
+from helpers import (
+    periodic_orbit,
+    random_essential_adjacency,
+    random_memory_sft,
+    random_presentation,
+)
+from shiftk import (
+    ResourceCapError,
+    ValidationError,
+    cli,
+    intlinalg,
+    invariants,
+    parse_presentation,
+    partitions,
+)
 from shiftk.cli import main
 
 from conftest import CORPUS_OBJECTS
@@ -169,6 +182,33 @@ def test_compare_exit_codes(files, capsys, tmp_path):
     assert code in (1, 2)
 
 
+def test_each_stable_level_is_factored_once(files, capsys, monkeypatch):
+    # one step map and one invariant-factor pass per presentation and command
+    calls = {"invariant_factors": 0, "stable_step_map": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(intlinalg, "invariant_factors")
+    counted(invariants, "stable_step_map")
+    commands = [
+        (("compare", files["full2"], files["golden_mean"]), 1, 2),
+        (("compare", files["full3"], files["full3"], "--format", "json"), 0, 2),
+        (("invariants", files["golden_mean"], "--no-cache"), 0, 1),
+        (("kgroups", files["pair"]), 0, 1),
+    ]
+    for argv, exit_code, expected in commands:
+        calls.update(invariant_factors=0, stable_step_map=0)
+        code, _, _ = run(capsys, *argv)
+        assert code == exit_code, argv
+        assert calls == {"invariant_factors": expected, "stable_step_map": expected}, argv
+
+
 def test_compare_input_error_uses_exit_three(files, capsys):
     code, _, err = run(capsys, "compare", files["full2"], "/nonexistent.json")
     assert code == 3
@@ -273,18 +313,6 @@ def test_output_independent_of_caps_and_state_names(tmp_path, capsys, monkeypatc
         assert triples[0] == triples[1]
 
 
-def _random_memory_sft(rng, m):
-    """Binary SFT with a few random forbidden words of length m + 1."""
-    while True:
-        forbidden = sorted({tuple(rng.choice("01") for _ in range(m + 1)) for _ in range(3)})
-        obj = {"type": "sft", "alphabet": ["0", "1"], "forbidden": [list(w) for w in forbidden]}
-        try:
-            parse_presentation(obj)
-        except ValidationError:
-            continue
-        return obj
-
-
 def _limit_json(text):
     """Command JSON without what --lmax bounds: the shown levels and the check depth."""
     data = json.loads(text)
@@ -299,7 +327,7 @@ def test_limit_invariants_do_not_depend_on_lmax(tmp_path, capsys):
     objects += [{"type": "sft_matrix", "adjacency": random_essential_adjacency(rng, n)}
                 for n in (3, 4, 5, 6)]
     objects += [_random_sofic(rng, n) for n in (3, 4, 5)]
-    objects += [_random_memory_sft(rng, m) for m in (2, 3, 3, 4)]
+    objects += [random_memory_sft(rng, m) for m in (2, 3, 3, 4)]
     objects += [periodic_orbit(n) for n in (5, 8)]
     while len(objects) < len(CORPUS_OBJECTS) + 25:
         obj = random_presentation(rng)

@@ -9,6 +9,8 @@ from helpers import (
     periodic_orbit,
 )
 from shiftk import (
+    ConsistencyError,
+    StraddleError,
     ValidationError,
     action_matrices,
     action_sum,
@@ -338,6 +340,25 @@ def test_no_straddling_oracle_recheck(corpus):
                     assert len(set(images)) <= 1, (name, l, a)
 
 
+def test_class_maps_reject_inconsistent_levels(golden_mean):
+    # golden mean: contexts 0 and 1; prepending 1 is defined on context 0 only
+    steps = golden_mean.steps
+    one_class, singletons = partitions._level((0, 0)), partitions._level((0, 1))
+    with pytest.raises(ConsistencyError, match="^a refined class straddles two coarser classes$"):
+        partitions._class_maps(steps, 2, one_class, singletons)
+    with pytest.raises(ConsistencyError,
+                       match="^prepending symbol 1 is defined on part of a class only$"):
+        partitions._class_maps(steps, 2, one_class, one_class)
+    # a corrupted table sends the class {0, 1} to contexts 2 and 1, which lie
+    # in two coarser classes
+    corrupted = ((2,), (1,), (0,))
+    level = partitions._level((0, 0, 1))
+    with pytest.raises(StraddleError, match="^prepending symbol 0 moves one class into two classes$"):
+        partitions._class_maps(corrupted, 1, level, level)
+    assert partitions._class_maps(steps, 2, singletons, one_class) == partitions.ClassMaps(
+        (0, 0), ((0, 0), (0, None)))
+
+
 # ---------------------------------------------------------------------------
 # determinism and export
 
@@ -355,6 +376,18 @@ def test_chain_json_shape(even):
     assert len(data["levels"]) == 4
     assert len(data["matrices"]) == 3
     assert {len(lv["classes"]) for lv in data["levels"]} == {1, 2, 3}
+
+
+def test_chain_json_renders_each_class_signature(corpus):
+    # every level repeats its classes' lower grades; each class shows its own words
+    for p in corpus.values():
+        chain = build_chain(p, 4)
+        for l, level in enumerate(chain_to_json(chain)["levels"]):
+            shown = [cls["signature"] for cls in level["classes"]]
+            assert shown == [
+                [{"grade": k, "words": [p.alphabet.render_word(w) for w in entry[1:]]}
+                 for k, entry in enumerate(sig)]
+                for sig in class_signatures(chain, l)], (p, l)
 
 
 def test_level_bounds(golden_mean):

@@ -1,10 +1,19 @@
+import random
+
 import pytest
 
-from helpers import oracle_predecessors, oracle_state_set
+from helpers import (
+    class_witnesses,
+    oracle_predecessors,
+    oracle_state_set,
+    random_memory_sft,
+    random_presentation,
+)
 from shiftk import (
     Caps,
     Point,
     ResourceCapError,
+    SftShift,
     ValidationError,
     contains,
     context_of,
@@ -136,6 +145,55 @@ def test_language_prunes_dead_prefixes():
     p = parse_presentation({"type": "sft", "alphabet": ["0", "1"],
                             "forbidden": [["0", "0"], ["0", "1"]]})
     assert words(p, 2) == ["11"]
+
+
+def _random_vertex_sft(rng):
+    """Vertex SFT of a random 0/1 matrix, zero rows and columns allowed."""
+    n = rng.randint(1, 4)
+    return {"type": "sft_matrix",
+            "adjacency": [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]}
+
+
+def _random_presentations(rng, per_kind=100):
+    """``per_kind`` nonempty presentations from each random generator."""
+    out = []
+    for generate in (random_presentation,
+                     lambda rng: random_memory_sft(rng, rng.randint(1, 4)),
+                     _random_vertex_sft):
+        made = 0
+        while made < per_kind:
+            try:
+                out.append(parse_presentation(generate(rng)))
+            except ValidationError:
+                continue
+            made += 1
+    return out
+
+
+def test_language_matches_the_union_of_oracle_predecessor_sets():
+    # L_k is the union of P_k(x) over one witness x per context, each
+    # predecessor set found by brute-force membership tests
+    cases = [make(name) for name in CORPUS_OBJECTS] + _random_presentations(random.Random(41))
+    assert {p.kind for p in cases} == {"finite", "sft", "sofic"}
+    for p in cases:
+        witnesses = class_witnesses(p)
+        for ctx, x in witnesses:
+            assert context_of(p, x) == ctx
+        for k in range(6):
+            oracle = sorted({u for _, x in witnesses for u in oracle_predecessors(p, x, k)})
+            assert language(p, k) == oracle, (p.to_json(), k)
+
+
+def test_window_graph_edges_are_the_words_of_length_memory_plus_one():
+    rng = random.Random(43)
+    cases = [make(name) for name in CORPUS_OBJECTS] + _random_presentations(rng, 30)
+    for p in cases:
+        if not isinstance(p, SftShift):
+            continue
+        graph = p.window_graph
+        assert list(graph) == sorted(c.word for c in p.contexts)
+        edges = [w + (a,) for w, out in graph.items() for a, w2 in out if w2 == (w + (a,))[1:]]
+        assert edges == language(p, p.memory + 1), p.to_json()
 
 
 # ---------------------------------------------------------------------------
