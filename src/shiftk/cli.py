@@ -38,6 +38,7 @@ from .partitions import (
     persistence_markers,
 )
 from .presentations import (
+    DEFAULT_CAPS,
     Caps,
     FiniteShift,
     dump_presentation,
@@ -46,6 +47,7 @@ from .presentations import (
 from .transforms import BipartiteExpression, higher_block, split_letters, symbolic_expansion
 
 ENV_PREFIX = "SHIFTK_"
+DEFAULT_LMAX = 12
 
 # Raise when the layout or meaning of a cached record changes.
 CACHE_SCHEMA = 1
@@ -62,11 +64,11 @@ def _source_hash() -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    lmax: int = 12
-    fmt: str = "table"
-    cache_dir: Path = None
-    no_cache: bool = False
-    caps: Caps = Caps()
+    lmax: int
+    fmt: str
+    cache_dir: Path
+    no_cache: bool
+    caps: Caps
 
     def fingerprint(self) -> str:
         return json.dumps({
@@ -92,7 +94,7 @@ def _config_from(args) -> RunConfig:
             return conv(raw)
         return default
 
-    lmax = pick(getattr(args, "lmax", None), "LMAX", 12, int)
+    lmax = pick(getattr(args, "lmax", None), "LMAX", DEFAULT_LMAX, int)
     fmt = pick(getattr(args, "format", None), "FORMAT", "table", str)
     if fmt not in ("table", "json"):
         raise ValidationError(f"unknown output format {fmt!r}")
@@ -100,8 +102,8 @@ def _config_from(args) -> RunConfig:
                      Path.home() / ".cache" / "shiftk", Path)
     no_cache = bool(getattr(args, "no_cache", False)) or _env("NO_CACHE") == "1"
     caps = Caps(
-        max_contexts=pick(None, "MAX_CONTEXTS", 4096, int),
-        max_language_words=pick(None, "MAX_LANGUAGE_WORDS", 200000, int),
+        max_contexts=pick(None, "MAX_CONTEXTS", DEFAULT_CAPS.max_contexts, int),
+        max_language_words=pick(None, "MAX_LANGUAGE_WORDS", DEFAULT_CAPS.max_language_words, int),
     )
     if lmax < 1:
         raise ValidationError("lmax must be >= 1")
@@ -404,7 +406,8 @@ def cmd_model_verify(args) -> int:
 
 
 def _add_common(sub):
-    sub.add_argument("--lmax", type=int, default=None, help="partition levels to show (default 12)")
+    sub.add_argument("--lmax", type=int, default=None,
+                     help=f"partition levels to show (default {DEFAULT_LMAX})")
     sub.add_argument("--format", choices=["table", "json"], default=None)
     sub.add_argument("--cache-dir", default=None)
     sub.add_argument("--no-cache", action="store_true")

@@ -81,12 +81,6 @@ class IntMatrix:
         out = tuple(tuple(sum(map(operator.mul, row, col)) for col in ot) for row in self.entries)
         return IntMatrix._trusted(self.rows, other.cols, out)
 
-    def add(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValidationError("shape mismatch in add")
-        return IntMatrix._trusted(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
-
     def sub(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("shape mismatch in sub")

@@ -72,9 +72,16 @@ def k_groups(chain: PartitionChain) -> KGroups:
 
 
 def dimension_triple(chain: PartitionChain) -> StationarySystem:
-    """Stationary certificate: stable step map plus the persistent-coordinate mask."""
-    l0 = chain.stabilization.level
-    return StationarySystem(chain.m(l0), stable_step_map(chain), persistent_classes(chain, l0))
+    """Stationary certificate: stable step map plus the persistent-coordinate mask.
+
+    It is made once and kept on the chain, so the chain's K-groups and its
+    triple factor I - S once.
+    """
+    if chain.stationary is None:
+        l0 = chain.stabilization.level
+        chain.stationary = StationarySystem(
+            chain.m(l0), stable_step_map(chain), persistent_classes(chain, l0))
+    return chain.stationary
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,7 @@ class PartitionChain:
         l0 = len(tower) - 1
         self.stabilization = Stabilization(True, l0, max(length, l0 + 1))
         self._signature_words: dict[int, list] = {}   # context -> sorted words per grade
+        self.stationary = None   # its invariants.StationarySystem, made on first request
 
     def level(self, l: int) -> PartitionLevel:
         """Level l for any l >= 0; the levels past the stable level are that level."""

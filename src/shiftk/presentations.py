@@ -182,6 +182,18 @@ class Presentation:
         return f"<{type(self).__name__} over {list(self.alphabet.symbols)}>"
 
 
+def _lasso(start, step, head: Word) -> Point:
+    """The point ``head`` followed by the letters read when ``step`` (state ->
+    (letter, next state)) is followed from ``start`` until a state repeats."""
+    seen, letters = {}, []
+    while start not in seen:
+        seen[start] = len(letters)
+        a, start = step(start)
+        letters.append(a)
+    p = seen[start]
+    return Point(head + tuple(letters[:p]), tuple(letters[p:]))
+
+
 # ---------------------------------------------------------------------------
 # finite shifts
 
@@ -368,19 +380,12 @@ class SftShift(Presentation):
 
     def witness(self, ctx):
         graph = self.window_graph
-        cur = ctx.word
-        letters = []
-        seen = {cur: 0}
-        while True:
-            edges = graph.get(cur)
-            if not edges:
+
+        def step(w):
+            if not graph.get(w):
                 raise ValidationError("context is not realizable")
-            a, cur = edges[0]
-            letters.append(a)
-            if cur in seen:
-                p = seen[cur]
-                return Point(ctx.word + tuple(letters[:p]), tuple(letters[p:]))
-            seen[cur] = len(letters)
+            return graph[w][0]
+        return _lasso(ctx.word, step, ctx.word)
 
     def render_context(self, ctx):
         return self.alphabet.render_word(ctx.word) if ctx.word else "e"
@@ -425,14 +430,6 @@ def _mat_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             r ^= low
         out.append(acc)
     return tuple(out)
-
-
-def _nz(m: tuple[int, ...]) -> int:
-    mask = 0
-    for q, row in enumerate(m):
-        if row:
-            mask |= 1 << q
-    return mask
 
 
 class SoficShift(Presentation):
@@ -505,72 +502,70 @@ class SoficShift(Presentation):
         return out
 
     @cached_property
-    def _monoid(self):
-        """Reachable boolean matrices with a first-reaching word each (BFS order)."""
-        n = len(self.states)
-        ident = tuple(1 << q for q in range(n))
-        reached = {ident: EPSILON}
-        order = [ident]
-        queue = [ident]
-        while queue:
-            mat = queue.pop(0)
-            w = reached[mat]
+    def _monoid(self) -> tuple[list[Word], list[int], list[tuple[int, ...]]]:
+        """Cayley table of the reachable boolean matrices, in BFS order.
+
+        Matrix i has the first word ``words[i]`` reaching it, the mask
+        ``masks[i]`` of its nonzero rows and, for each letter a, the index
+        ``succ[i][a]`` of its product with a's matrix.
+        """
+        ident = tuple(1 << q for q in range(len(self.states)))
+        index = {ident: 0}
+        order, words, succ = [ident], [EPSILON], []
+        for i, mat in enumerate(order):   # grows while it is read: a BFS queue
+            row = []
             for a in self.alphabet:
                 nxt = _mat_mul(mat, self._rows[a])
-                if nxt not in reached:
-                    reached[nxt] = w + (a,)
+                if nxt not in index:
+                    index[nxt] = len(order)
                     order.append(nxt)
-                    queue.append(nxt)
-                    if len(reached) > self.caps.max_contexts:
+                    words.append(words[i] + (a,))
+                    if len(order) > self.caps.max_contexts:
                         raise ResourceCapError(
                             f"sofic subset construction exceeds cap {self.caps.max_contexts}")
-        return reached, order
+                row.append(index[nxt])
+            succ.append(tuple(row))
+        masks = [sum(1 << q for q, r in enumerate(mat) if r) for mat in order]
+        return words, masks, succ
 
     @cached_property
-    def _good(self) -> frozenset:
-        """Matrices from which the nonzero-row set can be preserved forever."""
-        reached, order = self._monoid
-        good = {m for m in order if _nz(m) != 0}
+    def _good(self) -> frozenset[int]:
+        """Matrices from which the nonzero-row set can be preserved forever: the
+        greatest set in which each member has a successor member of its mask."""
+        _, masks, succ = self._monoid
+        good = {i for i, mask in enumerate(masks) if mask}
         changed = True
         while changed:
             changed = False
-            for m in list(good):
-                nz = _nz(m)
-                if not any(
-                    _mat_mul(m, self._rows[a]) in good and _nz(_mat_mul(m, self._rows[a])) == nz
-                    for a in self.alphabet
-                ):
-                    good.discard(m)
+            for i in list(good):
+                if not any(j in good and masks[j] == masks[i] for j in succ[i]):
+                    good.discard(i)
                     changed = True
         return frozenset(good)
 
     @cached_property
-    def _context_reps(self) -> dict:
-        reached, order = self._monoid
+    def _context_reps(self) -> dict[int, int]:
+        """Each context's state mask mapped to its first good matrix in BFS order."""
+        masks = self._monoid[1]
         reps = {}
-        for m in order:
-            if m in self._good:
-                key = frozenset(q for q in range(len(self.states)) if m[q])
-                if key not in reps:
-                    reps[key] = (m, reached[m])
+        for i in sorted(self._good):
+            reps.setdefault(masks[i], i)
         return reps
 
     def _realizable_contexts(self):
-        return [StateSetContext(s) for s in self._context_reps]
+        return [StateSetContext(self._states_of(mask)) for mask in self._context_reps]
 
     # core interface --------------------------------------------------------------
 
     def _mask_of(self, ctx: StateSetContext) -> int:
-        mask = 0
-        for q in ctx.states:
-            mask |= 1 << q
-        return mask
+        return sum(1 << q for q in ctx.states)
+
+    def _states_of(self, mask: int) -> frozenset[int]:
+        return frozenset(q for q in range(len(self.states)) if mask >> q & 1)
 
     def prepend_context(self, ctx, a):
         mask = self._pre_mask(a, self._mask_of(ctx))
-        if not mask:
-            return None
-        return StateSetContext(frozenset(q for q in range(len(self.states)) if mask >> q & 1))
+        return StateSetContext(self._states_of(mask)) if mask else None
 
     def _state_set(self, point: Point) -> int:
         """Greatest fixpoint over the lasso: the set of states reading the point."""
@@ -600,31 +595,22 @@ class SoficShift(Presentation):
         mask = self._state_set(point)
         if not mask:
             raise ValidationError("point is not in the shift space")
-        return StateSetContext(frozenset(q for q in range(len(self.states)) if mask >> q & 1))
+        return StateSetContext(self._states_of(mask))
 
     def witness(self, ctx):
-        reps = self._context_reps
-        key = frozenset(ctx.states)
-        if key not in reps:
+        mask = self._mask_of(ctx)
+        if mask not in self._context_reps:
             raise ValidationError("context is not realizable")
-        mat, w = reps[key]
-        nz = _nz(mat)
-        cur = mat
-        letters = []
-        seen = {cur: 0}
-        while True:
-            for a in self.alphabet:
-                nxt = _mat_mul(cur, self._rows[a])
-                if nxt in self._good and _nz(nxt) == nz:
-                    letters.append(a)
-                    cur = nxt
-                    break
-            else:
-                raise ValidationError("context lost its continuation; inconsistent good set")
-            if cur in seen:
-                p = seen[cur]
-                return Point(w + tuple(letters[:p]), tuple(letters[p:]))
-            seen[cur] = len(letters)
+        words, masks, succ = self._monoid
+        good = self._good
+
+        def step(i):
+            for a, j in enumerate(succ[i]):
+                if j in good and masks[j] == mask:
+                    return a, j
+            raise ConsistencyError("context lost its continuation; inconsistent good set")
+        start = self._context_reps[mask]
+        return _lasso(start, step, words[start])
 
     def render_context(self, ctx):
         names = sorted(self.states[q] for q in ctx.states)

@@ -64,6 +64,15 @@ def random_essential_adjacency(rng: random.Random, n: int) -> list:
             return m
 
 
+def random_sofic(rng: random.Random) -> dict:
+    """A random labeled graph on 1-4 states over 1-3 letters, as JSON (maybe empty once trimmed)."""
+    states = [f"s{i}" for i in range(rng.randint(1, 4))]
+    letters = [str(i) for i in range(rng.randint(1, 3))]
+    edges = {(rng.choice(states), rng.choice(states), rng.choice(letters))
+             for _ in range(rng.randint(1, 3 * len(states)))}
+    return {"type": "sofic", "states": states, "edges": [list(e) for e in sorted(edges)]}
+
+
 def random_presentation(rng: random.Random) -> dict:
     """A small random SFT (forbidden words), sofic graph or finite shift, as JSON."""
     kind = rng.randrange(3)
@@ -75,11 +84,7 @@ def random_presentation(rng: random.Random) -> dict:
         return {"type": "sft", "alphabet": alphabet,
                 "forbidden": [[alphabet[a] for a in w] for w in sorted(forb)]}
     if kind == 1:
-        states = [f"s{i}" for i in range(rng.randint(1, 4))]
-        letters = [str(i) for i in range(rng.randint(1, 3))]
-        edges = {(rng.choice(states), rng.choice(states), rng.choice(letters))
-                 for _ in range(rng.randint(1, 3 * len(states)))}
-        return {"type": "sofic", "states": states, "edges": [list(e) for e in sorted(edges)]}
+        return random_sofic(rng)
     n_letters = rng.randint(1, 2)
     alphabet = [str(i) for i in range(n_letters)]
     pts = set()

@@ -60,6 +60,20 @@ def test_dimension_triple_examples():
     assert t.step_map.to_lists()[other] == [0, 0]
 
 
+def test_one_stationary_system_per_chain(monkeypatch):
+    from shiftk import intlinalg
+
+    calls = []
+    real = intlinalg.invariant_factors
+    monkeypatch.setattr(intlinalg, "invariant_factors", lambda m: calls.append(m) or real(m))
+    chain = build_chain(make("full3"), 4)
+    kg = k_groups(chain)
+    s = dimension_triple(chain)
+    assert dimension_triple(chain) is s
+    assert triple_invariants(s)["k0"] == kg.k0.to_json()
+    assert len(calls) == 1
+
+
 def test_dimension_triple_at_short_length():
     # even stabilizes at level 2; a chain of length 1 still reads the triple there
     for name in ("even", "pair", "chain3"):

@@ -8,9 +8,11 @@ from helpers import (
     oracle_state_set,
     random_memory_sft,
     random_presentation,
+    random_sofic,
 )
 from shiftk import (
     Caps,
+    ConsistencyError,
     Point,
     ResourceCapError,
     SftShift,
@@ -256,6 +258,34 @@ def test_sofic_contexts_match_oracle_on_witnesses(even):
     for ctx in realizable_contexts(even):
         x = even.witness(ctx)
         assert oracle_state_set(even, x) == ctx.states
+
+
+def test_sofic_contexts_are_the_oracle_state_sets_of_short_lassos():
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 100:
+        try:
+            p = parse_presentation(random_sofic(rng))
+        except ValidationError:
+            continue
+        checked += 1
+        contexts = {ctx.states for ctx in p.contexts}
+        for ctx in p.contexts:
+            assert oracle_state_set(p, p.witness(ctx)) == ctx.states
+        short = [w for k in range(4) for w in p.alphabet.words_of_length(k)]
+        for pre in short:
+            for per in short:
+                if per:
+                    states = oracle_state_set(p, Point(pre, per))
+                    assert not states or states in contexts, (p.to_json(), pre, per)
+
+
+def test_sofic_witness_reports_an_inconsistent_good_set_as_internal():
+    p = make("even")
+    ctx = p.contexts[0]
+    p._good = frozenset()
+    with pytest.raises(ConsistencyError, match="inconsistent good set"):
+        p.witness(ctx)
 
 
 def test_witnesses_realize_their_contexts(corpus):
