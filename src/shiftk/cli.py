@@ -354,13 +354,8 @@ def cmd_transform(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _config_from(args)
-    try:
-        pa = load_presentation(args.file_a, cfg.caps)
-        pb = load_presentation(args.file_b, cfg.caps)
-    except ShiftError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-
+    pa = load_presentation(args.file_a, cfg.caps)
+    pb = load_presentation(args.file_b, cfg.caps)
     ta, tb = (dimension_triple(build_chain(p, cfg.lmax)) for p in (pa, pb))
     rows = [("K0", ta.k_groups.k0.render(), tb.k_groups.k0.render()),
             ("K1", ta.k_groups.k1.render(), tb.k_groups.k1.render()),

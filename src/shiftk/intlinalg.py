@@ -11,8 +11,8 @@ modulo Delta (Domich-Kannan-Trotter 1987, Hafner-McCurley 1991), so entries
 never grow past Delta.  Each nonzero invariant factor divides Delta, so the
 reduction loses none of them.  The result is certified by a divisibility
 chain, a rank count and the product of the factors against Delta (equal to
-|det| on a square nonsingular matrix).  Only ``kernel`` needs a transform; it
-reads V from ``smith_normal_form``, which builds U and V and verifies them.
+|det| on a square nonsingular matrix).  Only ``kernel`` reads a transform: V
+from ``smith_normal_form``, which eliminates once on [[M, I], [I, 0]].
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class IntMatrix:
             if len(row) != self.cols:
                 raise ValidationError("ragged matrix rows")
             for x in row:
-                if not isinstance(x, int):
+                if type(x) is not int:      # bool is an int subclass; refuse it too
                     raise ValidationError(f"non-integer entry {x!r}")
 
     @classmethod
@@ -53,11 +53,8 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        rows = tuple(tuple(map(int, r)) for r in rows)
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValidationError("ragged matrix rows")
-        return cls._trusted(len(rows), ncols, rows)
+        rows = tuple(map(tuple, rows))
+        return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -144,30 +141,6 @@ def matrix_rank(m: IntMatrix) -> int:
     return _echelon(m)[0]
 
 
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
-
-
-def _swap_cols(a, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _combine_rows(a, i, j, x, y, z, w):
-    # row_i, row_j <- x*row_i + y*row_j, z*row_i + w*row_j
-    for k in range(len(a[0])):
-        e, f = a[i][k], a[j][k]
-        a[i][k] = x * e + y * f
-        a[j][k] = z * e + w * f
-
-
-def _combine_cols(a, i, j, x, y, z, w):
-    for row in a:
-        e, f = row[i], row[j]
-        row[i] = x * e + y * f
-        row[j] = z * e + w * f
-
-
 def _gcdex(a: int, b: int) -> tuple[int, int, int]:
     # returns (s, t, g) with s*a + t*b == g == gcd(a, b) >= 0
     old_r, r = a, b
@@ -197,97 +170,83 @@ class SmithDecomposition:
         return sum(1 for x in self.diagonal if x != 0)
 
 
+def _combine(a, i, j, x, y, z, w):
+    # lines i, j <- x*line_i + y*line_j, z*line_i + w*line_j
+    pairs = list(zip(a[i], a[j]))
+    a[i] = [x * e + y * f for e, f in pairs]
+    a[j] = [z * e + w * f for e, f in pairs]
+
+
+def _clear_below(a, t, lines):
+    # zero a[i][t] for t < i < lines with line t: a quotient multiple when the
+    # pivot divides the entry, else a gcd step, which changes line t
+    for i in range(t + 1, lines):
+        p, b = a[t][t], a[i][t]
+        if b % p:
+            s, u, g = _gcdex(p, b)
+            _combine(a, t, i, s, u, -b // g, p // g)
+        elif b:
+            q = b // p
+            a[i] = [f - q * e for e, f in zip(a[t], a[i])]
+
+
+def _transpose(a):
+    return list(map(list, zip(*a)))
+
+
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with unimodular transforms, verified post-hoc.
 
-    The verification (U*M*V == D, |det U| == |det V| == 1, divisibility
-    chain) is recomputed on every call; a failure is a bug, not an input
-    condition, so it raises ConsistencyError.
+    One elimination on [[M, I], [I, 0]]: row operations build U on the right,
+    column operations (row operations on the transpose) build V below, and M
+    becomes D.  U*M*V == D, |det U| == |det V| == 1 and the divisibility chain
+    are checked on every call; a failure is a bug, so it raises ConsistencyError.
+
+    >>> m = IntMatrix.from_rows([[2, 0], [0, 3]])
+    >>> snf = smith_normal_form(m)
+    >>> snf.diagonal, snf.u.mul(m).mul(snf.v) == snf.d
+    ((1, 6), True)
     """
     rows, cols = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def clear_position(t):
-        # make a[t][t] the gcd of row t / column t and zero the rest
-        while True:
-            pivot_i = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if a[i][j] != 0:
-                        pivot_i = (i, j)
-                        break
-                if pivot_i:
-                    break
-            if pivot_i is None:
-                return False
-            i, j = pivot_i
-            if i != t:
-                _swap_rows(a, t, i)
-                _swap_rows(u, t, i)
-            if j != t:
-                _swap_cols(a, t, j)
-                _swap_cols(v, t, j)
-            while True:
-                done = True
-                for i in range(t + 1, rows):
-                    if a[i][t] == 0:
-                        continue
-                    done = False
-                    q, r = divmod(a[i][t], a[t][t])
-                    if r == 0:
-                        _combine_rows(a, t, i, 1, 0, -q, 1)
-                        _combine_rows(u, t, i, 1, 0, -q, 1)
-                    else:
-                        s, tt, g = _gcdex(a[t][t], a[i][t])
-                        x, y = a[t][t] // g, a[i][t] // g
-                        _combine_rows(a, t, i, s, tt, -y, x)
-                        _combine_rows(u, t, i, s, tt, -y, x)
-                for j in range(t + 1, cols):
-                    if a[t][j] == 0:
-                        continue
-                    done = False
-                    q, r = divmod(a[t][j], a[t][t])
-                    if r == 0:
-                        _combine_cols(a, t, j, 1, 0, -q, 1)
-                        _combine_cols(v, t, j, 1, 0, -q, 1)
-                    else:
-                        s, tt, g = _gcdex(a[t][t], a[t][j])
-                        x, y = a[t][t] // g, a[t][j] // g
-                        _combine_cols(a, t, j, s, tt, -y, x)
-                        _combine_cols(v, t, j, s, tt, -y, x)
-                if done:
-                    break
-            # pivot must divide the whole remaining block, else fold a bad
-            # row into row t and redo
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                return True
-            _combine_rows(a, t, offender, 1, 1, 0, 1)
-            _combine_rows(u, t, offender, 1, 1, 0, 1)
-
+    a = [list(row) + [int(i == k) for k in range(rows)] for i, row in enumerate(m.entries)]
+    a += [[int(j == k) for k in range(rows + cols)] for j in range(cols)]
     limit = min(rows, cols)
+    r, c, flipped = rows, cols, False      # flipped: a holds [[M^T, I], [I, 0]]
     for t in range(limit):
-        if not clear_position(t):
+        pos = next(((i, j) for i in range(t, r) for j in range(t, c) if a[i][j]), None)
+        if pos is None:
             break
+        i, j = pos
+        a[t], a[i] = a[i], a[t]
+        for line in a if j != t else ():
+            line[t], line[j] = line[j], line[t]
+        # clear column t, then transpose to clear row t, and so on; keeping the
+        # last orientation for the next pivot keeps U and V far smaller
+        _clear_below(a, t, r)
+        while any(a[t][t + 1:c]):
+            a, r, c, flipped = _transpose(a), c, r, not flipped
+            _clear_below(a, t, r)
         if a[t][t] < 0:
-            for k in range(cols):
-                a[t][k] = -a[t][k]
-            for k in range(rows):
-                u[t][k] = -u[t][k]
+            a[t] = [-x for x in a[t]]
+    if flipped:
+        a = _transpose(a)
 
-    diag = tuple(a[i][i] for i in range(limit))
-    um = IntMatrix.from_rows(u)
-    vm = IntMatrix.from_rows(v) if cols else IntMatrix(0, 0, ())
-    dm = IntMatrix.from_rows(a) if rows else IntMatrix(0, cols, ())
+    # diag(x, y) ~ diag(gcd, lcm), zeros last: row i += row j, a gcd step on
+    # columns i and j, then a quotient step on row j, as one 2x2 step a side
+    for i in range(limit):
+        for j in range(i + 1, limit):
+            x, y = a[i][i], a[j][j]
+            if (y % x if x else y) == 0:
+                continue
+            s, u, g = _gcdex(x, y)
+            _combine(a, i, j, 1, 1, -u * y // g, s * x // g)
+            a = _transpose(a)
+            _combine(a, i, j, s, u, -y // g, x // g)
+            a = _transpose(a)
+    diag = tuple(a[t][t] for t in range(limit))
+    um = IntMatrix._trusted(rows, rows, tuple(tuple(line[cols:]) for line in a[:rows]))
+    vm = IntMatrix._trusted(cols, cols, tuple(tuple(line[:cols]) for line in a[rows:]))
+    dm = IntMatrix._trusted(rows, cols, tuple(tuple(line[:cols]) for line in a[:rows]))
 
     # post-hoc verification
     if um.mul(m).mul(vm).entries != dm.entries:
@@ -445,10 +404,7 @@ class FgAbelianGroup:
         """Group order; only defined when the free rank is zero."""
         if self.free_rank:
             raise ValidationError("infinite group has no order")
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return prod(self.torsion)
 
     def render(self) -> str:
         """ASCII text form: "0", "Z", "Z^2 + Z/2 + Z/4", ...

@@ -18,6 +18,10 @@ from .errors import ValidationError
 from .intlinalg import FgAbelianGroup, IntMatrix, cokernel, matrix_rank
 from .partitions import PartitionChain, persistent_classes, stable_step_map
 
+# compare_triples searches coordinate permutations for an intertwiner only up
+# to this rank (7! = 5040 permutations)
+PERMUTATION_SEARCH_MAX_RANK = 7
+
 
 @dataclass(frozen=True)
 class KGroups:
@@ -130,13 +134,13 @@ class CompareOutcome:
         return {"equivalent": 0, "distinguished": 1, "inconclusive": 2}[self.verdict]
 
 
-def compare_triples(s1: StationarySystem, s2: StationarySystem,
-                    depth: int = 7) -> CompareOutcome:
+def compare_triples(s1: StationarySystem, s2: StationarySystem) -> CompareOutcome:
     """Three-valued comparison of two stationary systems.
 
     ``distinguished`` requires a genuinely isomorphism-invariant difference;
     ``equivalent`` requires an explicit intertwiner (search over coordinate
-    permutations, bounded by ``depth``); anything else is ``inconclusive``.
+    permutations, up to rank ``PERMUTATION_SEARCH_MAX_RANK``); anything else
+    is ``inconclusive``.
     """
     inv1 = triple_invariants(s1)
     inv2 = inv1 if s2 == s1 else triple_invariants(s2)
@@ -148,7 +152,7 @@ def compare_triples(s1: StationarySystem, s2: StationarySystem,
     if s1 == s2:
         return CompareOutcome("equivalent", "identity intertwiner", (inv1, inv2))
 
-    if s1.rank == s2.rank and s1.rank <= depth:
+    if s1.rank == s2.rank <= PERMUTATION_SEARCH_MAX_RANK:
         mask1, mask2 = set(s1.delta_mask), set(s2.delta_mask)
         if len(mask1) == len(mask2):
             for perm in permutations(range(s1.rank)):

@@ -239,7 +239,7 @@ def _level_matrix(chain: PartitionChain, l: int, inclusion: int, symbols, action
         for i, j in enumerate(maps.image[a]):
             if j is not None:
                 out[i][j] += action
-    return IntMatrix.from_rows(out)
+    return IntMatrix._trusted(len(out), chain.m(l), tuple(map(tuple, out)))
 
 
 def inclusion_matrix(chain: PartitionChain, l: int) -> IntMatrix:
@@ -321,8 +321,8 @@ def restricted_maps(chain: PartitionChain, k: int, l: int) -> RestrictedMaps:
     delta_range = None
     if k < l:
         delta_range = m_index_set(chain, k + 1, l)
-        delta = IntMatrix.from_rows(
-            [[1 if i == j else 0 for j in dom] for i in delta_range])
+        delta = IntMatrix._trusted(len(delta_range), len(dom), tuple(
+            tuple(1 if i == j else 0 for j in dom) for i in delta_range))
     return RestrictedMaps(inc, act, delta, dom, inc_range, act_range, delta_range)
 
 

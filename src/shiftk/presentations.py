@@ -155,7 +155,8 @@ class Presentation:
         return all(any(j is not None for j in row) for row in self.steps)
 
     def check_point(self, point: Point) -> None:
-        if point.max_letter() >= len(self.alphabet):
+        letters = point.pre + point.per
+        if min(letters) < 0 or max(letters) >= len(self.alphabet):
             raise AlphabetMismatchError("point uses letters outside the alphabet")
 
     def render_context(self, ctx: Context) -> str:
@@ -213,8 +214,7 @@ class FiniteShift(Presentation):
         if not pts:
             raise ValidationError("presentation describes the empty shift space")
         for p in pts:
-            if p.max_letter() >= len(alphabet):
-                raise ValidationError(f"point {p} uses letters outside the alphabet")
+            self.check_point(p)
         self.points = tuple(pts)
         self._point_set = frozenset(pts)
         for p in self.points:

@@ -153,9 +153,6 @@ class Point:
     def prepend(self, w: Word) -> "Point":
         return Point(tuple(w) + self.pre, self.per)
 
-    def max_letter(self) -> int:
-        return max(self.pre + self.per)
-
     @property
     def sort_key(self):
         return (self.pre, self.per)

@@ -154,6 +154,30 @@ def test_invariant_factors_match_sympy_and_smith():
         assert cokernel(zero) == FgAbelianGroup(r)
 
 
+def test_kernel_bases_are_saturated():
+    """Each basis is annihilated, fills the nullity, and spans a direct summand."""
+    rng = random.Random(20261019)
+    kinds = ["dense", "low-rank", "i-minus-a", "rectangular"]
+    seen = dict.fromkeys(kinds, 0)
+    for _ in range(300):
+        kind = rng.choice(kinds)
+        seen[kind] += 1
+        r = rng.randint(1, 9)
+        if kind == "rectangular":
+            m = random_matrix(rng, rng.choice(["dense", "low-rank"]), r, rng.randint(1, 9))
+        else:
+            m = random_matrix(rng, kind, r, r)
+        k, basis = kernel(m)
+        assert k == len(basis) == m.cols - matrix_rank(m)
+        for b in basis:
+            assert not any(m.apply(b))
+        # the basis vectors extend to a basis of Z^cols exactly when every
+        # invariant factor of the matrix they form is 1
+        b = IntMatrix.from_rows(basis) if basis else IntMatrix(0, m.cols, ())
+        assert invariant_factors(b) == (k, (1,) * k)
+    assert min(seen.values()) >= 50, seen
+
+
 def rank_mod(m, p):
     """Rank over GF(p) by plain Gaussian elimination."""
     a = [[x % p for x in row] for row in m.entries]
@@ -236,6 +260,9 @@ def test_caller_data_is_checked_and_results_are_plain_matrices():
         rows([1, 2], [3])
     with pytest.raises(ValidationError):
         IntMatrix(1, 1, ((1.5,),))
+    for data in ([[1.5, 2.9]], [["3", "-4"]], [[True, 0]]):
+        with pytest.raises(ValidationError):
+            IntMatrix.from_rows(data)
     a, b = rows([1, 2], [3, 4]), rows([0, 1], [1, 0])
     for result, expected in [(a.mul(b), ((2, 1), (4, 3))),
                              (a.sub(b), ((1, 1), (2, 4))), (a.transpose(), ((1, 3), (2, 4))),

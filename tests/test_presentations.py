@@ -11,8 +11,10 @@ from helpers import (
     random_sofic,
 )
 from shiftk import (
+    AlphabetMismatchError,
     Caps,
     ConsistencyError,
+    FiniteShift,
     Point,
     ResourceCapError,
     SftShift,
@@ -244,6 +246,16 @@ def test_context_of_examples(golden_mean, pair, even):
 def test_context_of_rejects_nonmembers(golden_mean):
     with pytest.raises(ValidationError):
         context_of(golden_mean, Point((1, 1), (0,)))
+
+
+def test_points_with_letters_outside_the_alphabet_are_rejected(pair, golden_mean, even):
+    for p in (pair, golden_mean, even):
+        for bad in (Point((), (-1,)), Point((0,), (-1,)), Point((), (len(p.alphabet),))):
+            for check in (contains, context_of, lambda q, x: in_cylinder(q, (), (), x)):
+                with pytest.raises(AlphabetMismatchError):
+                    check(p, bad)
+    with pytest.raises(AlphabetMismatchError):
+        FiniteShift(pair.alphabet, [Point((), (0,)), Point((-1,), (0,))])
 
 
 def test_realizable_contexts(full2, golden_mean, pair, even):
