@@ -15,6 +15,16 @@ matrices of one size are equal exactly when their stored nonzero entries
 are equal.  A word operator is a partial injection with at most n entries, and a product
 costs time in the stored entries it joins, not n^3.
 
+``run_all_checks`` builds each object once per model: one word operator
+per word and per distinct concatenation, one transpose per word, one
+cylinder indicator per word pair, one diagonal per test function and per
+shifted test function.  They are built through the module's functions and
+kept for one call only.  The model itself keeps the data below those
+functions: the basis index of w.x per word w (shared by ``op_word`` and
+``fn_prepend``) and the n-step preimage groups.  Cylinder indicators stay
+on the shift's own membership test, so they check the word operators
+independently.
+
 The graded transfer operator appearing in the composition formula averages
 over n-step preimages in a single step (it is not the n-fold composite of
 the one-step transfer; the two differ as soon as preimage counts vary).
@@ -23,7 +33,6 @@ the one-step transfer; the two differ as soon as preimage counts vary).
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -44,6 +53,8 @@ class FiniteModel:
 
     shift: FiniteShift
     _index: dict = field(default=None, compare=False, repr=False)
+    _prepends: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _preimages: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.shift.points)})
@@ -66,6 +77,26 @@ class FiniteModel:
     def shift_indices(self) -> tuple[int, ...]:
         """Basis index of the shift of each basis point."""
         return tuple(self.index(x.shift()) for x in self.basis)
+
+    def prepend_index(self, w: Word) -> tuple:
+        """Basis index of w.x for each basis point x, None where w.x leaves the shift."""
+        out = self._prepends.get(w)
+        if out is None:
+            out = self._prepends[w] = tuple(self._index.get(x.prepend(w)) for x in self.basis)
+        return out
+
+    def preimage_groups(self, steps: int) -> tuple[tuple[int, ...], ...]:
+        """For each basis point, the basis indices of its steps-fold shift preimages."""
+        out = self._preimages.get(steps)
+        if out is None:
+            image = range(self.n)
+            for _ in range(steps):
+                image = [self.shift_indices[i] for i in image]
+            groups = [[] for _ in range(self.n)]
+            for i, y in enumerate(image):
+                groups[y].append(i)
+            out = self._preimages[steps] = tuple(map(tuple, groups))
+        return out
 
     def words_upto(self, max_len: int) -> list[Word]:
         out = [EPSILON]
@@ -103,8 +134,16 @@ class Matrix:
         return f"Matrix({self.n}, {self.entries!r})"
 
 
+def _trusted(n: int, entries: dict) -> Matrix:
+    """A Matrix over entries already known to be nonzero (no zero filter)."""
+    m = Matrix.__new__(Matrix)
+    m.n = n
+    m.entries = entries
+    return m
+
+
 def mat_identity(n: int) -> Matrix:
-    return Matrix(n, {(i, i): _ONE for i in range(n)})
+    return _trusted(n, {(i, i): _ONE for i in range(n)})
 
 
 def mat_zero(n: int) -> Matrix:
@@ -116,22 +155,41 @@ def mat_diag(values: Func) -> Matrix:
 
 
 def mat_transpose(m: Matrix) -> Matrix:
-    return Matrix(m.n, {(j, i): v for (i, j), v in m.entries.items()})
+    return _trusted(m.n, {(j, i): v for (i, j), v in m.entries.items()})
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Sparse join: each stored a[i, k] meets the stored entries of row k of b."""
+    """Sparse join: each stored a[i, k] meets the stored entries of row k of b.
+
+    A factor that is the shared ``_ONE`` gives the other factor itself, and
+    only entries that summed two products can cancel to zero:
+
+    >>> t = Matrix(2, {(1, 0): _ONE})
+    >>> mat_mul(t, mat_transpose(t)).entries[1, 1] is _ONE
+    True
+    >>> mat_mul(t, t) == mat_zero(2)
+    True
+    >>> a = Matrix(2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
+    >>> b = Matrix(2, {(0, 0): Fraction(3), (1, 0): Fraction(-3)})
+    >>> mat_mul(a, b) == mat_zero(2)
+    True
+    >>> mat_mul(b, a).entries[1, 1]
+    Fraction(-3, 2)
+    """
     b_rows: dict[int, list] = {}
     for (k, j), y in b.entries.items():
         b_rows.setdefault(k, []).append((j, y))
     out: dict[tuple[int, int], Fraction] = {}
+    summed = False
     for (i, k), x in a.entries.items():
         for j, y in b_rows.get(k, ()):
+            xy = y if x is _ONE else x if y is _ONE else x * y
             if (i, j) in out:
-                out[i, j] += x * y
+                out[i, j] += xy
+                summed = True
             else:
-                out[i, j] = x * y
-    return Matrix(a.n, out)
+                out[i, j] = xy
+    return Matrix(a.n, out) if summed else _trusted(a.n, out)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -157,12 +215,8 @@ def op_word(model: FiniteModel, u: Word) -> Matrix:
     """Matrix of e_x -> e_{u.x} (zero column when u.x leaves the shift)."""
     u = tuple(u)
     model.shift.alphabet.check_word(u)
-    entries = {}
-    for j, x in enumerate(model.basis):
-        i = model._index.get(x.prepend(u))
-        if i is not None:
-            entries[i, j] = _ONE
-    return Matrix(model.n, entries)
+    return _trusted(model.n, {(i, j): _ONE for j, i in enumerate(model.prepend_index(u))
+                              if i is not None})
 
 
 def op_diagonal(model: FiniteModel, f: Func) -> Matrix:
@@ -171,12 +225,15 @@ def op_diagonal(model: FiniteModel, f: Func) -> Matrix:
     return mat_diag(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in f))
 
 
-def generator_sum(model: FiniteModel, n: int = 1) -> Matrix:
-    total = mat_zero(model.n)
-    for u in model.words_upto(n):
-        if len(u) == n:
-            total = mat_add(total, op_word(model, u))
+def _sum(n: int, terms) -> Matrix:
+    total = mat_zero(n)
+    for t in terms:
+        total = mat_add(total, t)
     return total
+
+
+def generator_sum(model: FiniteModel, n: int = 1) -> Matrix:
+    return _sum(model.n, (op_word(model, u) for u in model.shift.alphabet.words_of_length(n)))
 
 
 def op_lambda_shift(model: FiniteModel, x: Matrix) -> Matrix:
@@ -200,34 +257,22 @@ def fn_compose_shift(model: FiniteModel, f: Func) -> Func:
 
 def fn_prepend(model: FiniteModel, w: Word, f: Func) -> Func:
     """x -> f(w.x) when w.x stays in the shift, else 0."""
-    out = []
-    for x in model.basis:
-        wx = x.prepend(tuple(w))
-        i = model._index.get(wx)
-        out.append(f[i] if i is not None else _ZERO)
-    return tuple(out)
+    return tuple(_ZERO if i is None else f[i] for i in model.prepend_index(tuple(w)))
 
 
 def fn_transfer(model: FiniteModel, f: Func, steps: int = 1) -> Func:
     """Average of f over the n-step preimages; 0 outside the n-step image."""
-    preimages: dict = {}
-    for i, x in enumerate(model.basis):
-        preimages.setdefault(x.shift_by(steps), []).append(i)
-    out = []
-    for x in model.basis:
-        pre = preimages.get(x)
-        if pre:
-            out.append(sum(f[i] for i in pre) / len(pre))
-        else:
-            out.append(_ZERO)
-    return tuple(out)
+    return tuple(sum(f[i] for i in pre) / len(pre) if pre else _ZERO
+                 for pre in model.preimage_groups(steps))
 
 
 def preimage_count_function(model: FiniteModel, steps: int) -> Func:
     """x -> number of points with the same n-step image as x (always >= 1)."""
-    shifted = [x.shift_by(steps) for x in model.basis]
-    counts = Counter(shifted)
-    return tuple(Fraction(counts[s]) for s in shifted)
+    counts = [None] * model.n
+    for pre in model.preimage_groups(steps):
+        for i in pre:
+            counts[i] = Fraction(len(pre))
+    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -254,47 +299,103 @@ class CheckReport:
         return f"{self.name}: {self.checks} checks, {status}"
 
 
-def _word_label(model: FiniteModel, w: Word) -> str:
-    return model.shift.alphabet.render_word(w)
+class _Operators:
+    """What the checks of one model read, each built once through the module's functions.
+
+    Word operators of the words up to ``max_len`` and of their concatenations,
+    transposes and support projections T_u^t T_u, word labels, and the
+    cylinder indicator of each word pair.  Equal functions share one
+    position in ``functions`` and one diagonal.  One ``run_all_checks`` call
+    shares one of these among its three checks.
+    """
+
+    def __init__(self, model: FiniteModel, max_len: int):
+        self.model = model
+        self.words = model.words_upto(max_len)
+        self.ops = {u: op_word(model, u) for u in self.words}
+        self.t = {u: mat_transpose(op) for u, op in self.ops.items()}
+        self.labels = {u: model.shift.alphabet.render_word(u) for u in self.words}
+        self._support: dict[Word, Matrix] = {}
+        self._pair: dict[tuple[Word, Word], int] = {}
+        self._position: dict[Func, int] = {}
+        self.functions: list[Func] = []
+        self._diagonals: list[Matrix | None] = []
+
+    def op(self, w: Word) -> Matrix:
+        """T_w, built once per distinct word."""
+        t = self.ops.get(w)
+        if t is None:
+            t = self.ops[w] = op_word(self.model, w)
+        return t
+
+    def support(self, u: Word) -> Matrix:
+        """T_u^t T_u."""
+        p = self._support.get(u)
+        if p is None:
+            p = self._support[u] = mat_mul(self.t[u], self.ops[u])
+        return p
+
+    def position(self, f: Func) -> int:
+        """Position of f in ``functions``, appended when new."""
+        k = self._position.setdefault(f, len(self.functions))
+        if k == len(self.functions):
+            self.functions.append(f)
+            self._diagonals.append(None)
+        return k
+
+    def indicator(self, u: Word, v: Word) -> int:
+        """Position of the (u, v) cylinder indicator."""
+        k = self._pair.get((u, v))
+        if k is None:
+            k = self._pair[u, v] = self.position(indicator_cylinder(self.model, u, v))
+        return k
+
+    def diagonal(self, k: int) -> Matrix:
+        """phi of the function at position k."""
+        d = self._diagonals[k]
+        if d is None:
+            d = self._diagonals[k] = op_diagonal(self.model, self.functions[k])
+        return d
 
 
-def verify_representation(model: FiniteModel, max_len: int) -> CheckReport:
+def verify_representation(model: FiniteModel, max_len: int,
+                          shared: _Operators | None = None) -> CheckReport:
     """Both representation axioms as exact matrix identities."""
     rep = CheckReport("representation")
-    words = model.words_upto(max_len)
-    ops = {u: op_word(model, u) for u in words}
-    for u in words:
-        for v in words:
-            lbl = f"u={_word_label(model, u)} v={_word_label(model, v)}"
-            rep.record(mat_mul(ops[u], ops[v]) == op_word(model, u + v),
+    shared = shared or _Operators(model, max_len)
+    for u in shared.words:
+        pu = shared.support(u)
+        for v in shared.words:
+            lbl = f"u={shared.labels[u]} v={shared.labels[v]}"
+            rep.record(mat_mul(shared.ops[u], shared.ops[v]) == shared.op(u + v),
                        f"composition: T_u T_v != T_uv at {lbl}")
-            lhs = op_diagonal(model, indicator_cylinder(model, u, v))
-            tu_t = mat_transpose(ops[u])
-            rhs = mat_mul(ops[v], mat_mul(tu_t, mat_mul(ops[u], mat_transpose(ops[v]))))
+            lhs = shared.diagonal(shared.indicator(u, v))
+            rhs = mat_mul(shared.ops[v], mat_mul(pu, shared.t[v]))
             rep.record(lhs == rhs, f"cylinder projection: axiom (2) fails at {lbl}")
     return rep
 
 
-def verify_structure(model: FiniteModel, max_len: int) -> CheckReport:
+def verify_structure(model: FiniteModel, max_len: int,
+                     shared: _Operators | None = None) -> CheckReport:
     """Unit, range/support projections, partial isometry, orthogonality."""
     rep = CheckReport("structure")
-    words = model.words_upto(max_len)
-    ops = {u: op_word(model, u) for u in words}
+    shared = shared or _Operators(model, max_len)
     eye = mat_identity(model.n)
-    t_eps = ops[EPSILON]
+    t_eps = shared.ops[EPSILON]
     rep.record(t_eps == eye, "unit: T_epsilon is not the identity")
     rep.record(mat_mul(t_eps, t_eps) == t_eps, "unit: T_epsilon not idempotent")
-    for u in words:
-        t, tt = ops[u], mat_transpose(ops[u])
-        lbl = _word_label(model, u)
-        rep.record(mat_mul(t, tt) == op_diagonal(model, indicator_cylinder(model, EPSILON, u)),
+    for u in shared.words:
+        t, tt = shared.ops[u], shared.t[u]
+        lbl = shared.labels[u]
+        rng, sup = mat_mul(t, tt), shared.support(u)
+        rep.record(rng == shared.diagonal(shared.indicator(EPSILON, u)),
                    f"range projection of T_{lbl} is not the u-cylinder indicator")
-        rep.record(mat_mul(tt, t) == op_diagonal(model, indicator_cylinder(model, u, EPSILON)),
+        rep.record(sup == shared.diagonal(shared.indicator(u, EPSILON)),
                    f"support projection of T_{lbl} is not the u-extendability indicator")
-        rep.record(mat_mul(t, mat_mul(tt, t)) == t, f"T_{lbl} is not a partial isometry")
-        rep.record(mat_mul(tt, mat_mul(t, tt)) == tt, f"T_{lbl}^t is not a partial isometry")
+        rep.record(mat_mul(t, sup) == t, f"T_{lbl} is not a partial isometry")
+        rep.record(mat_mul(tt, rng) == tt, f"T_{lbl}^t is not a partial isometry")
     by_len: dict[int, list[Word]] = {}
-    for u in words:
+    for u in shared.words:
         by_len.setdefault(len(u), []).append(u)
     zero = mat_zero(model.n)
     for length, group in sorted(by_len.items()):
@@ -303,87 +404,82 @@ def verify_structure(model: FiniteModel, max_len: int) -> CheckReport:
         for u in group:
             for v in group:
                 if u != v:
-                    rep.record(mat_mul(mat_transpose(ops[u]), ops[v]) == zero,
+                    rep.record(mat_mul(shared.t[u], shared.ops[v]) == zero,
                                f"orthogonality fails at |u|=|v|={length}")
     return rep
 
 
-def _test_functions(model: FiniteModel, max_len: int, seed: int) -> list[Func]:
-    words = model.words_upto(max_len)
-    seen = {}
-    for u in words:
-        for v in words:
-            f = indicator_cylinder(model, u, v)
-            seen.setdefault(f, None)
+def _test_functions(shared: _Operators, seed: int) -> list[int]:
+    """Positions in ``shared.functions`` of the distinct cylinder indicators in
+    first-seen order, then of three seeded random functions."""
+    order = dict.fromkeys(shared.indicator(u, v) for u in shared.words for v in shared.words)
     rng = random.Random(seed)
     for _ in range(3):
-        f = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(model.n))
-        seen.setdefault(f, None)
-    return list(seen)
+        f = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(shared.model.n))
+        order.setdefault(shared.position(f), None)
+    return list(order)
 
 
-def verify_composition_rules(model: FiniteModel, max_len: int, seed: int = 20240311) -> CheckReport:
+def verify_composition_rules(model: FiniteModel, max_len: int, seed: int = 20240311,
+                             shared: _Operators | None = None) -> CheckReport:
     """Prepend/compose/transfer identities against the word operators."""
     rep = CheckReport("composition rules")
-    words = model.words_upto(max_len)
-    ops = {u: op_word(model, u) for u in words}
-    funcs = _test_functions(model, max_len, seed)
+    shared = shared or _Operators(model, max_len)
+    chosen = _test_functions(shared, seed)
+    funcs = [shared.functions[k] for k in chosen]
+    phis = [shared.diagonal(k) for k in chosen]
+    # diagonals of f after the k-fold shift, k = 0..max_len, one row per test function
+    composed = []
+    for f, phi_f in zip(funcs, phis):
+        row, g = [phi_f], f
+        for _ in range(max_len):
+            g = fn_compose_shift(model, g)
+            row.append(op_diagonal(model, g))
+        composed.append(row)
 
-    for w in words:
-        tw, tw_t = ops[w], mat_transpose(ops[w])
-        lbl = _word_label(model, w)
-        for f in funcs:
-            phi_f = op_diagonal(model, f)
+    for w in shared.words:
+        tw, tw_t = shared.ops[w], shared.t[w]
+        lbl = shared.labels[w]
+        for f, phi_f, row in zip(funcs, phis, composed):
             lam = op_diagonal(model, fn_prepend(model, w, f))
-            rep.record(lam == mat_mul(tw_t, mat_mul(phi_f, tw)),
-                       f"prepend rule fails at w={lbl}")
-            rep.record(mat_mul(tw_t, phi_f) == mat_mul(lam, tw_t),
+            tw_t_phi = mat_mul(tw_t, phi_f)
+            rep.record(lam == mat_mul(tw_t_phi, tw), f"prepend rule fails at w={lbl}")
+            rep.record(tw_t_phi == mat_mul(lam, tw_t),
                        f"prepend commutation fails at w={lbl}")
-            g = f
-            for _ in range(len(w)):
-                g = fn_compose_shift(model, g)
-            rep.record(mat_mul(tw, phi_f) == mat_mul(op_diagonal(model, g), tw),
+            rep.record(mat_mul(tw, phi_f) == mat_mul(row[len(w)], tw),
                        f"compose commutation fails at w={lbl}")
 
     for n in range(1, max_len + 1):
-        level = [u for u in words if len(u) == n]
-        for f in funcs:
-            phi_f = op_diagonal(model, f)
-            total = mat_zero(model.n)
-            for u in level:
-                total = mat_add(total, mat_mul(ops[u], mat_mul(phi_f, mat_transpose(ops[u]))))
-            g = f
-            for _ in range(n):
-                g = fn_compose_shift(model, g)
-            rep.record(op_diagonal(model, g) == total,
-                       f"compose expansion fails at n={n}")
+        level = [u for u in shared.words if len(u) == n]
+        for phi_f, row in zip(phis, composed):
+            total = _sum(model.n, (mat_mul(shared.ops[u], mat_mul(phi_f, shared.t[u]))
+                                   for u in level))
+            rep.record(row[n] == total, f"compose expansion fails at n={n}")
 
-        dsum = mat_zero(model.n)
-        for u in level:
-            for v in level:
-                tu, tv = ops[u], ops[v]
-                dsum = mat_add(dsum, mat_mul(
-                    tu, mat_mul(mat_transpose(tv), mat_mul(tv, mat_transpose(tu)))))
+        # sum over u, v of T_u T_v^t T_v T_u^t, with the sum over v taken first
+        supports = _sum(model.n, (shared.support(v) for v in level))
+        dsum = _sum(model.n, (mat_mul(shared.ops[u], mat_mul(supports, shared.t[u]))
+                              for u in level))
         counts = preimage_count_function(model, n)
         rep.record(dsum == op_diagonal(model, counts),
                    f"preimage-count operator fails at n={n}")
         if any(c == 0 for c in counts):
             raise ConsistencyError("preimage-count function has a zero entry")
-        dinv = diag_inverse(dsum)
-        s = generator_sum(model, n)
-        st = mat_transpose(s)
-        for f in funcs:
+        s = _sum(model.n, (shared.ops[u] for u in level))
+        st_dinv = mat_mul(mat_transpose(s), diag_inverse(dsum))
+        for f, phi_f in zip(funcs, phis):
             lhs = op_diagonal(model, fn_transfer(model, f, n))
-            rhs = mat_mul(st, mat_mul(dinv, mat_mul(op_diagonal(model, f), s)))
-            rep.record(lhs == rhs, f"transfer formula fails at n={n}")
+            rep.record(lhs == mat_mul(st_dinv, mat_mul(phi_f, s)),
+                       f"transfer formula fails at n={n}")
     return rep
 
 
 def run_all_checks(model: FiniteModel, max_len: int, seed: int = 20240311) -> list[CheckReport]:
+    shared = _Operators(model, max_len)
     return [
-        verify_representation(model, max_len),
-        verify_structure(model, max_len),
-        verify_composition_rules(model, max_len, seed),
+        verify_representation(model, max_len, shared),
+        verify_structure(model, max_len, shared),
+        verify_composition_rules(model, max_len, seed, shared),
     ]
 
 

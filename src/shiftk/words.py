@@ -22,6 +22,7 @@ class Alphabet:
 
     symbols: tuple[str, ...]
     _index: dict = field(default=None, compare=False, repr=False)
+    _joiner: str = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.symbols:
@@ -32,6 +33,7 @@ class Alphabet:
         if len(set(self.symbols)) != len(self.symbols):
             raise ValidationError("alphabet symbols must be distinct")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
+        object.__setattr__(self, "_joiner", "" if all(len(s) == 1 for s in self.symbols) else ".")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -59,13 +61,23 @@ class Alphabet:
                 raise AlphabetMismatchError(f"letter index {a!r} out of range for alphabet of size {len(self.symbols)}")
 
     def render_word(self, w: Word) -> str:
-        """Human-readable word; single-character symbols concatenate bare."""
-        parts = self.word_symbols(w)
-        if not parts:
+        """Human-readable word; single-character symbols concatenate bare.
+
+        The letters are checked only when one fails to index the symbols or
+        is negative, so a refused word gets ``check_word``'s error.
+
+        >>> Alphabet(("0", "1")).render_word((1, 0)), Alphabet(("a", "bc")).render_word((1, 0))
+        ('10', 'bc.a')
+        """
+        if not w:
             return "e"
-        if all(len(p) == 1 for p in self.symbols):
-            return "".join(parts)
-        return ".".join(parts)
+        try:
+            parts = [self.symbols[a] for a in w]
+        except (IndexError, TypeError):
+            parts = None
+        if parts is None or min(w) < 0:
+            self.check_word(w)
+        return self._joiner.join(parts)
 
     def words_of_length(self, k: int):
         """All length-k words in lexicographic order.

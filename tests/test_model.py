@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from shiftk import FiniteModel, ValidationError, run_all_checks
+from shiftk import FiniteModel, Point, ValidationError, run_all_checks
 from shiftk import model as model_module
 from shiftk.model import (
     Matrix,
@@ -132,6 +133,12 @@ def _violated(report, prefix):
     return any(v.startswith(prefix) for v in report.violations)
 
 
+def _summary(reports):
+    """Per report: the number of violations and the first one."""
+    return {name: (len(rep.violations), rep.violations[0] if rep.violations else None)
+            for name, rep in reports.items()}
+
+
 def test_checker_catches_iterated_transfer(monkeypatch):
     def iterated(m, f, steps=1):
         for _ in range(steps):
@@ -140,6 +147,11 @@ def test_checker_catches_iterated_transfer(monkeypatch):
 
     reports = _mutant_reports(monkeypatch, "pair", "fn_transfer", iterated)
     assert _violated(reports["composition rules"], "transfer formula")
+    assert _summary(reports) == {
+        "representation": (0, None),
+        "structure": (0, None),
+        "composition rules": (6, "transfer formula fails at n=2"),
+    }
 
 
 def test_checker_catches_swapped_basis_columns(monkeypatch):
@@ -151,16 +163,74 @@ def test_checker_catches_swapped_basis_columns(monkeypatch):
     reports = _mutant_reports(monkeypatch, "two_cycle_fixed", "op_word", swapped)
     assert (_violated(reports["representation"], "composition")
             or _violated(reports["structure"], "range projection"))
+    assert _summary(reports) == {
+        "representation": (20, "composition: T_u T_v != T_uv at u=e v=e"),
+        "structure": (6, "unit: T_epsilon is not the identity"),
+        "composition rules": (114, "prepend rule fails at w=e"),
+    }
 
 
 def test_checker_catches_compose_without_shift(monkeypatch):
     reports = _mutant_reports(monkeypatch, "chain3", "fn_compose_shift", lambda m, f: f)
     assert _violated(reports["composition rules"], "compose commutation")
+    assert _summary(reports) == {
+        "representation": (0, None),
+        "structure": (0, None),
+        "composition rules": (37, "compose commutation fails at w=1"),
+    }
+
+
+def test_checker_catches_a_corrupted_prepend_index(monkeypatch):
+    # op_word and fn_prepend share the model's prepend index; the cylinder
+    # indicators and T_uv for other splittings must still catch a wrong one
+    real = FiniteModel.prepend_index
+
+    def corrupted(m, w):
+        idx = real(m, w)
+        return (idx[1], idx[0]) + idx[2:] if w == (1,) else idx
+
+    clean = {rep.name: rep.checks for rep in run_all_checks(model("chain3"), 2)}
+    monkeypatch.setattr(FiniteModel, "prepend_index", corrupted)
+    reports = {rep.name: rep for rep in run_all_checks(model("chain3"), 2)}
+    assert {rep.name: rep.checks for rep in reports.values()} == clean
+    assert (_violated(reports["representation"], "composition")
+            or _violated(reports["structure"], "range projection")
+            or _violated(reports["representation"], "cylinder projection"))
+
+
+def test_each_indicator_and_prepend_is_computed_once(monkeypatch):
+    m = model("two_cycle_fixed")
+    max_len = 3
+    cylinder, prepends = Counter(), Counter()
+    inside = []
+    real_in_cylinder, real_prepend = model_module._in_cylinder, Point.prepend
+
+    def counting_in_cylinder(p, u, v, x):
+        cylinder[u, v, x] += 1
+        inside.append(True)
+        try:
+            return real_in_cylinder(p, u, v, x)
+        finally:
+            inside.pop()
+
+    def counting_prepend(x, w):
+        if not inside:
+            prepends[tuple(w), x] += 1
+        return real_prepend(x, w)
+
+    monkeypatch.setattr(model_module, "_in_cylinder", counting_in_cylinder)
+    monkeypatch.setattr(Point, "prepend", counting_prepend)
+    assert all(rep.ok for rep in run_all_checks(m, max_len))
+    words = m.words_upto(max_len)
+    assert set(cylinder) == {(u, v, x) for u in words for v in words for x in m.basis}
+    assert max(cylinder.values()) == 1
+    # T_uv is built for every word up to length 2L, each from one prepend per point
+    assert set(prepends) == {(w, x) for w in m.words_upto(2 * max_len) for x in m.basis}
+    assert max(prepends.values()) == 1
 
 
 def test_model_rejects_foreign_points():
     pair = model("pair")
-    from shiftk import Point
     with pytest.raises(ValidationError):
         pair.index(Point((), (1, 0)))
 
@@ -216,11 +286,15 @@ def test_rational_span_reduction():
 
 
 def _random_sparse(rng, n):
+    """Entries drawn from small fractions, with the model's shared one object among them."""
     entries = {}
     for i in range(n):
         for j in range(n):
             if rng.random() < 0.4:
-                entries[i, j] = F(rng.choice([-2, -1, 1, 2]), rng.choice([1, 1, 2, 3]))
+                if rng.random() < 0.3:
+                    entries[i, j] = model_module._ONE
+                else:
+                    entries[i, j] = F(rng.choice([-2, -1, 1, 2]), rng.choice([1, 1, 2, 3]))
     return Matrix(n, entries)
 
 
@@ -254,3 +328,12 @@ def test_sparse_arithmetic_matches_dense_reference():
         assert flatten(a) == tuple(x for row in da for x in row)
     assert cancelled > 0
     assert Matrix(2, {(0, 0): F(0), (1, 0): F(3)}) == Matrix(2, {(1, 0): F(3)})
+    # products of word operators join entries that are all the shared one
+    for name in FINITE_MODEL_NAMES:
+        m = model(name)
+        ops = [op_word(m, u) for u in m.words_upto(2)]
+        for a in ops:
+            for b in ops:
+                got = mat_mul(a, b)
+                assert dense(got) == _dense_mul(dense(a), dense(b))
+                assert all(v is model_module._ONE for v in got.entries.values())

@@ -60,3 +60,14 @@ def test_render():
     ab = Alphabet(("0", "1"))
     assert Point((1,), (0,)).render(ab) == "1(0)*"
     assert Point((), (0, 1)).render(ab) == "(01)*"
+
+
+@pytest.mark.parametrize("symbols", [("0", "1"), ("a", "bc")])
+@pytest.mark.parametrize("letter", [-1, 2, 1.0, "1", None])
+def test_render_word_refuses_letters_outside_the_alphabet(symbols, letter):
+    ab = Alphabet(symbols)
+    with pytest.raises(AlphabetMismatchError, match="out of range for alphabet of size 2"):
+        ab.render_word((0, letter))
+    with pytest.raises(AlphabetMismatchError):
+        ab.render_word((letter,))
+    assert ab.render_word(()) == "e"
