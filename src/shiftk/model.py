@@ -233,7 +233,11 @@ def _sum(n: int, terms) -> Matrix:
 
 
 def generator_sum(model: FiniteModel, n: int = 1) -> Matrix:
-    return _sum(model.n, (op_word(model, u) for u in model.shift.alphabet.words_of_length(n)))
+    total = mat_zero(model.n)
+    for u in model.words_upto(n):
+        if len(u) == n:
+            total = mat_add(total, op_word(model, u))
+    return total
 
 
 def op_lambda_shift(model: FiniteModel, x: Matrix) -> Matrix:
@@ -302,132 +306,91 @@ class CheckReport:
 class _Operators:
     """What the checks of one model read, each built once through the module's functions.
 
-    Word operators of the words up to ``max_len`` and of their concatenations,
-    transposes and support projections T_u^t T_u, word labels, and the
-    cylinder indicator of each word pair.  Equal functions share one
-    position in ``functions`` and one diagonal.  One ``run_all_checks`` call
-    shares one of these among its three checks.
+    ``word`` holds T_w for the words up to ``max_len`` and their
+    concatenations; ``t`` and ``support`` hold T_u^t and T_u^t T_u, and
+    ``labels`` the rendered words, for the words up to ``max_len``.
+    ``diagonal`` maps each distinct cylinder indicator, in first-seen order,
+    to its diagonal and ``cylinder`` maps each word pair (u, v) to the
+    diagonal of its indicator.  ``run_all_checks`` builds one of these for
+    its three checks.
     """
 
     def __init__(self, model: FiniteModel, max_len: int):
         self.model = model
+        self.max_len = max_len
         self.words = model.words_upto(max_len)
-        self.ops = {u: op_word(model, u) for u in self.words}
-        self.t = {u: mat_transpose(op) for u, op in self.ops.items()}
+        self.word = {w: op_word(model, w)
+                     for w in dict.fromkeys(u + v for u in self.words for v in self.words)}
+        self.t = {u: mat_transpose(self.word[u]) for u in self.words}
+        self.support = {u: mat_mul(self.t[u], self.word[u]) for u in self.words}
         self.labels = {u: model.shift.alphabet.render_word(u) for u in self.words}
-        self._support: dict[Word, Matrix] = {}
-        self._pair: dict[tuple[Word, Word], int] = {}
-        self._position: dict[Func, int] = {}
-        self.functions: list[Func] = []
-        self._diagonals: list[Matrix | None] = []
-
-    def op(self, w: Word) -> Matrix:
-        """T_w, built once per distinct word."""
-        t = self.ops.get(w)
-        if t is None:
-            t = self.ops[w] = op_word(self.model, w)
-        return t
-
-    def support(self, u: Word) -> Matrix:
-        """T_u^t T_u."""
-        p = self._support.get(u)
-        if p is None:
-            p = self._support[u] = mat_mul(self.t[u], self.ops[u])
-        return p
-
-    def position(self, f: Func) -> int:
-        """Position of f in ``functions``, appended when new."""
-        k = self._position.setdefault(f, len(self.functions))
-        if k == len(self.functions):
-            self.functions.append(f)
-            self._diagonals.append(None)
-        return k
-
-    def indicator(self, u: Word, v: Word) -> int:
-        """Position of the (u, v) cylinder indicator."""
-        k = self._pair.get((u, v))
-        if k is None:
-            k = self._pair[u, v] = self.position(indicator_cylinder(self.model, u, v))
-        return k
-
-    def diagonal(self, k: int) -> Matrix:
-        """phi of the function at position k."""
-        d = self._diagonals[k]
-        if d is None:
-            d = self._diagonals[k] = op_diagonal(self.model, self.functions[k])
-        return d
+        indicator = {(u, v): indicator_cylinder(model, u, v)
+                     for u in self.words for v in self.words}
+        self.diagonal = {f: op_diagonal(model, f) for f in dict.fromkeys(indicator.values())}
+        self.cylinder = {pair: self.diagonal[f] for pair, f in indicator.items()}
 
 
-def verify_representation(model: FiniteModel, max_len: int,
-                          shared: _Operators | None = None) -> CheckReport:
+def verify_representation(ops: _Operators) -> CheckReport:
     """Both representation axioms as exact matrix identities."""
     rep = CheckReport("representation")
-    shared = shared or _Operators(model, max_len)
-    for u in shared.words:
-        pu = shared.support(u)
-        for v in shared.words:
-            lbl = f"u={shared.labels[u]} v={shared.labels[v]}"
-            rep.record(mat_mul(shared.ops[u], shared.ops[v]) == shared.op(u + v),
+    for u in ops.words:
+        for v in ops.words:
+            lbl = f"u={ops.labels[u]} v={ops.labels[v]}"
+            rep.record(mat_mul(ops.word[u], ops.word[v]) == ops.word[u + v],
                        f"composition: T_u T_v != T_uv at {lbl}")
-            lhs = shared.diagonal(shared.indicator(u, v))
-            rhs = mat_mul(shared.ops[v], mat_mul(pu, shared.t[v]))
-            rep.record(lhs == rhs, f"cylinder projection: axiom (2) fails at {lbl}")
+            rhs = mat_mul(ops.word[v], mat_mul(ops.support[u], ops.t[v]))
+            rep.record(ops.cylinder[u, v] == rhs, f"cylinder projection: axiom (2) fails at {lbl}")
     return rep
 
 
-def verify_structure(model: FiniteModel, max_len: int,
-                     shared: _Operators | None = None) -> CheckReport:
+def verify_structure(ops: _Operators) -> CheckReport:
     """Unit, range/support projections, partial isometry, orthogonality."""
     rep = CheckReport("structure")
-    shared = shared or _Operators(model, max_len)
-    eye = mat_identity(model.n)
-    t_eps = shared.ops[EPSILON]
-    rep.record(t_eps == eye, "unit: T_epsilon is not the identity")
+    n = ops.model.n
+    t_eps = ops.word[EPSILON]
+    rep.record(t_eps == mat_identity(n), "unit: T_epsilon is not the identity")
     rep.record(mat_mul(t_eps, t_eps) == t_eps, "unit: T_epsilon not idempotent")
-    for u in shared.words:
-        t, tt = shared.ops[u], shared.t[u]
-        lbl = shared.labels[u]
-        rng, sup = mat_mul(t, tt), shared.support(u)
-        rep.record(rng == shared.diagonal(shared.indicator(EPSILON, u)),
+    for u in ops.words:
+        t, tt, sup = ops.word[u], ops.t[u], ops.support[u]
+        lbl = ops.labels[u]
+        rng = mat_mul(t, tt)
+        rep.record(rng == ops.cylinder[EPSILON, u],
                    f"range projection of T_{lbl} is not the u-cylinder indicator")
-        rep.record(sup == shared.diagonal(shared.indicator(u, EPSILON)),
+        rep.record(sup == ops.cylinder[u, EPSILON],
                    f"support projection of T_{lbl} is not the u-extendability indicator")
         rep.record(mat_mul(t, sup) == t, f"T_{lbl} is not a partial isometry")
         rep.record(mat_mul(tt, rng) == tt, f"T_{lbl}^t is not a partial isometry")
     by_len: dict[int, list[Word]] = {}
-    for u in shared.words:
+    for u in ops.words:
         by_len.setdefault(len(u), []).append(u)
-    zero = mat_zero(model.n)
+    zero = mat_zero(n)
     for length, group in sorted(by_len.items()):
         if length == 0:
             continue
         for u in group:
             for v in group:
                 if u != v:
-                    rep.record(mat_mul(shared.t[u], shared.ops[v]) == zero,
+                    rep.record(mat_mul(ops.t[u], ops.word[v]) == zero,
                                f"orthogonality fails at |u|=|v|={length}")
     return rep
 
 
-def _test_functions(shared: _Operators, seed: int) -> list[int]:
-    """Positions in ``shared.functions`` of the distinct cylinder indicators in
-    first-seen order, then of three seeded random functions."""
-    order = dict.fromkeys(shared.indicator(u, v) for u in shared.words for v in shared.words)
+def _test_functions(ops: _Operators, seed: int) -> list[Func]:
+    """The distinct cylinder indicators in first-seen order, then three seeded random functions."""
+    seen = dict.fromkeys(ops.diagonal)
     rng = random.Random(seed)
     for _ in range(3):
-        f = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(shared.model.n))
-        order.setdefault(shared.position(f), None)
-    return list(order)
+        f = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(ops.model.n))
+        seen.setdefault(f, None)
+    return list(seen)
 
 
-def verify_composition_rules(model: FiniteModel, max_len: int, seed: int = 20240311,
-                             shared: _Operators | None = None) -> CheckReport:
+def verify_composition_rules(ops: _Operators, seed: int = 20240311) -> CheckReport:
     """Prepend/compose/transfer identities against the word operators."""
     rep = CheckReport("composition rules")
-    shared = shared or _Operators(model, max_len)
-    chosen = _test_functions(shared, seed)
-    funcs = [shared.functions[k] for k in chosen]
-    phis = [shared.diagonal(k) for k in chosen]
+    model, max_len = ops.model, ops.max_len
+    funcs = _test_functions(ops, seed)
+    phis = [ops.diagonal[f] if f in ops.diagonal else op_diagonal(model, f) for f in funcs]
     # diagonals of f after the k-fold shift, k = 0..max_len, one row per test function
     composed = []
     for f, phi_f in zip(funcs, phis):
@@ -437,9 +400,9 @@ def verify_composition_rules(model: FiniteModel, max_len: int, seed: int = 20240
             row.append(op_diagonal(model, g))
         composed.append(row)
 
-    for w in shared.words:
-        tw, tw_t = shared.ops[w], shared.t[w]
-        lbl = shared.labels[w]
+    for w in ops.words:
+        tw, tw_t = ops.word[w], ops.t[w]
+        lbl = ops.labels[w]
         for f, phi_f, row in zip(funcs, phis, composed):
             lam = op_diagonal(model, fn_prepend(model, w, f))
             tw_t_phi = mat_mul(tw_t, phi_f)
@@ -450,22 +413,22 @@ def verify_composition_rules(model: FiniteModel, max_len: int, seed: int = 20240
                        f"compose commutation fails at w={lbl}")
 
     for n in range(1, max_len + 1):
-        level = [u for u in shared.words if len(u) == n]
+        level = [u for u in ops.words if len(u) == n]
         for phi_f, row in zip(phis, composed):
-            total = _sum(model.n, (mat_mul(shared.ops[u], mat_mul(phi_f, shared.t[u]))
+            total = _sum(model.n, (mat_mul(ops.word[u], mat_mul(phi_f, ops.t[u]))
                                    for u in level))
             rep.record(row[n] == total, f"compose expansion fails at n={n}")
 
         # sum over u, v of T_u T_v^t T_v T_u^t, with the sum over v taken first
-        supports = _sum(model.n, (shared.support(v) for v in level))
-        dsum = _sum(model.n, (mat_mul(shared.ops[u], mat_mul(supports, shared.t[u]))
+        supports = _sum(model.n, (ops.support[v] for v in level))
+        dsum = _sum(model.n, (mat_mul(ops.word[u], mat_mul(supports, ops.t[u]))
                               for u in level))
         counts = preimage_count_function(model, n)
         rep.record(dsum == op_diagonal(model, counts),
                    f"preimage-count operator fails at n={n}")
         if any(c == 0 for c in counts):
             raise ConsistencyError("preimage-count function has a zero entry")
-        s = _sum(model.n, (shared.ops[u] for u in level))
+        s = _sum(model.n, (ops.word[u] for u in level))
         st_dinv = mat_mul(mat_transpose(s), diag_inverse(dsum))
         for f, phi_f in zip(funcs, phis):
             lhs = op_diagonal(model, fn_transfer(model, f, n))
@@ -475,12 +438,9 @@ def verify_composition_rules(model: FiniteModel, max_len: int, seed: int = 20240
 
 
 def run_all_checks(model: FiniteModel, max_len: int, seed: int = 20240311) -> list[CheckReport]:
-    shared = _Operators(model, max_len)
-    return [
-        verify_representation(model, max_len, shared),
-        verify_structure(model, max_len, shared),
-        verify_composition_rules(model, max_len, seed, shared),
-    ]
+    ops = _Operators(model, max_len)
+    return [verify_representation(ops), verify_structure(ops),
+            verify_composition_rules(ops, seed)]
 
 
 # ---------------------------------------------------------------------------
