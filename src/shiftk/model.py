@@ -21,9 +21,12 @@ cylinder indicator per word pair, one diagonal per test function and per
 shifted test function.  They are built through the module's functions and
 kept for one call only.  The model itself keeps the data below those
 functions: the basis index of w.x per word w (shared by ``op_word`` and
-``fn_prepend``) and the n-step preimage groups.  Cylinder indicators stay
-on the shift's own membership test, so they check the word operators
-independently.
+``fn_prepend``), and per k the basis index of the k-fold shift, the k-step
+preimage groups, the k-prefix of each point and the k-prefixes of each
+point's k-fold preimages.  Cylinder indicators read only the shift map and
+the prefixes (x is in C(u, v) when its |v|-prefix is v and u is the
+|u|-prefix of a |u|-fold preimage of its |v|-fold shift), never the prepend
+index, so they check the word operators independently.
 
 The graded transfer operator appearing in the composition formula averages
 over n-step preimages in a single step (it is not the n-fold composite of
@@ -38,7 +41,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
-from .presentations import FiniteShift, _in_cylinder
+from .presentations import FiniteShift
 from .words import EPSILON, Word
 
 Func = tuple[Fraction, ...]
@@ -53,8 +56,7 @@ class FiniteModel:
 
     shift: FiniteShift
     _index: dict = field(default=None, compare=False, repr=False)
-    _prepends: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _preimages: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.shift.points)})
@@ -73,30 +75,51 @@ class FiniteModel:
         except KeyError:
             raise ValidationError("point is not in the model's shift space") from None
 
+    def _cached(self, key, build):
+        """The value kept under ``key``, built by ``build()`` on first use."""
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = build()
+        return out
+
     @cached_property
     def shift_indices(self) -> tuple[int, ...]:
         """Basis index of the shift of each basis point."""
         return tuple(self.index(x.shift()) for x in self.basis)
 
+    def shift_image(self, steps: int) -> tuple[int, ...]:
+        """Basis index of the steps-fold shift of each basis point."""
+        def build():
+            if steps == 0:
+                return tuple(range(self.n))
+            return tuple(self.shift_indices[i] for i in self.shift_image(steps - 1))
+        return self._cached(("image", steps), build)
+
     def prepend_index(self, w: Word) -> tuple:
         """Basis index of w.x for each basis point x, None where w.x leaves the shift."""
-        out = self._prepends.get(w)
-        if out is None:
-            out = self._prepends[w] = tuple(self._index.get(x.prepend(w)) for x in self.basis)
-        return out
+        return self._cached(("prepend", w), lambda: tuple(
+            self._index.get(x.prepend(w)) for x in self.basis))
 
     def preimage_groups(self, steps: int) -> tuple[tuple[int, ...], ...]:
         """For each basis point, the basis indices of its steps-fold shift preimages."""
-        out = self._preimages.get(steps)
-        if out is None:
-            image = range(self.n)
-            for _ in range(steps):
-                image = [self.shift_indices[i] for i in image]
+        def build():
             groups = [[] for _ in range(self.n)]
-            for i, y in enumerate(image):
+            for i, y in enumerate(self.shift_image(steps)):
                 groups[y].append(i)
-            out = self._preimages[steps] = tuple(map(tuple, groups))
-        return out
+            return tuple(map(tuple, groups))
+        return self._cached(("preimages", steps), build)
+
+    def prefixes(self, k: int) -> tuple[Word, ...]:
+        """The k-prefix of each basis point."""
+        return self._cached(("prefixes", k), lambda: tuple(x.prefix(k) for x in self.basis))
+
+    def preimage_prefixes(self, k: int) -> tuple[frozenset, ...]:
+        """For each basis point y, the k-prefixes of its k-fold shift preimages,
+        that is the length-k words u with u.y in the shift."""
+        def build():
+            pre = self.prefixes(k)
+            return tuple(frozenset(pre[i] for i in group) for group in self.preimage_groups(k))
+        return self._cached(("preimage prefixes", k), build)
 
     def words_upto(self, max_len: int) -> list[Word]:
         out = [EPSILON]
@@ -117,13 +140,26 @@ class Matrix:
     ``entries`` maps ``(row, col)`` to a nonzero Fraction and a missing key
     is a zero entry.  The constructor drops zeros, so no matrix ever stores
     one and ``==`` (same size, same stored entries) is exact matrix equality.
+    A matrix is never changed after it is built, so ``rows`` groups the
+    entries by row once, on first use; ``==`` ignores that grouping.
     """
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "entries", "_rows")
 
     def __init__(self, n: int, entries: dict | None = None):
         self.n = n
         self.entries = {k: v for k, v in entries.items() if v} if entries else {}
+        self._rows = None
+
+    @property
+    def rows(self) -> dict[int, list]:
+        """Row index -> [(col, value), ...] of the stored entries of that row."""
+        if self._rows is None:
+            rows: dict[int, list] = {}
+            for (k, j), y in self.entries.items():
+                rows.setdefault(k, []).append((j, y))
+            self._rows = rows
+        return self._rows
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -139,6 +175,7 @@ def _trusted(n: int, entries: dict) -> Matrix:
     m = Matrix.__new__(Matrix)
     m.n = n
     m.entries = entries
+    m._rows = None
     return m
 
 
@@ -159,7 +196,8 @@ def mat_transpose(m: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Sparse join: each stored a[i, k] meets the stored entries of row k of b.
+    """Sparse join: each stored a[i, k] meets the stored entries of row k of b
+    (``b.rows``, grouped once per matrix).
 
     A factor that is the shared ``_ONE`` gives the other factor itself, and
     only entries that summed two products can cancel to zero:
@@ -176,9 +214,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     >>> mat_mul(b, a).entries[1, 1]
     Fraction(-3, 2)
     """
-    b_rows: dict[int, list] = {}
-    for (k, j), y in b.entries.items():
-        b_rows.setdefault(k, []).append((j, y))
+    b_rows = b.rows
     out: dict[tuple[int, int], Fraction] = {}
     summed = False
     for (i, k), x in a.entries.items():
@@ -247,11 +283,14 @@ def op_lambda_shift(model: FiniteModel, x: Matrix) -> Matrix:
 
 
 def indicator_cylinder(model: FiniteModel, u: Word, v: Word) -> Func:
+    """Indicator of {v.y : y and u.y in the shift}: x is in it when its |v|-prefix
+    is v and u is the |u|-prefix of some |u|-fold preimage of its |v|-fold shift."""
     u, v = tuple(u), tuple(v)
     model.shift.alphabet.check_word(u)
     model.shift.alphabet.check_word(v)
-    return tuple(
-        _ONE if _in_cylinder(model.shift, u, v, x) else _ZERO for x in model.basis)
+    extends = model.preimage_prefixes(len(u))
+    return tuple(_ONE if p == v and u in extends[y] else _ZERO
+                 for p, y in zip(model.prefixes(len(v)), model.shift_image(len(v))))
 
 
 def fn_compose_shift(model: FiniteModel, f: Func) -> Func:
@@ -324,10 +363,15 @@ class _Operators:
         self.t = {u: mat_transpose(self.word[u]) for u in self.words}
         self.support = {u: mat_mul(self.t[u], self.word[u]) for u in self.words}
         self.labels = {u: model.shift.alphabet.render_word(u) for u in self.words}
-        indicator = {(u, v): indicator_cylinder(model, u, v)
-                     for u in self.words for v in self.words}
-        self.diagonal = {f: op_diagonal(model, f) for f in dict.fromkeys(indicator.values())}
-        self.cylinder = {pair: self.diagonal[f] for pair, f in indicator.items()}
+        self.diagonal: dict[Func, Matrix] = {}
+        self.cylinder: dict[tuple[Word, Word], Matrix] = {}
+        for u in self.words:
+            for v in self.words:
+                f = indicator_cylinder(model, u, v)
+                d = self.diagonal.get(f)
+                if d is None:
+                    d = self.diagonal[f] = op_diagonal(model, f)
+                self.cylinder[u, v] = d
 
 
 def verify_representation(ops: _Operators) -> CheckReport:

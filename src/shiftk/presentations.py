@@ -700,19 +700,11 @@ def predecessor_set(p: Presentation, ctx: Context, k: int, cap: int | None = Non
 
 def in_cylinder(p: Presentation, u: Word, v: Word, x: Point) -> bool:
     """Membership of x in the set of points v.y with y and u.y both in the shift."""
-    p.alphabet.check_word(tuple(u))
-    p.alphabet.check_word(tuple(v))
-    p.check_point(x)
-    return _in_cylinder(p, tuple(u), tuple(v), x)
-
-
-def _in_cylinder(p: Presentation, u: Word, v: Word, x: Point) -> bool:
-    """``in_cylinder`` for words already checked against the alphabet."""
-    if not p.contains(x):
-        return False
-    if x.prefix(len(v)) != v:
-        return False
-    return p.contains(x.shift_by(len(v)).prepend(u))
+    u, v = tuple(u), tuple(v)
+    p.alphabet.check_word(u)
+    p.alphabet.check_word(v)
+    # contains checks x against the alphabet first
+    return p.contains(x) and x.prefix(len(v)) == v and p.contains(x.shift_by(len(v)).prepend(u))
 
 
 # ---------------------------------------------------------------------------

@@ -154,3 +154,24 @@ def model_check_counts(n_words: int, n_letters: int, n_funcs: int, max_len: int)
         "structure": 2 + 4 * w + sum(a ** k * (a ** k - 1) for k in range(1, max_len + 1)),
         "composition rules": 3 * w * f + max_len * (2 * f + 1),
     }
+
+
+def random_finite_shift(rng: random.Random, max_letters: int = 2, max_points: int = 9) -> dict:
+    """A random finite shift as JSON: the shift orbits of 1-3 random points over
+    2..max_letters letters (one letter, whose only shift is a fixed point, a tenth
+    of the time), redrawn until it has at most ``max_points`` points."""
+    while True:
+        k = 1 if max_letters == 1 or rng.random() < 0.1 else rng.randint(2, max_letters)
+        pts = set()
+        for _ in range(rng.randint(1, 3)):
+            x = Point(tuple(rng.randrange(k) for _ in range(rng.randint(0, 3))),
+                      tuple(rng.randrange(k) for _ in range(rng.randint(1, 3))))
+            while x not in pts:
+                pts.add(x)
+                x = x.shift()
+        if len(pts) <= max_points:
+            break
+    alphabet = [str(a) for a in range(k)]
+    return {"type": "finite", "alphabet": alphabet,
+            "points": [{"pre": [alphabet[a] for a in p.pre], "per": [alphabet[a] for a in p.per]}
+                       for p in sorted(pts, key=lambda q: q.sort_key)]}

@@ -1,10 +1,18 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from shiftk import FiniteModel, Point, ValidationError, run_all_checks
+from shiftk import (
+    FiniteModel,
+    Point,
+    ValidationError,
+    in_cylinder,
+    parse_presentation,
+    run_all_checks,
+)
 from shiftk import model as model_module
 from shiftk.model import (
     Matrix,
@@ -28,7 +36,7 @@ from shiftk.model import (
 )
 
 from conftest import FINITE_MODEL_NAMES, make
-from helpers import model_check_counts, oracle_cylinder_indicators
+from helpers import model_check_counts, oracle_cylinder_indicators, random_finite_shift
 
 F = Fraction
 
@@ -202,31 +210,104 @@ def test_each_indicator_and_prepend_is_computed_once(monkeypatch):
     m = model("two_cycle_fixed")
     max_len = 3
     cylinder, prepends = Counter(), Counter()
-    inside = []
-    real_in_cylinder, real_prepend = model_module._in_cylinder, Point.prepend
+    real_indicator, real_prepend = model_module.indicator_cylinder, Point.prepend
 
-    def counting_in_cylinder(p, u, v, x):
-        cylinder[u, v, x] += 1
-        inside.append(True)
-        try:
-            return real_in_cylinder(p, u, v, x)
-        finally:
-            inside.pop()
+    def counting_indicator(md, u, v):
+        cylinder[u, v] += 1
+        return real_indicator(md, u, v)
 
     def counting_prepend(x, w):
-        if not inside:
-            prepends[tuple(w), x] += 1
+        prepends[tuple(w), x] += 1
         return real_prepend(x, w)
 
-    monkeypatch.setattr(model_module, "_in_cylinder", counting_in_cylinder)
+    monkeypatch.setattr(model_module, "indicator_cylinder", counting_indicator)
     monkeypatch.setattr(Point, "prepend", counting_prepend)
     assert all(rep.ok for rep in run_all_checks(m, max_len))
     words = m.words_upto(max_len)
-    assert set(cylinder) == {(u, v, x) for u in words for v in words for x in m.basis}
+    assert set(cylinder) == {(u, v) for u in words for v in words}
     assert max(cylinder.values()) == 1
     # T_uv is built for every word up to length 2L, each from one prepend per point
     assert set(prepends) == {(w, x) for w in m.words_upto(2 * max_len) for x in m.basis}
     assert max(prepends.values()) == 1
+
+
+def _indicator_models():
+    """The corpus finite models, then 48 seeded random finite shifts over 1-3 letters."""
+    rng = random.Random(31)
+    return ([model(name) for name in FINITE_MODEL_NAMES]
+            + [FiniteModel(parse_presentation(random_finite_shift(rng, max_letters=3)))
+               for _ in range(48)])
+
+
+def test_indicators_match_the_shift_membership_test():
+    tested = 0
+    for m in _indicator_models():
+        max_len = 3 if len(m.shift.alphabet) <= 2 else 2
+        words = m.words_upto(max_len)
+        for u in words:
+            for v in words:
+                got = indicator_cylinder(m, u, v)
+                assert got == tuple(F(in_cylinder(m.shift, u, v, x)) for x in m.basis), (u, v)
+                tested += m.n
+    assert tested > 40000
+
+
+def test_indicators_take_neither_prepend_nor_the_prepend_index(monkeypatch):
+    # the indicators are the independent oracle of op_word and fn_prepend, which
+    # share the prepend index: they read only the shift map and point prefixes
+    prepends = []
+    real_prepend = Point.prepend
+
+    def counting_prepend(x, w):
+        prepends.append((x, w))
+        return real_prepend(x, w)
+
+    def no_prepend_index(m, w):
+        raise AssertionError("indicator built from the prepend index")
+
+    models = _indicator_models()
+    monkeypatch.setattr(Point, "prepend", counting_prepend)
+    monkeypatch.setattr(FiniteModel, "prepend_index", no_prepend_index)
+    for m in models:
+        words = m.words_upto(2)
+        indicators = {indicator_cylinder(m, u, v) for u in words for v in words}
+        assert all(len(f) == m.n for f in indicators)
+    assert prepends == []
+
+
+# seeded random finite shifts at L = 1, 2, 3: per report, the summed check and
+# violation counts and a digest of the violation messages, unpatched and with
+# every cylinder indicator rotated by one basis point (computed before the
+# indicators moved to the shift map and point prefixes)
+PINNED_TOTALS = {
+    False: ({"representation": (13584, 0), "structure": (4608, 0),
+             "composition rules": (32194, 0)}, "e3b0c44298fc1c14"),
+    True: ({"representation": (13584, 2546), "structure": (4608, 740),
+            "composition rules": (32194, 0)}, "30fe1592ec878219"),
+}
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_report_totals_over_random_shifts_are_pinned(monkeypatch, rotated):
+    real = model_module.indicator_cylinder
+
+    def rotated_indicator(m, u, v):
+        f = real(m, u, v)
+        return f[1:] + f[:1]
+
+    if rotated:
+        monkeypatch.setattr(model_module, "indicator_cylinder", rotated_indicator)
+    rng = random.Random(2024)
+    totals, digest = {}, hashlib.sha256()
+    for _ in range(24):
+        m = FiniteModel(parse_presentation(random_finite_shift(rng)))
+        for max_len in (1, 2, 3):
+            for rep in run_all_checks(m, max_len):
+                checks, violations = totals.get(rep.name, (0, 0))
+                totals[rep.name] = (checks + rep.checks, violations + len(rep.violations))
+                for message in rep.violations:
+                    digest.update(message.encode() + b"\n")
+    assert (totals, digest.hexdigest()[:16]) == PINNED_TOTALS[rotated]
 
 
 def test_model_rejects_foreign_points():
@@ -328,6 +409,21 @@ def test_sparse_arithmetic_matches_dense_reference():
         assert flatten(a) == tuple(x for row in da for x in row)
     assert cancelled > 0
     assert Matrix(2, {(0, 0): F(0), (1, 0): F(3)}) == Matrix(2, {(1, 0): F(3)})
+    # one right factor in many products: its row grouping is built once and reused
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        b = _random_sparse(rng, n)
+        db = dense(b)
+        for _ in range(8):
+            a = _random_sparse(rng, n)
+            got = mat_mul(a, b)
+            assert dense(got) == _dense_mul(dense(a), db)
+            assert got == mat_mul(a, Matrix(n, dict(b.entries)))
+            assert mat_mul(b, got) == mat_mul(Matrix(n, dict(b.entries)), got)
+        fresh = Matrix(n, dict(b.entries))
+        assert b.rows is b.rows
+        assert b == fresh and fresh == b
+        assert fresh.rows == b.rows
     # products of word operators join entries that are all the shared one
     for name in FINITE_MODEL_NAMES:
         m = model(name)
