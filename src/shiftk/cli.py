@@ -215,14 +215,7 @@ def cmd_classes(args) -> int:
     p = load_presentation(args.file, cfg.caps)
     chain = build_chain(p, cfg.lmax)
     if cfg.fmt == "json":
-        data = chain_to_json(chain)
-        _emit_json({
-            "presentation": p.content_hash(),
-            "m_sequence": data["m_sequence"],
-            "stabilization": data["stabilization"],
-            "levels": data["levels"],
-            "m_sets": data["m_sets"],
-        })
+        _emit_json({"presentation": p.content_hash(), **chain_to_json(chain)})
         return 0
     lines = ["m-sequence: " + " ".join(str(m) for m in chain.m_sequence),
              f"stabilization: {chain.stabilization.render()}"]

@@ -21,12 +21,15 @@ cylinder indicator per word pair, one diagonal per test function and per
 shifted test function.  They are built through the module's functions and
 kept for one call only.  The model itself keeps the data below those
 functions: the basis index of w.x per word w (shared by ``op_word`` and
-``fn_prepend``), and per k the basis index of the k-fold shift, the k-step
-preimage groups, the k-prefix of each point and the k-prefixes of each
-point's k-fold preimages.  Cylinder indicators read only the shift map and
-the prefixes (x is in C(u, v) when its |v|-prefix is v and u is the
-|u|-prefix of a |u|-fold preimage of its |v|-fold shift), never the prepend
-index, so they check the word operators independently.
+``fn_prepend``), and per k the basis index of the k-fold shift (k = 1 is
+the shift map that ``fn_compose_shift`` reads), the k-step preimage groups,
+the k-prefix of each point and the k-prefixes of each point's k-fold
+preimages.  Cylinder indicators read only the shift map and the prefixes
+(x is in C(u, v) when its |v|-prefix is v and u is the |u|-prefix of a
+|u|-fold preimage of its |v|-fold shift), never the prepend index, so they
+check the word operators independently.  Words come in the alphabet's
+order (``Alphabet.words_of_length``, shorter first), and every sum of
+matrices, ``mat_add`` and ``generator_sum`` included, goes through ``_sum``.
 
 The graded transfer operator appearing in the composition formula averages
 over n-step preimages in a single step (it is not the n-fold composite of
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
@@ -82,17 +84,12 @@ class FiniteModel:
             out = self._cache[key] = build()
         return out
 
-    @cached_property
-    def shift_indices(self) -> tuple[int, ...]:
-        """Basis index of the shift of each basis point."""
-        return tuple(self.index(x.shift()) for x in self.basis)
-
     def shift_image(self, steps: int) -> tuple[int, ...]:
         """Basis index of the steps-fold shift of each basis point."""
         def build():
             if steps == 0:
                 return tuple(range(self.n))
-            return tuple(self.shift_indices[i] for i in self.shift_image(steps - 1))
+            return tuple(self.index(self.basis[i].shift()) for i in self.shift_image(steps - 1))
         return self._cached(("image", steps), build)
 
     def prepend_index(self, w: Word) -> tuple:
@@ -122,12 +119,9 @@ class FiniteModel:
         return self._cached(("preimage prefixes", k), build)
 
     def words_upto(self, max_len: int) -> list[Word]:
-        out = [EPSILON]
-        frontier = [EPSILON]
-        for _ in range(max_len):
-            frontier = [w + (a,) for w in frontier for a in self.shift.alphabet]
-            out.extend(frontier)
-        return out
+        """All words of length up to max_len, shorter first, each length in
+        lexicographic order."""
+        return [w for k in range(max_len + 1) for w in self.shift.alphabet.words_of_length(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +223,16 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    out = dict(a.entries)
-    for key, y in b.entries.items():
-        out[key] = out[key] + y if key in out else y
-    return Matrix(a.n, out)
+    return _sum(a.n, (a, b))
+
+
+def _sum(n: int, terms) -> Matrix:
+    """The sum of the n x n matrices ``terms``, accumulated in one dict."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for t in terms:
+        for key, y in t.entries.items():
+            out[key] = out[key] + y if key in out else y
+    return Matrix(n, out)
 
 
 def diag_inverse(m: Matrix) -> Matrix:
@@ -258,22 +258,12 @@ def op_word(model: FiniteModel, u: Word) -> Matrix:
 def op_diagonal(model: FiniteModel, f: Func) -> Matrix:
     if len(f) != model.n:
         raise ValidationError("function length does not match the basis")
-    return mat_diag(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in f))
-
-
-def _sum(n: int, terms) -> Matrix:
-    total = mat_zero(n)
-    for t in terms:
-        total = mat_add(total, t)
-    return total
+    return _trusted(model.n, {(i, i): x for i, v in enumerate(f)
+                              if (x := v if isinstance(v, Fraction) else Fraction(v))})
 
 
 def generator_sum(model: FiniteModel, n: int = 1) -> Matrix:
-    total = mat_zero(model.n)
-    for u in model.words_upto(n):
-        if len(u) == n:
-            total = mat_add(total, op_word(model, u))
-    return total
+    return _sum(model.n, (op_word(model, u) for u in model.shift.alphabet.words_of_length(n)))
 
 
 def op_lambda_shift(model: FiniteModel, x: Matrix) -> Matrix:
@@ -295,7 +285,7 @@ def indicator_cylinder(model: FiniteModel, u: Word, v: Word) -> Func:
 
 def fn_compose_shift(model: FiniteModel, f: Func) -> Func:
     """f after the shift map."""
-    return tuple(f[i] for i in model.shift_indices)
+    return tuple(f[i] for i in model.shift_image(1))
 
 
 def fn_prepend(model: FiniteModel, w: Word, f: Func) -> Func:
@@ -404,18 +394,12 @@ def verify_structure(ops: _Operators) -> CheckReport:
                    f"support projection of T_{lbl} is not the u-extendability indicator")
         rep.record(mat_mul(t, sup) == t, f"T_{lbl} is not a partial isometry")
         rep.record(mat_mul(tt, rng) == tt, f"T_{lbl}^t is not a partial isometry")
-    by_len: dict[int, list[Word]] = {}
-    for u in ops.words:
-        by_len.setdefault(len(u), []).append(u)
     zero = mat_zero(n)
-    for length, group in sorted(by_len.items()):
-        if length == 0:
-            continue
-        for u in group:
-            for v in group:
-                if u != v:
-                    rep.record(mat_mul(ops.t[u], ops.word[v]) == zero,
-                               f"orthogonality fails at |u|=|v|={length}")
+    for u in ops.words:
+        for v in ops.words:
+            if u and u != v and len(u) == len(v):
+                rep.record(mat_mul(ops.t[u], ops.word[v]) == zero,
+                           f"orthogonality fails at |u|=|v|={len(u)}")
     return rep
 
 

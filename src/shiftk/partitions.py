@@ -402,7 +402,8 @@ def matrices_to_json(chain: PartitionChain) -> list[dict]:
 
 
 def chain_to_json(chain: PartitionChain) -> dict:
-    """Chain export: class signatures, matrices row-major, M-sets, stabilization."""
+    """Chain export: class signatures, M-sets, stabilization (the matrices are
+    ``matrices_to_json``)."""
     p = chain.presentation
     rendered = {}
     levels = []
@@ -429,6 +430,5 @@ def chain_to_json(chain: PartitionChain) -> dict:
         "m_sequence": list(chain.m_sequence),
         "stabilization": asdict(chain.stabilization),
         "levels": levels,
-        "matrices": matrices_to_json(chain),
         "m_sets": m_sets,
     }

@@ -14,11 +14,14 @@ finite datum context(x) through which every predecessor set
 
     P_k(x) = { u of length k : u . x lies in the shift }
 
-factors.  Prepending a letter acts on contexts (``prepend_context``); its
-table on context indices (``Presentation.steps``) is the one transition every
-word query reads.  The partition tower downstream refines over it, and since
-the shift of a point is again a point of the shift, the language is that
-predecessor set taken over every context:
+factors.  Prepending a letter acts on contexts; its table on context indices
+(``Presentation.steps``) is the one transition every word query reads.
+Finite and sofic shifts build it from ``prepend_context``; an SFT reads it
+off its window graph (``SftShift.window_graph``, the forward graph of its live
+suffix windows), which also gives its witnesses and its recodings.  The
+partition tower downstream refines over the table, and since the shift of a
+point is again a point of the shift, the language is that predecessor set
+taken over every context:
 
     L_k = union of P_k(c) over all contexts c.
 """
@@ -284,11 +287,8 @@ class SftShift(Presentation):
     # words -----------------------------------------------------------------
 
     def window_ok(self, word: Word) -> bool:
-        for L in self._forb_lengths:
-            for i in range(len(word) - L + 1):
-                if word[i:i + L] in self.forbidden:
-                    return False
-        return True
+        """No factor of ``word`` is forbidden: each factor ends some prefix."""
+        return all(self._tail_ok(word[:i]) for i in range(1, len(word) + 1))
 
     def _tail_ok(self, word: Word) -> bool:
         # factors ending at the last position only
@@ -314,15 +314,15 @@ class SftShift(Presentation):
             w = stack.pop()
             if len(w) == m:
                 states.add(w)
+                if len(states) > self.caps.max_contexts:
+                    raise ResourceCapError(
+                        f"number of suffix windows exceeds cap {self.caps.max_contexts}")
                 continue
             for a in self.alphabet:
                 nxt = w + (a,)
                 if self._tail_ok(nxt) and nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-            if len(states) > self.caps.max_contexts:
-                raise ResourceCapError(
-                    f"number of suffix windows exceeds cap {self.caps.max_contexts}")
         alive = set(states)
         changed = True
         while changed:
@@ -356,13 +356,20 @@ class SftShift(Presentation):
     def _realizable_contexts(self):
         return [SuffixContext(w) for w in self._live_states]
 
-    # core interface -----------------------------------------------------------
+    @cached_property
+    def steps(self) -> tuple[tuple[int | None, ...], ...]:
+        """The prepend table read off the window graph: an edge s -b-> w says
+        that a.x, for x with window w, has window s, where a is the first
+        letter of s (or b itself when the memory is 0)."""
+        graph = self.window_graph
+        idx = {w: i for i, w in enumerate(graph)}   # sorted, as the contexts are
+        rows = [[None] * len(self.alphabet) for _ in graph]
+        for s, edges in graph.items():
+            for b, w in edges:
+                rows[idx[w]][s[0] if self.memory else b] = idx[s]
+        return tuple(map(tuple, rows))
 
-    def prepend_context(self, ctx, a):
-        word = (a,) + ctx.word
-        if not self.window_ok(word):
-            return None
-        return SuffixContext(word[:self.memory])
+    # core interface -----------------------------------------------------------
 
     def contains(self, point):
         self.check_point(point)

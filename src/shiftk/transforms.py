@@ -165,6 +165,12 @@ def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport
         raise ValidationError("higher-block recoding expects an SFT or sofic presentation")
 
     blocks = language(p, n)
+    # each block starts a window of an SFT output and has its own matrix in a
+    # sofic output's monoid, so an output with more blocks than the context
+    # cap would be refused: refuse before building it
+    if len(blocks) > p.caps.max_contexts:
+        raise ResourceCapError(
+            f"higher-block alphabet of {len(blocks)} blocks exceeds cap {p.caps.max_contexts}")
     names = [_block_name(p.alphabet, w) for w in blocks]
     symbol_map = {nm: list(p.alphabet.word_symbols(w)) for nm, w in zip(names, blocks)}
     move = {"move": "higher_block", "n": n}

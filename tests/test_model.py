@@ -73,6 +73,21 @@ def test_diagonal_operator_examples():
     assert as_int_lists(op_diagonal(pair, z1)) == [[0, 0], [0, 1]]
     c1 = indicator_cylinder(pair, (1,), ())
     assert as_int_lists(op_diagonal(pair, c1)) == [[1, 0], [0, 0]]
+    # zeros are not stored and other numbers become Fractions
+    d = op_diagonal(pair, (0, 2))
+    assert d.entries == {(1, 1): F(2)} and type(d.entries[1, 1]) is F
+    assert d == mat_diag((F(0), F(2)))
+
+
+def test_words_upto_is_in_length_then_lexicographic_order():
+    for name in FINITE_MODEL_NAMES:
+        m = model(name)
+        n = len(m.shift.alphabet)
+        for max_len in range(4):
+            words = m.words_upto(max_len)
+            assert words == sorted(words, key=lambda w: (len(w), w))
+            assert len(set(words)) == len(words) == sum(n ** k for k in range(max_len + 1))
+            assert all(0 <= a < n for w in words for a in w)
 
 
 def test_function_examples():

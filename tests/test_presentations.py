@@ -137,6 +137,17 @@ def test_sofic_subset_cap():
         parse_presentation(CORPUS_OBJECTS["even"], Caps(max_contexts=2)).contexts
 
 
+def test_sft_window_cap_counts_every_window():
+    # memory 1 with all 6 one-letter windows, and memory 2 with all 9 two-letter windows
+    six = {"type": "sft_matrix", "adjacency": [[0] + [1] * 5] + [[1] * 6] * 5}
+    nine = {"type": "sft", "alphabet": ["0", "1", "2"], "forbidden": [["0", "0", "0"]]}
+    for obj, windows in ((six, 6), (nine, 9)):
+        assert len(parse_presentation(obj, Caps(max_contexts=windows)).contexts) == windows
+        for cap in (2, windows - 2, windows - 1):
+            with pytest.raises(ResourceCapError):
+                parse_presentation(obj, Caps(max_contexts=cap))
+
+
 def test_sft_matrix_rejects_bad_entries():
     with pytest.raises(ValidationError):
         parse_presentation({"type": "sft_matrix", "adjacency": [[1, 2], [1, 0]]})
@@ -198,6 +209,61 @@ def test_window_graph_edges_are_the_words_of_length_memory_plus_one():
         assert list(graph) == sorted(c.word for c in p.contexts)
         edges = [w + (a,) for w, out in graph.items() for a, w2 in out if w2 == (w + (a,))[1:]]
         assert edges == language(p, p.memory + 1), p.to_json()
+
+
+def _random_sft(rng, m):
+    """SFT of memory m over 1-3 letters: forbidden words of lengths 1..m+1, one
+    of length m + 1 (at memory 0, half the time, no forbidden word at all)."""
+    n = rng.randint(1, 3)
+    alphabet = [str(i) for i in range(n)]
+    forbidden = set()
+    if m or rng.random() < 0.5:
+        forbidden.add(tuple(rng.randrange(n) for _ in range(m + 1)))
+        for _ in range(rng.randint(0, 3)):
+            forbidden.add(tuple(rng.randrange(n) for _ in range(rng.randint(1, m + 1))))
+    return {"type": "sft", "alphabet": alphabet,
+            "forbidden": [[alphabet[a] for a in w] for w in sorted(forbidden)]}
+
+
+def _sft_cases(seed, count=250):
+    """The corpus SFTs, then ``count`` nonempty random SFTs of memory 0-4."""
+    rng = random.Random(seed)
+    cases = [p for p in map(make, CORPUS_OBJECTS) if isinstance(p, SftShift)]
+    end = len(cases) + count
+    while len(cases) < end:
+        try:
+            cases.append(parse_presentation(_random_sft(rng, rng.randint(0, 4))))
+        except ValidationError:
+            continue
+    assert {p.memory for p in cases} == {0, 1, 2, 3, 4}
+    assert any(not p.forbidden for p in cases) and any(p.memory == 0 and p.forbidden
+                                                      for p in cases)
+    return cases
+
+
+def _factor_free(p, word):
+    return not any(word[i:j] in p.forbidden
+                   for i in range(len(word)) for j in range(i + 1, len(word) + 1))
+
+
+def test_sft_steps_match_prepending_to_each_window():
+    # the table read off the window graph against prepending a to each live
+    # window w: context (a.w)[:memory] when a.w has no forbidden factor
+    for p in _sft_cases(47):
+        idx = p.context_index
+        expected = tuple(
+            tuple(idx[SuffixContext(((a,) + c.word)[:p.memory])]
+                  if p.window_ok((a,) + c.word) else None for a in p.alphabet)
+            for c in p.contexts)
+        assert p.steps == expected, p.to_json()
+
+
+def test_window_ok_is_the_brute_force_factor_check():
+    rng = random.Random(53)
+    for p in _sft_cases(59, 200):
+        for _ in range(10):
+            word = tuple(rng.randrange(len(p.alphabet)) for _ in range(rng.randint(0, 8)))
+            assert p.window_ok(word) == _factor_free(p, word), (p.to_json(), word)
 
 
 # ---------------------------------------------------------------------------

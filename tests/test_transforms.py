@@ -16,7 +16,7 @@ from shiftk import (
     split_letters,
     symbolic_expansion,
 )
-from shiftk.presentations import FiniteShift
+from shiftk.presentations import FiniteShift, SftShift, SoficShift
 
 from conftest import CORPUS_OBJECTS, make
 
@@ -71,6 +71,24 @@ def test_higher_block_refusals():
     small = parse_presentation(CORPUS_OBJECTS["full4"], Caps(max_language_words=3))
     with pytest.raises(ResourceCapError):
         higher_block(small, 2)
+
+
+def test_higher_block_refuses_more_blocks_than_contexts_before_building(monkeypatch):
+    # full2 has 8 blocks of length 3, the even shift 12 of length 4 (and a
+    # monoid of 7 matrices); one length shorter stays within the cap of 7
+    sft = parse_presentation(CORPUS_OBJECTS["full2"], Caps(max_contexts=7))
+    sofic = parse_presentation(CORPUS_OBJECTS["even"], Caps(max_contexts=7))
+
+    def built(*args, **kwargs):
+        raise AssertionError("output presentation built")
+    for cls in (SftShift, SoficShift):
+        monkeypatch.setattr(cls, "__init__", built)
+    for p, n in ((sft, 3), (sofic, 4)):
+        assert len(language(p, n)) > 7 >= len(language(p, n - 1))
+        with pytest.raises(ResourceCapError):
+            higher_block(p, n)
+        with pytest.raises(AssertionError, match="output presentation built"):
+            higher_block(p, n - 1)
 
 
 def test_higher_block_preserves_k_groups():
