@@ -375,8 +375,7 @@ def cmd_model_verify(args) -> int:
     cfg = _config_from(args)
     p = load_presentation(args.file, cfg.caps)
     if not isinstance(p, FiniteShift):
-        sys.stderr.write("error: model verification needs a finite presentation\n")
-        return 2
+        raise ValidationError("model verification needs a finite presentation")
     model = FiniteModel(p)
     reports = run_all_checks(model, args.max_word_len)
     if cfg.fmt == "json":

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import ConsistencyError, StraddleError, ValidationError
 from .intlinalg import IntMatrix
-from .presentations import Presentation, predecessor_frontiers
+from .presentations import Presentation, _live, predecessor_frontiers
 
 # Predecessor words shown per grade; a larger grade is shown as its rank.
 SIGNATURE_WORD_LIMIT = 20000
@@ -185,7 +185,8 @@ def past_partition(p: Presentation, level: int) -> PartitionLevel:
 
 
 def _reach_sets(steps, n_letters: int, upto: int):
-    """Contexts with a predecessor word of each length 0..upto, and of every length."""
+    """Contexts with a predecessor word of each length 0..upto, and of every
+    length: those that start an infinite path of steps."""
     def shrink(cur):
         return frozenset(
             i for i in cur
@@ -195,10 +196,8 @@ def _reach_sets(steps, n_letters: int, upto: int):
     reach = [frozenset(range(len(steps)))]
     for _ in range(upto):
         reach.append(shrink(reach[-1]))
-    cur = reach[-1]
-    while (nxt := shrink(cur)) != cur:
-        cur = nxt
-    return tuple(reach), cur
+    limit = _live({i: [j for j in row if j is not None] for i, row in enumerate(steps)})
+    return tuple(reach), frozenset(limit)
 
 
 def build_chain(p: Presentation, length: int) -> PartitionChain:

@@ -15,13 +15,16 @@ finite datum context(x) through which every predecessor set
     P_k(x) = { u of length k : u . x lies in the shift }
 
 factors.  Prepending a letter acts on contexts; its table on context indices
-(``Presentation.steps``) is the one transition every word query reads.
-Finite and sofic shifts build it from ``prepend_context``; an SFT reads it
-off its window graph (``SftShift.window_graph``, the forward graph of its live
-suffix windows), which also gives its witnesses and its recodings.  The
-partition tower downstream refines over the table, and since the shift of a
-point is again a point of the shift, the language is that predecessor set
-taken over every context:
+(``Presentation.steps``) is the one transition every word query reads.  A
+finite shift reads it off its shift map, a sofic shift off the preimages of
+its state masks, and an SFT off its window graph (``SftShift.window_graph``,
+the forward graph of its live suffix windows), which also gives its
+witnesses and its recodings.  The live windows of an SFT, the trimmed
+states and good matrices of a sofic graph, and a chain's persistent contexts
+are each the nodes of a finite graph that start an infinite path, found by
+one pass (``_live``).  The partition tower downstream refines over the
+table, and since the shift of a point is again a point of the shift, the
+language is that predecessor set taken over every context:
 
     L_k = union of P_k(c) over all contexts c.
 """
@@ -114,9 +117,10 @@ class Presentation:
     def context_index(self) -> dict:
         return {c: i for i, c in enumerate(self.contexts)}
 
-    def prepend_context(self, ctx: Context, a: int) -> Context | None:
-        """Context of a.x for any x with context ctx; None when a.x leaves the shift."""
-        raise NotImplementedError
+    # Prepend table on context indices, a cached property of each kind:
+    # ``steps[i][a]`` is the index of the context of a.x for x with context i,
+    # or None when a.x leaves the shift.
+    steps: tuple[tuple[int | None, ...], ...]
 
     def context_of(self, point: Point) -> Context:
         raise NotImplementedError
@@ -132,25 +136,6 @@ class Presentation:
         raise NotImplementedError
 
     # -- shared derived operations -----------------------------------------
-
-    @cached_property
-    def steps(self) -> tuple[tuple[int | None, ...], ...]:
-        """Prepend table on context indices: ``steps[i][a]`` is the index of the
-        context of a.x for x with context i, or None when a.x leaves the shift."""
-        idx = self.context_index
-        steps = []
-        for c in self.contexts:
-            row = []
-            for a in self.alphabet:
-                c2 = self.prepend_context(c, a)
-                if c2 is None:
-                    row.append(None)
-                elif c2 in idx:
-                    row.append(idx[c2])
-                else:
-                    raise ConsistencyError("prepending left the realizable context set")
-            steps.append(tuple(row))
-        return tuple(steps)
 
     @cached_property
     def sigma_surjective(self) -> bool:
@@ -184,6 +169,26 @@ class Presentation:
 
     def __repr__(self):
         return f"<{type(self).__name__} over {list(self.alphabet.symbols)}>"
+
+
+def _live(successors) -> set:
+    """The nodes that start an infinite path in the graph ``successors`` (each
+    node mapped to the list of its successor nodes, one per edge): the
+    greatest set in which every member has a successor member.  One worklist
+    pass over the reverse edges reads each edge once."""
+    preds = {u: [] for u in successors}
+    out_degree = {}
+    for u, vs in successors.items():
+        out_degree[u] = len(vs)
+        for v in vs:
+            preds[v].append(u)
+    dead = [u for u, d in out_degree.items() if not d]
+    while dead:
+        for u in preds[dead.pop()]:
+            out_degree[u] -= 1
+            if not out_degree[u]:
+                dead.append(u)
+    return {u for u, d in out_degree.items() if d}
 
 
 def _lasso(start, step, head: Word) -> Point:
@@ -228,9 +233,15 @@ class FiniteShift(Presentation):
     def _realizable_contexts(self):
         return [PointContext(p) for p in self.points]
 
-    def prepend_context(self, ctx, a):
-        y = ctx.point.prepend((a,))
-        return PointContext(y) if y in self._point_set else None
+    @cached_property
+    def steps(self) -> tuple[tuple[int | None, ...], ...]:
+        """The prepend table read off the shift map: a.x is the point y with
+        first letter a whose shift is x (the contexts are the sorted points)."""
+        idx = {p: i for i, p in enumerate(self.points)}
+        rows = [[None] * len(self.alphabet) for _ in self.points]
+        for i, y in enumerate(self.points):
+            rows[idx[y.shift()]][y.letter(0)] = i
+        return tuple(map(tuple, rows))
 
     def contains(self, point):
         self.check_point(point)
@@ -299,62 +310,35 @@ class SftShift(Presentation):
 
     # forward automaton on suffix windows ------------------------------------
 
-    def _suffix_after(self, state: Word, a: int) -> Word:
-        new = state + (a,)
-        return new[-self.memory:] if self.memory else EPSILON
-
-    @cached_property
-    def _live_states(self) -> frozenset[Word]:
-        """Suffix states (admissible memory-length words) with infinite continuations."""
-        m = self.memory
-        states = set()
-        stack = [EPSILON]
-        seen = {EPSILON}
-        while stack:
-            w = stack.pop()
-            if len(w) == m:
-                states.add(w)
-                if len(states) > self.caps.max_contexts:
-                    raise ResourceCapError(
-                        f"number of suffix windows exceeds cap {self.caps.max_contexts}")
-                continue
-            for a in self.alphabet:
-                nxt = w + (a,)
-                if self._tail_ok(nxt) and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        alive = set(states)
-        changed = True
-        while changed:
-            changed = False
-            for w in sorted(alive):
-                if not any(
-                    self._tail_ok(w + (a,)) and self._suffix_after(w, a) in alive
-                    for a in self.alphabet
-                ):
-                    alive.discard(w)
-                    changed = True
-        return frozenset(alive)
-
     @cached_property
     def window_graph(self) -> dict[Word, tuple[tuple[int, Word], ...]]:
         """Each live window, in sorted order, with its (letter, next live window)
         edges in alphabet order: the forward graph whose label shift is the SFT's
-        left-extendable part."""
-        live = self._live_states
-        graph = {}
-        for w in sorted(live):
-            edges = []
-            for a in self.alphabet:
-                if self._tail_ok(w + (a,)):
-                    w2 = self._suffix_after(w, a)
-                    if w2 in live:
-                        edges.append((a, w2))
-            graph[w] = tuple(edges)
-        return graph
+        left-extendable part.
+
+        One pass over the admissible prefixes tests each (prefix, letter) once
+        and counts the admissible windows (memory-length words) against the
+        context cap as it finds them; the live windows are those that start an
+        infinite path.  The window after w on letter a is (w + a) minus its
+        first letter, the empty word when the memory is 0.
+        """
+        m, cap = self.memory, self.caps.max_contexts
+        edges = {}   # admissible window -> [(letter, next admissible window)]
+        stack = [EPSILON]
+        while stack:
+            w = stack.pop()
+            if len(w) == m and len(edges) == cap:
+                raise ResourceCapError(f"number of suffix windows exceeds cap {cap}")
+            ok = [u for u in (w + (a,) for a in self.alphabet) if self._tail_ok(u)]
+            if len(w) < m:
+                stack.extend(ok)
+            else:
+                edges[w] = [(u[-1], u[1:]) for u in ok]
+        live = _live({w: [w2 for _, w2 in out] for w, out in edges.items()})
+        return {w: tuple((a, w2) for a, w2 in edges[w] if w2 in live) for w in sorted(live)}
 
     def _realizable_contexts(self):
-        return [SuffixContext(w) for w in self._live_states]
+        return [SuffixContext(w) for w in self.window_graph]
 
     @cached_property
     def steps(self) -> tuple[tuple[int | None, ...], ...]:
@@ -479,15 +463,13 @@ class SoficShift(Presentation):
             if not isinstance(sym, str) or not sym:
                 raise ValidationError("edge symbols must be nonempty strings")
             triples.add((src, dst, sym))
-        # trim: keep only states with both in- and out-degree, iteratively
-        alive = set(names)
-        while True:
-            outs = {q for (q, r, s) in triples if q in alive and r in alive}
-            ins = {r for (q, r, s) in triples if q in alive and r in alive}
-            keep = alive & outs & ins
-            if keep == alive:
-                break
-            alive = keep
+        # trim: a state lies on a bi-infinite path exactly when it starts an
+        # infinite path and ends one
+        forward, backward = {q: [] for q in names}, {q: [] for q in names}
+        for (q, r, _) in triples:
+            forward[q].append(r)
+            backward[r].append(q)
+        alive = _live(forward) & _live(backward)
         triples = {(q, r, s) for (q, r, s) in triples if q in alive and r in alive}
         if not triples:
             raise ValidationError("presentation describes the empty shift space")
@@ -540,15 +522,8 @@ class SoficShift(Presentation):
         """Matrices from which the nonzero-row set can be preserved forever: the
         greatest set in which each member has a successor member of its mask."""
         _, masks, succ = self._monoid
-        good = {i for i, mask in enumerate(masks) if mask}
-        changed = True
-        while changed:
-            changed = False
-            for i in list(good):
-                if not any(j in good and masks[j] == masks[i] for j in succ[i]):
-                    good.discard(i)
-                    changed = True
-        return frozenset(good)
+        return frozenset(_live({i: [j for j in succ[i] if masks[j] == mask]
+                                for i, mask in enumerate(masks) if mask}))
 
     @cached_property
     def _context_reps(self) -> dict[int, int]:
@@ -570,9 +545,18 @@ class SoficShift(Presentation):
     def _states_of(self, mask: int) -> frozenset[int]:
         return frozenset(q for q in range(len(self.states)) if mask >> q & 1)
 
-    def prepend_context(self, ctx, a):
-        mask = self._pre_mask(a, self._mask_of(ctx))
-        return StateSetContext(self._states_of(mask)) if mask else None
+    @cached_property
+    def steps(self) -> tuple[tuple[int | None, ...], ...]:
+        """The prepend table on state masks: a.x is read from the states with an
+        a-edge into a state reading x, and leaves the shift when there is none."""
+        index = {self._mask_of(c): i for i, c in enumerate(self.contexts)}
+        rows = []
+        for mask in index:
+            row = [self._pre_mask(a, mask) for a in self.alphabet]
+            if not set(row) <= index.keys() | {0}:
+                raise ConsistencyError("prepending left the realizable context set")
+            rows.append(tuple(index.get(pre) for pre in row))
+        return tuple(rows)
 
     def _state_set(self, point: Point) -> int:
         """Greatest fixpoint over the lasso: the set of states reading the point."""
@@ -638,7 +622,7 @@ class SoficShift(Presentation):
 # module-level operations
 
 
-def language(p: Presentation, k: int, cap: int | None = None) -> list[Word]:
+def language(p: Presentation, k: int) -> list[Word]:
     """All length-k words occurring in the shift, in lexicographic order.
 
     These are the predecessor words of every context.  |L_k| never decreases
@@ -647,7 +631,7 @@ def language(p: Presentation, k: int, cap: int | None = None) -> list[Word]:
     """
     if k < 0:
         raise ValidationError("word length must be >= 0")
-    cap = cap or p.caps.max_language_words
+    cap = p.caps.max_language_words
     frontiers = predecessor_frontiers(range(len(p.contexts)), p.steps, len(p.alphabet), k, cap)
     if len(frontiers) <= k:
         raise ResourceCapError(f"language size exceeds cap {cap}")
@@ -692,11 +676,11 @@ def predecessor_frontiers(starts, steps, n_letters: int, upto: int, cap: int) ->
     return out
 
 
-def predecessor_set(p: Presentation, ctx: Context, k: int, cap: int | None = None) -> list[Word]:
+def predecessor_set(p: Presentation, ctx: Context, k: int) -> list[Word]:
     """P_k for any point with context ``ctx``: length-k words u with u.x in the shift."""
     if k < 0:
         raise ValidationError("predecessor length must be >= 0")
-    cap = cap or p.caps.max_language_words
+    cap = p.caps.max_language_words
     if ctx not in p.context_index:
         raise ValidationError("context is not realizable for this presentation")
     frontiers = predecessor_frontiers((p.context_index[ctx],), p.steps, len(p.alphabet), k, cap)

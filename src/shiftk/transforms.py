@@ -191,15 +191,16 @@ def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport
         out = SftShift(out_alphabet, forbidden, p.caps)
         return out, TransformReport(p.content_hash(), move, {"blocks": symbol_map})
 
-    # sofic: the graph whose states are paths of length n-1
+    # sofic: the graph whose states are paths of length n-1; grouping the
+    # sorted edges by source keeps each group sorted
+    out_edges = {}
+    for e in p.edges:
+        out_edges.setdefault(e[0], []).append(e)
     paths = [(e,) for e in p.edges]
     for _ in range(n - 2):
         nxt = []
         for path in paths:
-            last = path[-1]
-            for e in p.edges:
-                if e[0] == last[1]:
-                    nxt.append(path + (e,))
+            nxt.extend(path + (e,) for e in out_edges.get(path[-1][1], ()))
             if len(nxt) > p.caps.max_contexts:
                 raise ResourceCapError(
                     f"higher-block path graph exceeds cap {p.caps.max_contexts}")
@@ -208,12 +209,10 @@ def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport
     pname = {path: f"q{i:04d}" for i, path in enumerate(paths)}
     edges = []
     for path in paths:
-        last = path[-1]
-        for e in p.edges:
-            if e[0] == last[1]:
-                succ = path[1:] + (e,)
-                word = tuple(edge[2] for edge in path) + (e[2],)
-                edges.append((pname[path], pname[succ], _block_name(p.alphabet, word)))
+        for e in out_edges.get(path[-1][1], ()):
+            succ = path[1:] + (e,)
+            word = tuple(edge[2] for edge in path) + (e[2],)
+            edges.append((pname[path], pname[succ], _block_name(p.alphabet, word)))
     out = SoficShift.build(list(pname.values()), edges, p.caps)
     return out, TransformReport(p.content_hash(), move, {"blocks": symbol_map})
 

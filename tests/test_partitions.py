@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from helpers import (
     oracle_partition,
     partition_as_context_groups,
     periodic_orbit,
+    random_presentation,
 )
 from shiftk import (
     ConsistencyError,
@@ -33,7 +35,7 @@ from shiftk.partitions import (
 )
 from shiftk.presentations import SuffixContext, context_of
 
-from conftest import make
+from conftest import CORPUS_OBJECTS, make
 
 
 def class_index_of_context(chain, level, ctx):
@@ -252,6 +254,25 @@ def test_persistent_classes(pair, golden_mean):
     assert persistent_classes(chain, 1) == (keep,)
     chain = build_chain(golden_mean, 3)
     assert persistent_classes(chain, 1) == (0, 1)
+
+
+def test_reach_limit_is_the_round_based_fixpoint():
+    # contexts with a predecessor word of every length, against shrinking the
+    # whole context set by whole passes until a pass drops nothing
+    rng = random.Random(83)
+    cases = [make(name) for name in CORPUS_OBJECTS]
+    while len(cases) < 300:
+        try:
+            cases.append(parse_presentation(random_presentation(rng)))
+        except ValidationError:
+            continue
+    for p in cases:
+        steps = p.steps
+        cur = frozenset(range(len(steps)))
+        while (nxt := frozenset(i for i in cur
+                                if any(j is not None and j in cur for j in steps[i]))) != cur:
+            cur = nxt
+        assert build_chain(p, 2).reach_limit == cur, p.to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from helpers import (
     class_witnesses,
     oracle_predecessors,
     oracle_state_set,
+    random_finite_shift,
     random_memory_sft,
     random_presentation,
     random_sofic,
@@ -27,7 +30,7 @@ from shiftk import (
     predecessor_set,
     realizable_contexts,
 )
-from shiftk.presentations import PointContext, StateSetContext, SuffixContext
+from shiftk.presentations import PointContext, StateSetContext, SuffixContext, _live
 
 from conftest import CORPUS_OBJECTS, make
 
@@ -241,8 +244,8 @@ def _sft_cases(seed, count=250):
     return cases
 
 
-def _factor_free(p, word):
-    return not any(word[i:j] in p.forbidden
+def _factor_free(forbidden, word):
+    return not any(word[i:j] in forbidden
                    for i in range(len(word)) for j in range(i + 1, len(word) + 1))
 
 
@@ -263,7 +266,151 @@ def test_window_ok_is_the_brute_force_factor_check():
     for p in _sft_cases(59, 200):
         for _ in range(10):
             word = tuple(rng.randrange(len(p.alphabet)) for _ in range(rng.randint(0, 8)))
-            assert p.window_ok(word) == _factor_free(p, word), (p.to_json(), word)
+            assert p.window_ok(word) == _factor_free(p.forbidden, word), (p.to_json(), word)
+
+
+# ---------------------------------------------------------------------------
+# context trims: one worklist pass against the round-based fixpoints
+
+
+def _round_based_live(successors):
+    """Greatest set in which every member has a successor member, by whole
+    passes that drop members with none until a pass drops nothing."""
+    alive = set(successors)
+    changed = True
+    while changed:
+        changed = False
+        for u in sorted(alive):
+            if not any(v in alive for v in successors[u]):
+                alive.discard(u)
+                changed = True
+    return alive
+
+
+def test_live_is_the_round_based_greatest_fixpoint():
+    rng = random.Random(67)
+    for _ in range(500):
+        n = rng.randint(0, 12)
+        successors = {u: [rng.randrange(n) for _ in range(rng.randint(0, 3))] for u in range(n)}
+        assert _live(successors) == _round_based_live(successors), successors
+
+
+def _dead_path(n):
+    """Vertex SFT of a loop at 0 feeding the path 0 -> 1 -> ... -> n-1, whose
+    last vertex has no successor: only the fixed point 0^inf is left."""
+    return {"type": "sft_matrix",
+            "adjacency": [[int(j == i + 1 or i == j == 0) for j in range(n)] for i in range(n)]}
+
+
+def _round_based_window_graph(obj, cap):
+    """The window graph of an SFT given as JSON, from its forbidden words alone:
+    all admissible windows (or "cap" past ``cap`` of them), trimmed by whole
+    passes, with the (letter, next live window) edges of each live window."""
+    if obj["type"] == "sft_matrix":
+        adj = obj["adjacency"]
+        n = len(adj)
+        forbidden = {(i, j) for i in range(n) for j in range(n) if not adj[i][j]}
+    else:
+        n = len(obj["alphabet"])
+        idx = {s: i for i, s in enumerate(obj["alphabet"])}
+        forbidden = {tuple(idx[s] for s in w) for w in obj["forbidden"]}
+    m = max(map(len, forbidden), default=1) - 1
+    windows = [w for w in itertools.product(range(n), repeat=m) if _factor_free(forbidden, w)]
+    if len(windows) > cap:
+        return "cap"
+
+    def after(w, a):
+        return (w + (a,))[-m:] if m else ()
+
+    def edges(w, alive):
+        return tuple((a, after(w, a)) for a in range(n)
+                     if _factor_free(forbidden, w + (a,)) and after(w, a) in alive)
+    live = _round_based_live({w: [w2 for _, w2 in edges(w, windows)] for w in windows})
+    return {w: edges(w, live) for w in sorted(live)}
+
+
+def test_sft_window_graph_is_the_round_based_trim():
+    rng = random.Random(71)
+    objs = [obj for obj in CORPUS_OBJECTS.values() if obj["type"] in ("sft", "sft_matrix")]
+    objs += [_dead_path(n) for n in (1, 2, 3, 7)]
+    for i in range(300):
+        objs.append(_random_sft(rng, rng.randint(0, 4)) if i % 2 else _random_vertex_sft(rng))
+    for caps in (Caps(), Caps(max_contexts=5)):
+        for obj in objs:
+            expected = _round_based_window_graph(obj, caps.max_contexts)
+            if expected == "cap":
+                with pytest.raises(ResourceCapError, match="suffix windows exceeds cap"):
+                    parse_presentation(obj, caps)
+            elif not expected:
+                with pytest.raises(ValidationError, match="empty shift space"):
+                    parse_presentation(obj, caps)
+            else:
+                assert parse_presentation(obj, caps).window_graph == expected, obj
+
+
+def test_sft_parse_tests_each_prefix_and_letter_once(monkeypatch):
+    # the round-based trim retested every window and letter on every pass:
+    # a path into a dead vertex took one pass per vertex
+    calls = collections.Counter()
+    tail_ok = SftShift._tail_ok
+
+    def counting(self, word):
+        calls[word] += 1
+        return tail_ok(self, word)
+    monkeypatch.setattr(SftShift, "_tail_ok", counting)
+    p = parse_presentation(_dead_path(60))
+    assert [c.word for c in p.contexts] == [(0,)]
+    assert max(calls.values()) == 1
+    assert all(p.window_ok(word[:-1]) for word in calls)
+
+
+def _round_based_trim(names, triples):
+    """States kept by repeatedly dropping those without an in- and an out-edge."""
+    alive = set(names)
+    while True:
+        outs = {q for (q, r, _) in triples if q in alive and r in alive}
+        ins = {r for (q, r, _) in triples if q in alive and r in alive}
+        if alive & outs & ins == alive:
+            return alive
+        alive &= outs & ins
+
+
+def _round_based_good(p):
+    _, masks, succ = p._monoid
+    good = {i for i, mask in enumerate(masks) if mask}
+    changed = True
+    while changed:
+        changed = False
+        for i in list(good):
+            if not any(j in good and masks[j] == masks[i] for j in succ[i]):
+                good.discard(i)
+                changed = True
+    return good
+
+
+def test_sofic_trim_and_good_set_are_the_round_based_fixpoints():
+    rng = random.Random(73)
+    objs = [CORPUS_OBJECTS["even"]] + [random_sofic(rng) for _ in range(400)]
+    for obj in objs:
+        kept = _round_based_trim(obj["states"], {tuple(e) for e in obj["edges"]})
+        if not kept:
+            with pytest.raises(ValidationError, match="empty shift space"):
+                parse_presentation(obj)
+            continue
+        p = parse_presentation(obj)
+        assert p.states == tuple(sorted(kept)), obj
+        assert p._good == _round_based_good(p), obj
+
+
+def test_finite_steps_are_prepending_to_each_point():
+    rng = random.Random(79)
+    cases = [p for p in map(make, CORPUS_OBJECTS) if isinstance(p, FiniteShift)]
+    cases += [parse_presentation(random_finite_shift(rng, 3)) for _ in range(200)]
+    for p in cases:
+        idx = p.context_index
+        expected = tuple(tuple(idx.get(PointContext(c.point.prepend((a,)))) for a in p.alphabet)
+                         for c in p.contexts)
+        assert p.steps == expected, p.to_json()
 
 
 # ---------------------------------------------------------------------------
