@@ -34,7 +34,6 @@ from .partitions import (
     restricted_maps,
 )
 from .presentations import (
-    Caps,
     FiniteShift,
     Presentation,
     SftShift,

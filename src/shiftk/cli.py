@@ -37,25 +37,17 @@ from .partitions import (
     matrices_to_json,
     persistence_markers,
 )
-from .presentations import (
-    DEFAULT_CAPS,
-    Caps,
-    FiniteShift,
-    dump_presentation,
-    load_presentation,
-)
+from .presentations import FiniteShift, dump_presentation, load_presentation
 from .transforms import BipartiteExpression, higher_block, split_letters, symbolic_expansion
 
 ENV_PREFIX = "SHIFTK_"
 DEFAULT_LMAX = 12
 
-# Raise when the layout or meaning of a cached record changes.
-CACHE_SCHEMA = 1
-
 
 @functools.cache
 def _source_hash() -> str:
-    """Hash of this package's own sources, so a code change never serves stale records."""
+    """Hash of this package's own sources, so a code change (to a record's layout, the
+    version or a cap included) never serves stale records."""
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
@@ -68,17 +60,9 @@ class RunConfig:
     fmt: str
     cache_dir: Path
     no_cache: bool
-    caps: Caps
 
     def fingerprint(self) -> str:
-        return json.dumps({
-            "lmax": self.lmax,
-            "max_contexts": self.caps.max_contexts,
-            "max_language_words": self.caps.max_language_words,
-            "schema": CACHE_SCHEMA,
-            "source": _source_hash(),
-            "version": __version__,
-        }, sort_keys=True)
+        return json.dumps({"lmax": self.lmax, "source": _source_hash()}, sort_keys=True)
 
 
 def _env(name: str):
@@ -94,20 +78,20 @@ def _config_from(args) -> RunConfig:
             return conv(raw)
         return default
 
-    lmax = pick(getattr(args, "lmax", None), "LMAX", DEFAULT_LMAX, int)
+    try:
+        lmax = pick(getattr(args, "lmax", None), "LMAX", DEFAULT_LMAX, int)
+    except ValueError:   # the flag is an int already, so the value came from the environment
+        raise ValidationError(
+            f"{ENV_PREFIX}LMAX must be an integer, not {_env('LMAX')!r}") from None
     fmt = pick(getattr(args, "format", None), "FORMAT", "table", str)
     if fmt not in ("table", "json"):
         raise ValidationError(f"unknown output format {fmt!r}")
     cache_dir = pick(getattr(args, "cache_dir", None), "CACHE_DIR",
                      Path.home() / ".cache" / "shiftk", Path)
     no_cache = bool(getattr(args, "no_cache", False)) or _env("NO_CACHE") == "1"
-    caps = Caps(
-        max_contexts=pick(None, "MAX_CONTEXTS", DEFAULT_CAPS.max_contexts, int),
-        max_language_words=pick(None, "MAX_LANGUAGE_WORDS", DEFAULT_CAPS.max_language_words, int),
-    )
     if lmax < 1:
         raise ValidationError("lmax must be >= 1")
-    return RunConfig(lmax, fmt, Path(cache_dir), no_cache, caps)
+    return RunConfig(lmax, fmt, Path(cache_dir), no_cache)
 
 
 def _emit(text: str) -> None:
@@ -197,7 +181,7 @@ def _print_record(record: dict, cfg: RunConfig) -> None:
 
 def cmd_invariants(args) -> int:
     cfg = _config_from(args)
-    p = load_presentation(args.file, cfg.caps)
+    p = load_presentation(args.file)
     cache_file = _cache_path(cfg, p)
     record = None
     if not cfg.no_cache:
@@ -212,7 +196,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_classes(args) -> int:
     cfg = _config_from(args)
-    p = load_presentation(args.file, cfg.caps)
+    p = load_presentation(args.file)
     chain = build_chain(p, cfg.lmax)
     if cfg.fmt == "json":
         _emit_json({"presentation": p.content_hash(), **chain_to_json(chain)})
@@ -250,7 +234,7 @@ def _sig_text(p, signature) -> str:
 
 def cmd_matrices(args) -> int:
     cfg = _config_from(args)
-    p = load_presentation(args.file, cfg.caps)
+    p = load_presentation(args.file)
     chain = build_chain(p, cfg.lmax)
     if cfg.fmt == "json":
         _emit_json({
@@ -273,7 +257,7 @@ def cmd_matrices(args) -> int:
 
 def cmd_kgroups(args) -> int:
     cfg = _config_from(args)
-    p = load_presentation(args.file, cfg.caps)
+    p = load_presentation(args.file)
     kg = k_groups(build_chain(p, cfg.lmax))
     if cfg.fmt == "json":
         _emit_json({"k0": kg.k0.to_json(), "k1": kg.k1.to_json()})
@@ -284,7 +268,7 @@ def cmd_kgroups(args) -> int:
 
 def cmd_triple(args) -> int:
     cfg = _config_from(args)
-    p = load_presentation(args.file, cfg.caps)
+    p = load_presentation(args.file)
     triple = dimension_triple(build_chain(p, cfg.lmax))
     if cfg.fmt == "json":
         _emit_json(triple.to_json())
@@ -298,7 +282,7 @@ def cmd_triple(args) -> int:
 
 def cmd_transform(args) -> int:
     cfg = _config_from(args)
-    p = load_presentation(args.file, cfg.caps)
+    p = load_presentation(args.file)
     try:
         move = json.loads(args.move)
     except json.JSONDecodeError as exc:
@@ -311,16 +295,23 @@ def cmd_transform(args) -> int:
     if kind == "higher_block":
         if set(move) != {"move", "n"}:
             raise ValidationError('higher_block descriptor fields: {"move","n"}')
-        out, report = higher_block(p, int(move["n"]))
+        n = move["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValidationError(f"higher_block n must be an integer, not {n!r}")
+        out, report = higher_block(p, n)
         outputs.append((Path(args.out), out))
     elif kind == "expand":
         if set(move) != {"move", "a0", "star"}:
             raise ValidationError('expand descriptor fields: {"move","a0","star"}')
+        if not all(isinstance(move[k], str) for k in ("a0", "star")):
+            raise ValidationError("expand a0 and star must be strings")
         out, report = symbolic_expansion(p, move["a0"], move["star"])
         outputs.append((Path(args.out), out))
     elif kind == "split":
         if set(move) != {"move", "f"}:
             raise ValidationError('split descriptor fields: {"move","f"}')
+        if not isinstance(move["f"], dict):
+            raise ValidationError("split f must be an object from letters to [first, second]")
         expr = BipartiteExpression.from_mapping(move["f"])
         union, second, report = split_letters(p, expr)
         out_path = Path(args.out)
@@ -347,8 +338,8 @@ def cmd_transform(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _config_from(args)
-    pa = load_presentation(args.file_a, cfg.caps)
-    pb = load_presentation(args.file_b, cfg.caps)
+    pa = load_presentation(args.file_a)
+    pb = load_presentation(args.file_b)
     ta, tb = (dimension_triple(build_chain(p, cfg.lmax)) for p in (pa, pb))
     rows = [("K0", ta.k_groups.k0.render(), tb.k_groups.k0.render()),
             ("K1", ta.k_groups.k1.render(), tb.k_groups.k1.render()),
@@ -373,7 +364,7 @@ def cmd_compare(args) -> int:
 
 def cmd_model_verify(args) -> int:
     cfg = _config_from(args)
-    p = load_presentation(args.file, cfg.caps)
+    p = load_presentation(args.file)
     if not isinstance(p, FiniteShift):
         raise ValidationError("model verification needs a finite presentation")
     model = FiniteModel(p)

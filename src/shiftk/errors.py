@@ -14,7 +14,7 @@ class AlphabetMismatchError(ValidationError):
 
 
 class ResourceCapError(ShiftError):
-    """A configured size cap (contexts, words, subset graph) was exceeded."""
+    """A size cap (``presentations.MAX_CONTEXTS`` or ``MAX_LANGUAGE_WORDS``) was exceeded."""
 
 
 class ConsistencyError(ShiftError):

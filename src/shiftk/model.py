@@ -403,21 +403,21 @@ def verify_structure(ops: _Operators) -> CheckReport:
     return rep
 
 
-def _test_functions(ops: _Operators, seed: int) -> list[Func]:
+def _test_functions(ops: _Operators) -> list[Func]:
     """The distinct cylinder indicators in first-seen order, then three seeded random functions."""
     seen = dict.fromkeys(ops.diagonal)
-    rng = random.Random(seed)
+    rng = random.Random(20240311)
     for _ in range(3):
         f = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(ops.model.n))
         seen.setdefault(f, None)
     return list(seen)
 
 
-def verify_composition_rules(ops: _Operators, seed: int = 20240311) -> CheckReport:
+def verify_composition_rules(ops: _Operators) -> CheckReport:
     """Prepend/compose/transfer identities against the word operators."""
     rep = CheckReport("composition rules")
     model, max_len = ops.model, ops.max_len
-    funcs = _test_functions(ops, seed)
+    funcs = _test_functions(ops)
     phis = [ops.diagonal[f] if f in ops.diagonal else op_diagonal(model, f) for f in funcs]
     # diagonals of f after the k-fold shift, k = 0..max_len, one row per test function
     composed = []
@@ -465,10 +465,9 @@ def verify_composition_rules(ops: _Operators, seed: int = 20240311) -> CheckRepo
     return rep
 
 
-def run_all_checks(model: FiniteModel, max_len: int, seed: int = 20240311) -> list[CheckReport]:
+def run_all_checks(model: FiniteModel, max_len: int) -> list[CheckReport]:
     ops = _Operators(model, max_len)
-    return [verify_representation(ops), verify_structure(ops),
-            verify_composition_rules(ops, seed)]
+    return [verify_representation(ops), verify_structure(ops), verify_composition_rules(ops)]
 
 
 # ---------------------------------------------------------------------------

@@ -45,19 +45,12 @@ from .errors import (
 from .words import EPSILON, Alphabet, Point, Word
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Size limits for the enumerative parts of the library."""
-
-    max_contexts: int = 4096
-    max_language_words: int = 200000
-
-    def __post_init__(self):
-        if min(self.max_contexts, self.max_language_words) < 1:
-            raise ValidationError("caps must be positive")
-
-
-DEFAULT_CAPS = Caps()
+# Size caps of the enumerative parts, read at call time: an SFT's suffix
+# windows, a sofic monoid and a recoding's blocks or paths count against
+# MAX_CONTEXTS, a language or predecessor set against MAX_LANGUAGE_WORDS.
+# A cap only decides whether a call is refused, never what it returns.
+MAX_CONTEXTS = 4096
+MAX_LANGUAGE_WORDS = 200000
 
 
 @dataclass(frozen=True)
@@ -101,7 +94,6 @@ class Presentation:
 
     kind: str
     alphabet: Alphabet
-    caps: Caps
 
     # -- core context interface -------------------------------------------
 
@@ -212,9 +204,8 @@ class FiniteShift(Presentation):
 
     kind = "finite"
 
-    def __init__(self, alphabet: Alphabet, points, caps: Caps = DEFAULT_CAPS):
+    def __init__(self, alphabet: Alphabet, points):
         self.alphabet = alphabet
-        self.caps = caps
         points = list(points)
         if len(points) != len(set(points)):
             raise ValidationError("duplicate points in finite presentation")
@@ -279,9 +270,8 @@ class SftShift(Presentation):
 
     kind = "sft"
 
-    def __init__(self, alphabet: Alphabet, forbidden, caps: Caps = DEFAULT_CAPS):
+    def __init__(self, alphabet: Alphabet, forbidden):
         self.alphabet = alphabet
-        self.caps = caps
         words = set()
         for w in forbidden:
             w = tuple(w)
@@ -322,13 +312,13 @@ class SftShift(Presentation):
         infinite path.  The window after w on letter a is (w + a) minus its
         first letter, the empty word when the memory is 0.
         """
-        m, cap = self.memory, self.caps.max_contexts
+        m = self.memory
         edges = {}   # admissible window -> [(letter, next admissible window)]
         stack = [EPSILON]
         while stack:
             w = stack.pop()
-            if len(w) == m and len(edges) == cap:
-                raise ResourceCapError(f"number of suffix windows exceeds cap {cap}")
+            if len(w) == m and len(edges) == MAX_CONTEXTS:
+                raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
             ok = [u for u in (w + (a,) for a in self.alphabet) if self._tail_ok(u)]
             if len(w) < m:
                 stack.extend(ok)
@@ -389,7 +379,7 @@ class SftShift(Presentation):
         }
 
 
-def vertex_sft_from_adjacency(adjacency, caps: Caps = DEFAULT_CAPS) -> SftShift:
+def vertex_sft_from_adjacency(adjacency) -> SftShift:
     """Vertex shift of a 0/1 matrix: symbol i may be followed by j iff A[i][j] == 1."""
     n = len(adjacency)
     if n == 0:
@@ -402,7 +392,7 @@ def vertex_sft_from_adjacency(adjacency, caps: Caps = DEFAULT_CAPS) -> SftShift:
                 raise ValidationError("adjacency entries must be 0 or 1")
     alphabet = Alphabet(tuple(str(i) for i in range(n)))
     forbidden = [(i, j) for i in range(n) for j in range(n) if adjacency[i][j] == 0]
-    return SftShift(alphabet, forbidden, caps)
+    return SftShift(alphabet, forbidden)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +424,9 @@ class SoficShift(Presentation):
     kind = "sofic"
 
     def __init__(self, states: tuple[str, ...], alphabet: Alphabet,
-                 edges: tuple[tuple[int, int, int], ...], caps: Caps = DEFAULT_CAPS):
+                 edges: tuple[tuple[int, int, int], ...]):
         self.states = states
         self.alphabet = alphabet
-        self.caps = caps
         self.edges = tuple(sorted(set(edges)))
         n = len(states)
         for (q, r, a) in self.edges:
@@ -447,11 +436,10 @@ class SoficShift(Presentation):
         for (q, r, a) in self.edges:
             rows[a][q] |= 1 << r
         self._rows = tuple(tuple(r) for r in rows)
-        self._full = (1 << n) - 1
         self.contexts  # force emptiness check
 
     @classmethod
-    def build(cls, state_names, edge_triples, caps: Caps = DEFAULT_CAPS) -> "SoficShift":
+    def build(cls, state_names, edge_triples) -> "SoficShift":
         """Trim and canonicalize a labeled graph given by names."""
         names = list(state_names)
         if len(set(names)) != len(names):
@@ -478,7 +466,7 @@ class SoficShift(Presentation):
         alphabet = Alphabet(symbols)
         sidx = {q: i for i, q in enumerate(kept)}
         edges = tuple(sorted((sidx[q], sidx[r], alphabet.index(s)) for (q, r, s) in triples))
-        return cls(kept, alphabet, edges, caps)
+        return cls(kept, alphabet, edges)
 
     # boolean-matrix monoid -----------------------------------------------------
 
@@ -509,9 +497,9 @@ class SoficShift(Presentation):
                     index[nxt] = len(order)
                     order.append(nxt)
                     words.append(words[i] + (a,))
-                    if len(order) > self.caps.max_contexts:
+                    if len(order) > MAX_CONTEXTS:
                         raise ResourceCapError(
-                            f"sofic subset construction exceeds cap {self.caps.max_contexts}")
+                            f"sofic subset construction exceeds cap {MAX_CONTEXTS}")
                 row.append(index[nxt])
             succ.append(tuple(row))
         masks = [sum(1 << q for q, r in enumerate(mat) if r) for mat in order]
@@ -558,32 +546,33 @@ class SoficShift(Presentation):
             rows.append(tuple(index.get(pre) for pre in row))
         return tuple(rows)
 
-    def _state_set(self, point: Point) -> int:
-        """Greatest fixpoint over the lasso: the set of states reading the point."""
-        per = point.per
-        n_per = len(per)
-        c = [self._full] * n_per
-        while True:
-            changed = False
-            for j in reversed(range(n_per)):
-                new = self._pre_mask(per[j], c[(j + 1) % n_per])
-                if new != c[j]:
-                    c[j] = new
-                    changed = True
-            if not changed:
-                break
-        mask = c[0]
-        for a in reversed(point.pre):
-            mask = self._pre_mask(a, mask)
-        return mask
+    def _point_mask(self, point: Point) -> int:
+        """The mask of the states reading the point, off the Cayley table.
+
+        A state reads the point when it reads every prefix, and the states
+        reading a prefix only shrink as the prefix grows.  Walking the table
+        along the head, then one whole period at a time, repeats an index at
+        a period start; the masks are constant on that cycle, so its mask is
+        the set.
+        """
+        _, masks, succ = self._monoid
+        i = 0
+        for a in point.pre:
+            i = succ[i][a]
+        seen = set()
+        while i not in seen:
+            seen.add(i)
+            for a in point.per:
+                i = succ[i][a]
+        return masks[i]
 
     def contains(self, point):
         self.check_point(point)
-        return self._state_set(point) != 0
+        return self._point_mask(point) != 0
 
     def context_of(self, point):
         self.check_point(point)
-        mask = self._state_set(point)
+        mask = self._point_mask(point)
         if not mask:
             raise ValidationError("point is not in the shift space")
         return StateSetContext(self._states_of(mask))
@@ -631,10 +620,10 @@ def language(p: Presentation, k: int) -> list[Word]:
     """
     if k < 0:
         raise ValidationError("word length must be >= 0")
-    cap = p.caps.max_language_words
-    frontiers = predecessor_frontiers(range(len(p.contexts)), p.steps, len(p.alphabet), k, cap)
+    frontiers = predecessor_frontiers(range(len(p.contexts)), p.steps, len(p.alphabet), k,
+                                      MAX_LANGUAGE_WORDS)
     if len(frontiers) <= k:
-        raise ResourceCapError(f"language size exceeds cap {cap}")
+        raise ResourceCapError(f"language size exceeds cap {MAX_LANGUAGE_WORDS}")
     return sorted(frontiers[k])
 
 
@@ -680,12 +669,12 @@ def predecessor_set(p: Presentation, ctx: Context, k: int) -> list[Word]:
     """P_k for any point with context ``ctx``: length-k words u with u.x in the shift."""
     if k < 0:
         raise ValidationError("predecessor length must be >= 0")
-    cap = p.caps.max_language_words
     if ctx not in p.context_index:
         raise ValidationError("context is not realizable for this presentation")
-    frontiers = predecessor_frontiers((p.context_index[ctx],), p.steps, len(p.alphabet), k, cap)
+    frontiers = predecessor_frontiers((p.context_index[ctx],), p.steps, len(p.alphabet), k,
+                                      MAX_LANGUAGE_WORDS)
     if len(frontiers) <= k:
-        raise ResourceCapError(f"predecessor set exceeds cap {cap}")
+        raise ResourceCapError(f"predecessor set exceeds cap {MAX_LANGUAGE_WORDS}")
     return sorted(frontiers[k])
 
 
@@ -709,7 +698,7 @@ _SCHEMAS = {
 }
 
 
-def parse_presentation(obj, caps: Caps = DEFAULT_CAPS) -> Presentation:
+def parse_presentation(obj) -> Presentation:
     """Parse the strict JSON presentation format; unknown fields are rejected."""
     if not isinstance(obj, dict):
         raise ValidationError("presentation must be a JSON object")
@@ -726,7 +715,7 @@ def parse_presentation(obj, caps: Caps = DEFAULT_CAPS) -> Presentation:
     if kind == "sft_matrix":
         if not isinstance(obj["adjacency"], list):
             raise ValidationError("adjacency must be a list of rows")
-        return vertex_sft_from_adjacency(obj["adjacency"], caps)
+        return vertex_sft_from_adjacency(obj["adjacency"])
 
     if kind == "sofic":
         if not isinstance(obj["states"], list) or not isinstance(obj["edges"], list):
@@ -736,7 +725,7 @@ def parse_presentation(obj, caps: Caps = DEFAULT_CAPS) -> Presentation:
             if not (isinstance(e, list) and len(e) == 3):
                 raise ValidationError(f"sofic edge {e!r} must be a [from, to, symbol] triple")
             edges.append((e[0], e[1], e[2]))
-        return SoficShift.build(obj["states"], edges, caps)
+        return SoficShift.build(obj["states"], edges)
 
     if not isinstance(obj.get("alphabet"), list):
         raise ValidationError("alphabet must be a list of symbols")
@@ -750,17 +739,17 @@ def parse_presentation(obj, caps: Caps = DEFAULT_CAPS) -> Presentation:
             if not isinstance(w, list):
                 raise ValidationError(f"forbidden word {w!r} must be a list of symbols")
             forbidden.append(alphabet.word(w))
-        return SftShift(alphabet, forbidden, caps)
+        return SftShift(alphabet, forbidden)
 
     points = []
     for item in obj["points"]:
         if not isinstance(item, dict) or set(item) != {"pre", "per"}:
             raise ValidationError(f"point {item!r} must be an object with fields pre, per")
         points.append(Point.from_symbols(alphabet, item["pre"], item["per"]))
-    return FiniteShift(alphabet, points, caps)
+    return FiniteShift(alphabet, points)
 
 
-def load_presentation(path, caps: Caps = DEFAULT_CAPS) -> Presentation:
+def load_presentation(path) -> Presentation:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -770,7 +759,7 @@ def load_presentation(path, caps: Caps = DEFAULT_CAPS) -> Presentation:
                     f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
-    return parse_presentation(obj, caps)
+    return parse_presentation(obj)
 
 
 def dump_presentation(p: Presentation, path) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import presentations
 from .errors import ResourceCapError, ValidationError
 from .presentations import (
     FiniteShift,
@@ -168,9 +169,9 @@ def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport
     # each block starts a window of an SFT output and has its own matrix in a
     # sofic output's monoid, so an output with more blocks than the context
     # cap would be refused: refuse before building it
-    if len(blocks) > p.caps.max_contexts:
-        raise ResourceCapError(
-            f"higher-block alphabet of {len(blocks)} blocks exceeds cap {p.caps.max_contexts}")
+    cap = presentations.MAX_CONTEXTS
+    if len(blocks) > cap:
+        raise ResourceCapError(f"higher-block alphabet of {len(blocks)} blocks exceeds cap {cap}")
     names = [_block_name(p.alphabet, w) for w in blocks]
     symbol_map = {nm: list(p.alphabet.word_symbols(w)) for nm, w in zip(names, blocks)}
     move = {"move": "higher_block", "n": n}
@@ -188,7 +189,7 @@ def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport
                 parts = [w[j:j + n] for j in range(len(w) - n + 1)]
                 if all(part in idx for part in parts):
                     forbidden.append(tuple(idx[part] for part in parts))
-        out = SftShift(out_alphabet, forbidden, p.caps)
+        out = SftShift(out_alphabet, forbidden)
         return out, TransformReport(p.content_hash(), move, {"blocks": symbol_map})
 
     # sofic: the graph whose states are paths of length n-1; grouping the
@@ -201,9 +202,8 @@ def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport
         nxt = []
         for path in paths:
             nxt.extend(path + (e,) for e in out_edges.get(path[-1][1], ()))
-            if len(nxt) > p.caps.max_contexts:
-                raise ResourceCapError(
-                    f"higher-block path graph exceeds cap {p.caps.max_contexts}")
+            if len(nxt) > cap:
+                raise ResourceCapError(f"higher-block path graph exceeds cap {cap}")
         paths = nxt
     paths.sort()
     pname = {path: f"q{i:04d}" for i, path in enumerate(paths)}
@@ -213,7 +213,7 @@ def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport
             succ = path[1:] + (e,)
             word = tuple(edge[2] for edge in path) + (e[2],)
             edges.append((pname[path], pname[succ], _block_name(p.alphabet, word)))
-    out = SoficShift.build(list(pname.values()), edges, p.caps)
+    out = SoficShift.build(list(pname.values()), edges)
     return out, TransformReport(p.content_hash(), move, {"blocks": symbol_map})
 
 
@@ -247,7 +247,7 @@ def symbolic_expansion(p: Presentation, a0: str, star: str) -> tuple[Presentatio
             y = Point(eta(x.pre), eta(x.per))
             points.add(y)
             points.add(y.shift())
-        out = FiniteShift(out_alphabet, points, p.caps)
+        out = FiniteShift(out_alphabet, points)
         return out, TransformReport(p.content_hash(), move, {"inserted_after": {a0: star}})
 
     states, edges = _as_labeled_graph(p)
@@ -262,7 +262,7 @@ def symbolic_expansion(p: Presentation, a0: str, star: str) -> tuple[Presentatio
             new_edges.append((mid, r, star))
         else:
             new_edges.append((q, r, sym))
-    out = SoficShift.build(new_states, new_edges, p.caps)
+    out = SoficShift.build(new_states, new_edges)
     return out, TransformReport(p.content_hash(), move, {"inserted_after": {a0: star}})
 
 
@@ -295,7 +295,7 @@ def split_letters(p: Presentation, expr: BipartiteExpression):
         union_states.append(mid)
         union_edges.append((q, mid, b))
         union_edges.append((mid, r, c))
-    union = SoficShift.build(union_states, union_edges, p.caps)
+    union = SoficShift.build(union_states, union_edges)
 
     second_edges = []
     second_map = {}
@@ -309,7 +309,7 @@ def split_letters(p: Presentation, expr: BipartiteExpression):
             d = _join_names((c, b2))
             second_map[d] = [c, b2]
             second_edges.append((mids[(q, r, sym, i)], mids[(q2, r2, sym2, j)], d))
-    second = SoficShift.build(list(mids.values()), second_edges, p.caps)
+    second = SoficShift.build(list(mids.values()), second_edges)
 
     report = TransformReport(
         p.content_hash(),

@@ -21,6 +21,7 @@ from shiftk import (
     invariants,
     parse_presentation,
     partitions,
+    presentations,
 )
 from shiftk.cli import main
 
@@ -162,6 +163,23 @@ def test_transform_bad_descriptor(files, capsys):
     assert code == 2 and "unknown move" in err
 
 
+@pytest.mark.parametrize("descriptor, message", [
+    ('{"move":"higher_block","n":"x"}', "n must be an integer"),
+    ('{"move":"higher_block","n":null}', "n must be an integer"),
+    ('{"move":"higher_block","n":2.7}', "n must be an integer"),
+    ('{"move":"higher_block","n":true}', "n must be an integer"),
+    ('{"move":"split","f":["a"]}', "f must be an object"),
+    ('{"move":"expand","a0":["0"],"star":"*"}', "a0 and star must be strings"),
+    ('{"move":"expand","a0":"0","star":1}', "a0 and star must be strings"),
+], ids=["n-string", "n-null", "n-float", "n-bool", "f-list", "a0-list", "star-int"])
+def test_transform_malformed_descriptor_is_refused(files, capsys, descriptor, message):
+    out = files["dir"] / "never-written.json"
+    code, stdout, err = run(capsys, "transform", files["full2"], descriptor, str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_compare_exit_codes(files, capsys, tmp_path):
     gm2 = tmp_path / "gm2.json"
     run(capsys, "transform", files["golden_mean"], '{"move":"higher_block","n":2}', str(gm2))
@@ -248,6 +266,13 @@ def test_env_overrides_format(files, capsys, monkeypatch):
     assert json.loads(out)["k0"]["torsion"] == [2]
 
 
+def test_non_integer_lmax_from_the_environment_is_refused(files, capsys, monkeypatch):
+    monkeypatch.setenv("SHIFTK_LMAX", "abc")
+    code, out, err = run(capsys, "kgroups", files["full3"])
+    assert (code, out) == (2, "")
+    assert err == "error: SHIFTK_LMAX must be an integer, not 'abc'\n"
+
+
 def test_cache_misses_when_sources_change(files, capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     args = ("invariants", files["golden_mean"], "--cache-dir", str(cache), "--format", "json")
@@ -292,8 +317,8 @@ def test_output_independent_of_caps_and_state_names(tmp_path, capsys, monkeypatc
         return out
 
     default = outputs()
-    monkeypatch.setenv("SHIFTK_MAX_CONTEXTS", "300")
-    monkeypatch.setenv("SHIFTK_MAX_LANGUAGE_WORDS", "1")
+    monkeypatch.setattr(presentations, "MAX_CONTEXTS", 300)
+    monkeypatch.setattr(presentations, "MAX_LANGUAGE_WORDS", 1)
     monkeypatch.setattr(partitions, "SIGNATURE_WORD_LIMIT", 2)
     assert outputs() == default
 

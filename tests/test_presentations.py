@@ -15,7 +15,6 @@ from helpers import (
 )
 from shiftk import (
     AlphabetMismatchError,
-    Caps,
     ConsistencyError,
     FiniteShift,
     Point,
@@ -24,10 +23,12 @@ from shiftk import (
     ValidationError,
     contains,
     context_of,
+    higher_block,
     in_cylinder,
     language,
     parse_presentation,
     predecessor_set,
+    presentations,
     realizable_contexts,
 )
 from shiftk.presentations import PointContext, StateSetContext, SuffixContext, _live
@@ -129,26 +130,62 @@ def test_language_suffix_projection_gap_without_surjectivity(pair):
     assert set(language(pair, 1)) == {(0,), (1,)}
 
 
-def test_language_cap():
-    p = parse_presentation(CORPUS_OBJECTS["full4"], Caps(max_language_words=5))
+def test_language_cap(monkeypatch):
+    p = parse_presentation(CORPUS_OBJECTS["full4"])
+    monkeypatch.setattr(presentations, "MAX_LANGUAGE_WORDS", 5)
     with pytest.raises(ResourceCapError):
         language(p, 3)
 
 
-def test_sofic_subset_cap():
+def test_sofic_subset_cap(monkeypatch):
+    monkeypatch.setattr(presentations, "MAX_CONTEXTS", 2)
     with pytest.raises(ResourceCapError):
-        parse_presentation(CORPUS_OBJECTS["even"], Caps(max_contexts=2)).contexts
+        parse_presentation(CORPUS_OBJECTS["even"]).contexts
 
 
-def test_sft_window_cap_counts_every_window():
+def test_sft_window_cap_counts_every_window(monkeypatch):
     # memory 1 with all 6 one-letter windows, and memory 2 with all 9 two-letter windows
     six = {"type": "sft_matrix", "adjacency": [[0] + [1] * 5] + [[1] * 6] * 5}
     nine = {"type": "sft", "alphabet": ["0", "1", "2"], "forbidden": [["0", "0", "0"]]}
     for obj, windows in ((six, 6), (nine, 9)):
-        assert len(parse_presentation(obj, Caps(max_contexts=windows)).contexts) == windows
+        monkeypatch.setattr(presentations, "MAX_CONTEXTS", windows)
+        assert len(parse_presentation(obj).contexts) == windows
         for cap in (2, windows - 2, windows - 1):
+            monkeypatch.setattr(presentations, "MAX_CONTEXTS", cap)
             with pytest.raises(ResourceCapError):
-                parse_presentation(obj, Caps(max_contexts=cap))
+                parse_presentation(obj)
+
+
+def test_each_cap_refuses_one_past_it_with_its_own_message(monkeypatch):
+    # every reader takes the cap at call time, so one setattr on
+    # presentations reaches them all, the recoding in transforms included
+    six = {"type": "sft_matrix", "adjacency": [[0] + [1] * 5] + [[1] * 6] * 5}
+    # two states joined every way by 0: one block of length 3, but 8 paths of 2 edges
+    zeros = parse_presentation({"type": "sofic", "states": ["a", "b"],
+                                "edges": [[q, r, "0"] for q in "ab" for r in "ab"]})
+    full2 = make("full2")
+    # (cap, the count the call meets, call, message): refused at a cap of
+    # count - 1, run through at a cap of count
+    cases = [
+        ("MAX_CONTEXTS", 6, lambda: parse_presentation(six),
+         "number of suffix windows exceeds cap"),
+        ("MAX_CONTEXTS", 7, lambda: parse_presentation(CORPUS_OBJECTS["even"]),
+         "sofic subset construction exceeds cap"),
+        ("MAX_CONTEXTS", 8, lambda: higher_block(full2, 3),
+         "higher-block alphabet of 8 blocks exceeds cap"),
+        ("MAX_CONTEXTS", 8, lambda: higher_block(zeros, 3),
+         "higher-block path graph exceeds cap"),
+        ("MAX_LANGUAGE_WORDS", 8, lambda: language(full2, 3),
+         "language size exceeds cap"),
+        ("MAX_LANGUAGE_WORDS", 8, lambda: predecessor_set(full2, full2.contexts[0], 3),
+         "predecessor set exceeds cap"),
+    ]
+    for cap, count, call, message in cases:
+        monkeypatch.setattr(presentations, cap, count - 1)
+        with pytest.raises(ResourceCapError, match=f"^{message} {count - 1}$"):
+            call()
+        monkeypatch.setattr(presentations, cap, count)
+        call()
 
 
 def test_sft_matrix_rejects_bad_entries():
@@ -329,23 +366,24 @@ def _round_based_window_graph(obj, cap):
     return {w: edges(w, live) for w in sorted(live)}
 
 
-def test_sft_window_graph_is_the_round_based_trim():
+def test_sft_window_graph_is_the_round_based_trim(monkeypatch):
     rng = random.Random(71)
     objs = [obj for obj in CORPUS_OBJECTS.values() if obj["type"] in ("sft", "sft_matrix")]
     objs += [_dead_path(n) for n in (1, 2, 3, 7)]
     for i in range(300):
         objs.append(_random_sft(rng, rng.randint(0, 4)) if i % 2 else _random_vertex_sft(rng))
-    for caps in (Caps(), Caps(max_contexts=5)):
+    for cap in (presentations.MAX_CONTEXTS, 5):
+        monkeypatch.setattr(presentations, "MAX_CONTEXTS", cap)
         for obj in objs:
-            expected = _round_based_window_graph(obj, caps.max_contexts)
+            expected = _round_based_window_graph(obj, cap)
             if expected == "cap":
                 with pytest.raises(ResourceCapError, match="suffix windows exceeds cap"):
-                    parse_presentation(obj, caps)
+                    parse_presentation(obj)
             elif not expected:
                 with pytest.raises(ValidationError, match="empty shift space"):
-                    parse_presentation(obj, caps)
+                    parse_presentation(obj)
             else:
-                assert parse_presentation(obj, caps).window_graph == expected, obj
+                assert parse_presentation(obj).window_graph == expected, obj
 
 
 def test_sft_parse_tests_each_prefix_and_letter_once(monkeypatch):
@@ -439,6 +477,55 @@ def test_sofic_contains_matches_state_sets(even):
     ]
     for x in samples:
         assert contains(even, x) == bool(oracle_state_set(even, x))
+
+
+def _round_based_state_set(p, x):
+    """The states reading x: whole passes backward over the period until no
+    mask changes (a greatest fixpoint from all states), then the head."""
+    def pre_mask(a, mask):
+        return sum(1 << q for q in range(len(p.states))
+                   if any(mask >> r & 1 for (q2, r, b) in p.edges if q2 == q and b == a))
+    c = [(1 << len(p.states)) - 1] * len(x.per)
+    changed = True
+    while changed:
+        changed = False
+        for j in reversed(range(len(x.per))):
+            new = pre_mask(x.per[j], c[(j + 1) % len(x.per)])
+            changed |= new != c[j]
+            c[j] = new
+    mask = c[0]
+    for a in reversed(x.pre):
+        mask = pre_mask(a, mask)
+    return frozenset(q for q in range(len(p.states)) if mask >> q & 1)
+
+
+def test_sofic_membership_and_context_read_the_cayley_table():
+    rng = random.Random(83)
+    graphs = [CORPUS_OBJECTS["even"]]
+    for _ in range(500):
+        states = [f"s{i}" for i in range(rng.randint(1, 6))]
+        edges = {(rng.choice(states), rng.choice(states), rng.choice("012"[:rng.randint(1, 3)]))
+                 for _ in range(rng.randint(1, 3 * len(states)))}
+        graphs.append({"type": "sofic", "states": states, "edges": [list(e) for e in edges]})
+    points = 0
+    for obj in graphs:
+        try:
+            p = parse_presentation(obj)
+        except (ValidationError, ResourceCapError):
+            continue
+        n = len(p.alphabet)
+        for _ in range(40):
+            x = Point(tuple(rng.randrange(n) for _ in range(rng.randint(0, 4))),
+                      tuple(rng.randrange(n) for _ in range(rng.randint(1, 6))))
+            states = _round_based_state_set(p, x)
+            assert contains(p, x) == bool(states), (obj, x)
+            if states:
+                assert context_of(p, x) == StateSetContext(states), (obj, x)
+            else:
+                with pytest.raises(ValidationError, match="not in the shift space"):
+                    context_of(p, x)
+            points += 1
+    assert points > 10000
 
 
 # ---------------------------------------------------------------------------

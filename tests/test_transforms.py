@@ -2,7 +2,6 @@ import pytest
 
 from shiftk import (
     BipartiteExpression,
-    Caps,
     Point,
     ResourceCapError,
     ValidationError,
@@ -12,6 +11,7 @@ from shiftk import (
     k_groups,
     language,
     parse_presentation,
+    presentations,
     realizable_contexts,
     split_letters,
     symbolic_expansion,
@@ -63,21 +63,22 @@ def test_higher_block_respects_longer_forbidden_words():
         assert len(language(out, k)) == len(language(p, k + 1))
 
 
-def test_higher_block_refusals():
+def test_higher_block_refusals(monkeypatch):
     with pytest.raises(ValidationError):
         higher_block(make("pair"), 2)
     with pytest.raises(ValidationError):
         higher_block(make("full2"), 1)
-    small = parse_presentation(CORPUS_OBJECTS["full4"], Caps(max_language_words=3))
+    monkeypatch.setattr(presentations, "MAX_LANGUAGE_WORDS", 3)
     with pytest.raises(ResourceCapError):
-        higher_block(small, 2)
+        higher_block(make("full4"), 2)
 
 
 def test_higher_block_refuses_more_blocks_than_contexts_before_building(monkeypatch):
     # full2 has 8 blocks of length 3, the even shift 12 of length 4 (and a
     # monoid of 7 matrices); one length shorter stays within the cap of 7
-    sft = parse_presentation(CORPUS_OBJECTS["full2"], Caps(max_contexts=7))
-    sofic = parse_presentation(CORPUS_OBJECTS["even"], Caps(max_contexts=7))
+    monkeypatch.setattr(presentations, "MAX_CONTEXTS", 7)
+    sft = make("full2")
+    sofic = make("even")
 
     def built(*args, **kwargs):
         raise AssertionError("output presentation built")
