@@ -4,15 +4,21 @@ Everything runs on Python's arbitrary-precision integers; no fixed-width
 arithmetic is used anywhere.
 
 Ranks, cokernels and K-groups need only the rank and the invariant factors,
-which ``invariant_factors`` computes without unimodular transforms: one
-fraction-free (Bareiss) pass gives the rank r and a nonzero r x r minor
-Delta, and the row and column elimination then runs with every entry reduced
-modulo Delta (Domich-Kannan-Trotter 1987, Hafner-McCurley 1991), so entries
-never grow past Delta.  Each nonzero invariant factor divides Delta, so the
-reduction loses none of them.  The result is certified by a divisibility
-chain, a rank count and the product of the factors against Delta (equal to
-|det| on a square nonsingular matrix).  Only ``kernel`` reads a transform: V
-from ``smith_normal_form``, which eliminates once on [[M, I], [I, 0]].
+which ``invariant_factors`` computes without unimodular transforms.  A square
+nonsingular M, the usual I - S, takes one fraction-free (Bareiss) pass on
+[M | b] with b = (1, ..., 1): back-substitution gives x = +-adj(M) * b,
+certified by M * x == det * b, and g = gcd(|det|, x) is a multiple of
+s1 * ... * s(n-1).  When g == 1 the factors are (1, ..., 1, |det|); otherwise
+the row and column elimination modulo g gives s1 ... s(n-1), and sn is |det|
+over their product, checked for exact division and the divisibility chain
+(Eberly-Giesbrecht-Villard 2000, Saunders-Wan 2004).  Any other matrix takes
+one Bareiss pass for its rank r and a nonzero r x r minor Delta, and the
+elimination runs with every entry reduced modulo Delta (Domich-Kannan-Trotter
+1987, Hafner-McCurley 1991), so entries never grow past Delta.  Each nonzero
+invariant factor divides Delta, so the reduction loses none of them; the
+result is certified by a divisibility chain, a rank count and the product of
+the factors dividing Delta.  Only ``kernel`` reads a transform: V from
+``smith_normal_form``, which eliminates once on [[M, I], [I, 0]].
 """
 
 from __future__ import annotations
@@ -104,10 +110,20 @@ def _echelon(m: IntMatrix) -> tuple[int, int]:
     row swaps (1 when r == 0), so it is the determinant of a square
     nonsingular matrix.  Every division is exact.
     """
-    a = [list(r) for r in m.entries]
-    rows = m.rows
+    rank, sign, prev = _bareiss([list(r) for r in m.entries], m.cols)
+    return rank, sign * prev
+
+
+def _bareiss(a: list[list[int]], cols: int) -> tuple[int, int, int]:
+    """Fraction-free elimination, in place, of the rows ``a`` with pivots in
+    their first ``cols`` columns; entries past them (a right-hand side) are
+    carried along.  Returns the rank, the sign of the row swaps and the last
+    pivot, the minor on the pivot rows and columns of the swapped rows.  A
+    pivot row keeps its pivot on the diagonal of the echelon form; the
+    entries left of it in later rows are not cleared."""
+    rows = len(a)
     rank, sign, prev = 0, 1, 1
-    for c in range(m.cols):
+    for c in range(cols):
         pivot_row = next((i for i in range(rank, rows) if a[i][c]), None)
         if pivot_row is None:
             continue
@@ -125,7 +141,7 @@ def _echelon(m: IntMatrix) -> tuple[int, int]:
         rank += 1
         if rank == rows:
             break
-    return rank, sign * prev
+    return rank, sign, prev
 
 
 def determinant(m: IntMatrix) -> int:
@@ -340,40 +356,77 @@ def _divisibility_chain(diag: list[int]) -> list[int]:
     return [1] * (len(diag) - len(chain)) + chain
 
 
+def _certificate_failure(m: IntMatrix, modulus: int, check: str) -> ConsistencyError:
+    return ConsistencyError(
+        f"invariant factors failed the {check} check on a {m.rows}x{m.cols} matrix "
+        f"(modulus of {modulus.bit_length()} bits)")
+
+
+def _nonsingular_factors(m: IntMatrix, a: list[list[int]], p: int) -> tuple[int, ...]:
+    """Invariant factors of a square nonsingular m from its Bareiss echelon
+    form ``a`` on [m | b], b the ones vector, with last pivot p = +-det(m).
+
+    Back-substitution gives x = p * m^-1 * b = +-adj(m) * b, integral by
+    Cramer's rule, and m * x == p * b certifies it.  Every entry of adj(m)
+    is a multiple of s1 * ... * s(n-1), so g = gcd(|p|, x) is too, and the
+    reduction modulo g gives s1 ... s(n-1) exactly (Eberly-Giesbrecht-Villard
+    2000); sn is |p| over their product.  When g == 1 no reduction is needed.
+    """
+    n = m.rows
+    x = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        # exact: row[i] * x[i] is the numerator, since x is integral
+        x[i] = (p * row[n] - sum(map(operator.mul, row[i + 1:n], x[i + 1:]))) // row[i]
+    delta = abs(p)
+    if m.apply(tuple(x)) != (p,) * n:
+        raise _certificate_failure(m, delta, "M*x == det*b")
+    g = gcd(delta, *x)
+    if g == 1:
+        return (1,) * (n - 1) + (delta,)
+    diag = [gcd(v, g) for v in _diagonal_mod(m, g)]
+    head = _divisibility_chain(diag + [g] * (n - len(diag)))[:n - 1]
+    if delta % prod(head):
+        raise _certificate_failure(m, g, "product equals |det|")
+    factors = tuple(head) + (delta // prod(head),)
+    if any(t % s for s, t in zip(factors, factors[1:])):
+        raise _certificate_failure(m, g, "divisibility chain")
+    return factors
+
+
 def invariant_factors(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """Rank r and the r nonzero invariant factors d1 | d2 | ... | dr of m.
 
-    The diagonal of the reduction modulo Delta, a nonzero r x r minor, gives
-    gcd(di, Delta) = di for i <= r and Delta for the zero factors; missing
-    diagonal entries of a rectangular matrix count as zero, so it needs no
-    padding, and gcd/lcm exchanges order the diagonal into a chain.  The
-    result is certified (chain, rank count, product against Delta) and a
-    failure raises ConsistencyError naming the check.
+    A square nonsingular m takes one Bareiss pass with a right-hand side (see
+    ``_nonsingular_factors``).  Otherwise the diagonal of the reduction
+    modulo Delta, a nonzero r x r minor, gives gcd(di, Delta) = di for
+    i <= r and Delta for the zero factors; missing diagonal entries of a
+    rectangular matrix count as zero, so it needs no padding, and gcd/lcm
+    exchanges order the diagonal into a chain.  The result is certified
+    (chain, rank count, product dividing Delta) and a failure raises
+    ConsistencyError naming the check.
 
     >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
     (2, (2, 4))
     """
-    rank, minor = _echelon(m)
+    if m.rows and m.is_square():
+        a = [list(r) + [1] for r in m.entries]
+        rank, _, minor = _bareiss(a, m.cols)
+        if rank == m.rows:
+            return rank, _nonsingular_factors(m, a, minor)
+    else:
+        rank, minor = _echelon(m)
     delta = abs(minor)
     diag = [gcd(x, delta) for x in _diagonal_mod(m, delta)]
     diag += [delta] * (min(m.rows, m.cols) - len(diag))
     diag = _divisibility_chain(diag)
     factors = tuple(diag[:rank])
-
-    def fail(check: str):
-        raise ConsistencyError(
-            f"invariant factors failed the {check} check on a {m.rows}x{m.cols} matrix "
-            f"(modulus of {delta.bit_length()} bits)")
-
     if any(y % x for x, y in zip(factors, factors[1:])):
-        fail("divisibility chain")
+        raise _certificate_failure(m, delta, "divisibility chain")
     if len(factors) != rank or any(x != delta for x in diag[rank:]):
-        fail("rank count")
-    if rank == m.rows == m.cols:
-        if prod(factors) != delta:
-            fail("product equals |det|")
-    elif delta % prod(factors):
-        fail("product divides the minor")
+        raise _certificate_failure(m, delta, "rank count")
+    if delta % prod(factors):
+        raise _certificate_failure(m, delta, "product divides the minor")
     return rank, factors
 
 

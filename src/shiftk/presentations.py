@@ -4,7 +4,10 @@ Three finitely-presentable kinds are supported:
 
 * ``finite`` -- an explicit shift-closed set of eventually periodic points;
 * ``sft``    -- a shift of finite type given by finitely many forbidden words
-  (or by a 0/1 adjacency matrix, which is parsed into the vertex SFT);
+  (or by a 0/1 adjacency matrix, which is parsed into the vertex SFT: it
+  holds the window graph read off the matrix, and its forbidden pairs, every
+  zero entry, are rendered only when something reads them, so its canonical
+  bytes and content hash are those of the SFT forbidding those pairs);
 * ``sofic``  -- a labeled graph; the shift is the set of label sequences of
   infinite paths.  Sofic presentations are trimmed so that every state lies
   on a bi-infinite path, which makes them shift-surjective.
@@ -282,8 +285,43 @@ class SftShift(Presentation):
         self.forbidden = frozenset(words)
         self.forbidden_sorted = tuple(sorted(words))
         self.memory = max((len(w) for w in words), default=1) - 1
-        self._forb_lengths = tuple(sorted({len(w) for w in words}))
         self.contexts  # force emptiness check
+
+    @classmethod
+    def _vertex_shift(cls, alphabet: Alphabet, adjacency) -> "SftShift":
+        """The vertex shift of a checked 0/1 matrix with a zero entry, built
+        from its window graph: window (i,) has an edge to (j,) exactly when
+        A[i][j] == 1.  Its forbidden pairs are rendered from the untrimmed
+        matrix only when something reads them."""
+        p = object.__new__(cls)
+        p.alphabet = alphabet
+        p.memory = 1
+        p._adjacency = adjacency
+        if len(adjacency) > MAX_CONTEXTS:
+            raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
+        successors = {(i,): [(j,) for j, x in enumerate(row) if x]
+                      for i, row in enumerate(adjacency)}
+        live = _live(successors)
+        p.window_graph = {w: tuple((w2[0], w2) for w2 in successors[w] if w2 in live)
+                          for w in sorted(live)}
+        p.contexts  # force emptiness check
+        return p
+
+    @cached_property
+    def forbidden_sorted(self) -> tuple[Word, ...]:
+        """The sorted forbidden words.  Set by the constructor, except on a
+        vertex shift, whose list holds every zero entry of its adjacency,
+        dead vertices included."""
+        return tuple((i, j) for i, row in enumerate(self._adjacency)
+                     for j, x in enumerate(row) if not x)
+
+    @cached_property
+    def forbidden(self) -> frozenset[Word]:
+        return frozenset(self.forbidden_sorted)
+
+    @cached_property
+    def _forb_lengths(self) -> tuple[int, ...]:
+        return tuple(sorted({len(w) for w in self.forbidden}))
 
     # words -----------------------------------------------------------------
 
@@ -310,7 +348,8 @@ class SftShift(Presentation):
         and counts the admissible windows (memory-length words) against the
         context cap as it finds them; the live windows are those that start an
         infinite path.  The window after w on letter a is (w + a) minus its
-        first letter, the empty word when the memory is 0.
+        first letter, the empty word when the memory is 0.  A vertex shift
+        is given its graph by ``_vertex_shift`` and never runs this search.
         """
         m = self.memory
         edges = {}   # admissible window -> [(letter, next admissible window)]
@@ -346,13 +385,19 @@ class SftShift(Presentation):
     # core interface -----------------------------------------------------------
 
     def contains(self, point):
+        """A walk of the window graph along the point: each of its windows
+        starts an infinite path, so the walk meets only live windows, and
+        every factor of length memory + 1 already occurs in the head and
+        enough periods to cover the memory."""
         self.check_point(point)
-        if not self.forbidden:
-            return True
-        maxlen = self._forb_lengths[-1]
-        reps = 1 + -(-(maxlen - 1) // len(point.per))
-        window = point.pre + point.per * reps
-        return self.window_ok(window)
+        m, graph = self.memory, self.window_graph
+        word = point.pre + point.per * (1 + -(-m // len(point.per)))
+        w = word[:m]
+        for a in word[m:]:
+            w = next((w2 for b, w2 in graph.get(w, ()) if b == a), None)
+            if w is None:
+                return False
+        return True
 
     def context_of(self, point):
         if not self.contains(point):
@@ -391,8 +436,9 @@ def vertex_sft_from_adjacency(adjacency) -> SftShift:
             if x not in (0, 1):
                 raise ValidationError("adjacency entries must be 0 or 1")
     alphabet = Alphabet(tuple(str(i) for i in range(n)))
-    forbidden = [(i, j) for i in range(n) for j in range(n) if adjacency[i][j] == 0]
-    return SftShift(alphabet, forbidden)
+    if all(map(all, adjacency)):
+        return SftShift(alphabet, ())      # the full shift, of memory 0
+    return SftShift._vertex_shift(alphabet, tuple(map(tuple, adjacency)))
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,9 @@ def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport
             for iv, v in enumerate(blocks):
                 if u[1:] != v[:-1]:
                     forbidden.append((iu, iv))
-        for w in p.forbidden_sorted:
+        # a forbidden word longer than n needs memory n or more; skipping the
+        # scan below that spares a vertex shift rendering its forbidden pairs
+        for w in p.forbidden_sorted if p.memory >= n else ():
             if len(w) >= n + 1:
                 parts = [w[j:j + n] for j in range(len(w) - n + 1)]
                 if all(part in idx for part in parts):

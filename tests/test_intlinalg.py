@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import signal
@@ -198,7 +199,7 @@ def rank_mod(m, p):
     return rank
 
 
-@pytest.mark.parametrize("n", [64, 96])
+@pytest.mark.parametrize("n", [64, 96, 128])
 def test_invariant_factors_of_large_difference_matrices(n):
     rng = random.Random(n)
     b = random_matrix(rng, "i-minus-a", n, n)
@@ -209,6 +210,45 @@ def test_invariant_factors_of_large_difference_matrices(n):
     assert math.prod(factors) == abs(det)
     for p in (2, 3, 5, 7):
         assert sum(1 for d in factors if d % p == 0) == n - rank_mod(b, p)
+    # [B | 0] is rectangular, so it takes the reduction modulo the whole minor
+    padded = IntMatrix.from_rows([row + (0,) for row in b.entries])
+    assert invariant_factors(padded) == (rank, factors)
+
+
+def test_nonsingular_factors_match_smith_normal_form(monkeypatch):
+    """Square nonsingular matrices: dense, I - A, and D * U for a diagonal D
+    and a unimodular U, which give non-cyclic cokernels and so a reduction
+    modulo g = gcd(|det|, adj(M) * (1, ..., 1)) > 1."""
+    rng = random.Random(20261020)
+    moduli = []
+    diagonal_mod = intlinalg._diagonal_mod
+
+    def counting(m, modulus):
+        moduli.append(modulus)
+        return diagonal_mod(m, modulus)
+    monkeypatch.setattr(intlinalg, "_diagonal_mod", counting)
+    seen = collections.Counter()
+    while seen["matrices"] < 1200:
+        kind = rng.choice(["dense", "i-minus-a", "scaled-unimodular"])
+        n = rng.randint(1, 8)
+        if kind == "scaled-unimodular":
+            d = [rng.choice([1, 1, 2, 2, 3, 4, 6, 12]) for _ in range(n)]
+            u = random_unimodular(rng, n)
+            m = IntMatrix.from_rows([[d[i] * x for x in u[i]] for i in range(n)])
+        else:
+            m = random_matrix(rng, kind, n, n)
+        if determinant(m) == 0:
+            continue
+        reduced = len(moduli)
+        rank, factors = invariant_factors(m)
+        assert (rank, factors) == snf_factors(m), m
+        seen["matrices"] += 1
+        seen[kind] += 1
+        seen["n = 1"] += n == 1
+        seen["reduced"] += len(moduli) > reduced
+        seen["non-cyclic"] += sum(1 for x in factors if x > 1) >= 2
+    assert min(seen.values()) >= 100, seen
+    assert seen["reduced"] < seen["matrices"] - 100, seen
 
 
 def test_pivot_one_is_cleared_by_a_quotient():
@@ -236,12 +276,28 @@ def check_det_five_matrix():
     assert invariant_factors(b) == (8, (1,) * 7 + (5,)) == snf_factors(b)
 
 
+_BAREISS = intlinalg._bareiss
+
+
+def _bareiss_with_a_wrong_right_hand_side(a, cols):
+    out = _BAREISS(a, cols)
+    a[-1][-1] += 1
+    return out
+
+
+# A square nonsingular matrix reaches the reduction only when g = gcd(|det|,
+# adj(M) * (1, ..., 1)) > 1: g is 4 for diag(2, 2, 2) and 2 for diag(2, 6),
+# but 1 for diag(2, 3).
 @pytest.mark.parametrize("matrix, patch, check", [
-    ([[2, 0], [0, 3]], ("_diagonal_mod", lambda m, modulus: []), "product equals |det|"),
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], ("_diagonal_mod", lambda m, modulus: []),
+     "product equals |det|"),
     ([[2, 4], [4, 8]], ("_diagonal_mod", lambda m, modulus: [1, 1]), "rank count"),
     ([[4, 0, 0], [0, 4, 2]], ("_diagonal_mod", lambda m, modulus: [8, 8]),
      "product divides the minor"),
-    ([[2, 0], [0, 3]], ("_divisibility_chain", lambda diag: [6, 1]), "divisibility chain"),
+    ([[2, 0], [0, 6]], ("_divisibility_chain", lambda diag: [6, 1]), "divisibility chain"),
+    ([[2, 0], [0, 3]], ("_bareiss", _bareiss_with_a_wrong_right_hand_side), "M*x == det*b"),
+    ([[2, 0, 0], [0, 3, 0]], ("_divisibility_chain", lambda diag: [6, 1]),
+     "divisibility chain"),
 ])
 def test_certificate_failures_name_check_shape_and_modulus(monkeypatch, matrix, patch, check):
     m = IntMatrix.from_rows(matrix)

@@ -14,6 +14,7 @@ from helpers import (
     random_sofic,
 )
 from shiftk import (
+    Alphabet,
     AlphabetMismatchError,
     ConsistencyError,
     FiniteShift,
@@ -386,9 +387,17 @@ def test_sft_window_graph_is_the_round_based_trim(monkeypatch):
                 assert parse_presentation(obj).window_graph == expected, obj
 
 
+def _explicit_vertex_sft(adjacency):
+    """The vertex SFT of a 0/1 matrix as forbidden words: its zero entries."""
+    n = len(adjacency)
+    return SftShift(Alphabet(tuple(str(i) for i in range(n))),
+                    [(i, j) for i in range(n) for j in range(n) if not adjacency[i][j]])
+
+
 def test_sft_parse_tests_each_prefix_and_letter_once(monkeypatch):
     # the round-based trim retested every window and letter on every pass:
-    # a path into a dead vertex took one pass per vertex
+    # a path into a dead vertex took one pass per vertex.  The matrix form
+    # reads its window graph off the matrix and tests no prefix at all.
     calls = collections.Counter()
     tail_ok = SftShift._tail_ok
 
@@ -396,10 +405,64 @@ def test_sft_parse_tests_each_prefix_and_letter_once(monkeypatch):
         calls[word] += 1
         return tail_ok(self, word)
     monkeypatch.setattr(SftShift, "_tail_ok", counting)
-    p = parse_presentation(_dead_path(60))
+    dead = _dead_path(60)
+    assert [c.word for c in parse_presentation(dead).contexts] == [(0,)]
+    assert not calls
+    p = _explicit_vertex_sft(dead["adjacency"])
     assert [c.word for c in p.contexts] == [(0,)]
     assert max(calls.values()) == 1
     assert all(p.window_ok(word[:-1]) for word in calls)
+
+
+def _random_adjacency(rng):
+    """A random 0/1 matrix on 1-7 vertices at a random density, so zero rows
+    and columns, dead vertices and the all-ones matrix all occur."""
+    n = rng.randint(1, 7)
+    density = rng.choice([0.15, 0.3, 0.5, 0.8, 1.0])
+    return [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+
+
+def test_sft_matrix_parse_is_the_forbidden_pair_sft():
+    # the window graph read off the matrix against the prefix search over its
+    # zero entries: the same shift, contexts and bytes, and the forbidden
+    # list rendered only when something reads it
+    rng = random.Random(73)
+    adjacencies = [obj["adjacency"] for obj in CORPUS_OBJECTS.values()
+                   if obj["type"] == "sft_matrix"] + [_dead_path(n)["adjacency"] for n in (1, 5)]
+    while len(adjacencies) < 260:
+        adjacencies.append(_random_adjacency(rng))
+    empty = 0
+    zero_lines = 0
+    for adj in adjacencies:
+        obj = {"type": "sft_matrix", "adjacency": adj}
+        try:
+            q = _explicit_vertex_sft(adj)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as info:
+                parse_presentation(obj)
+            assert str(info.value) == str(exc)
+            empty += 1
+            continue
+        p = parse_presentation(obj)
+        # the all-ones matrix is the full shift, whose empty list is given
+        assert ("forbidden_sorted" in p.__dict__) == all(map(all, adj)), adj
+        zero_lines += any(not any(row) for row in adj) or any(not any(col) for col in zip(*adj))
+        assert p.memory == q.memory and p.window_graph == q.window_graph, adj
+        assert p.contexts == q.contexts and p.steps == q.steps, adj
+        n = len(adj)
+        points = [x for _, x in class_witnesses(q)]
+        for _ in range(20):
+            points.append(Point(tuple(rng.randrange(n) for _ in range(rng.randint(0, 3))),
+                                tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))))
+        for x in points:
+            assert p.contains(x) == q.contains(x) == _factor_free(q.forbidden, x.pre + x.per * 3)
+            if q.contains(x):
+                assert p.context_of(x) == q.context_of(x)
+        assert p.canonical_bytes() == q.canonical_bytes()
+        assert p.content_hash() == q.content_hash() and p.forbidden == q.forbidden
+    assert empty >= 5 and zero_lines >= 50, (empty, zero_lines)
+    with pytest.raises(ValidationError, match="^presentation describes the empty shift space$"):
+        parse_presentation({"type": "sft_matrix", "adjacency": [[0] * 3] * 3})
 
 
 def _round_based_trim(names, triples):
