@@ -41,7 +41,6 @@ from .presentations import (
     contains,
     context_of,
     dump_presentation,
-    in_cylinder,
     language,
     load_presentation,
     parse_presentation,

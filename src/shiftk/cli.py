@@ -4,9 +4,10 @@ Subcommands: invariants, classes, matrices, kgroups, triple, transform,
 compare, model verify.  All file input is the strict JSON presentation
 format; identical input and configuration produce byte-identical output.
 
-Exit codes: 0 success; 2 bad input or refused operation; compare uses
-0 = no invariant distinguishes, 1 = distinguished, 2 = inconclusive and
-3 for bad input.
+Exit codes: 0 success; 1 ``model verify`` found a violated identity; 2 bad
+input or refused operation; 4 internal error.  compare uses 0 = no
+invariant distinguishes, 1 = distinguished, 2 = inconclusive and 3 for bad
+input.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ preimages.  Cylinder indicators read only the shift map and the prefixes
 |u|-fold preimage of its |v|-fold shift), never the prepend index, so they
 check the word operators independently.  Words come in the alphabet's
 order (``Alphabet.words_of_length``, shorter first), and every sum of
-matrices, ``mat_add`` and ``generator_sum`` included, goes through ``_sum``.
+matrices goes through ``_sum``.
 
 The graded transfer operator appearing in the composition formula averages
 over n-step preimages in a single step (it is not the n-fold composite of
@@ -181,10 +181,6 @@ def mat_zero(n: int) -> Matrix:
     return Matrix(n)
 
 
-def mat_diag(values: Func) -> Matrix:
-    return Matrix(len(values), {(i, i): v for i, v in enumerate(values)})
-
-
 def mat_transpose(m: Matrix) -> Matrix:
     return _trusted(m.n, {(j, i): v for (i, j), v in m.entries.items()})
 
@@ -222,10 +218,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.n, out) if summed else _trusted(a.n, out)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return _sum(a.n, (a, b))
-
-
 def _sum(n: int, terms) -> Matrix:
     """The sum of the n x n matrices ``terms``, accumulated in one dict."""
     out: dict[tuple[int, int], Fraction] = {}
@@ -260,16 +252,6 @@ def op_diagonal(model: FiniteModel, f: Func) -> Matrix:
         raise ValidationError("function length does not match the basis")
     return _trusted(model.n, {(i, i): x for i, v in enumerate(f)
                               if (x := v if isinstance(v, Fraction) else Fraction(v))})
-
-
-def generator_sum(model: FiniteModel, n: int = 1) -> Matrix:
-    return _sum(model.n, (op_word(model, u) for u in model.shift.alphabet.words_of_length(n)))
-
-
-def op_lambda_shift(model: FiniteModel, x: Matrix) -> Matrix:
-    """Conjugation by the summed one-letter generators: (sum T_a)^t x (sum T_b)."""
-    s = generator_sum(model, 1)
-    return mat_mul(mat_transpose(s), mat_mul(x, s))
 
 
 def indicator_cylinder(model: FiniteModel, u: Word, v: Word) -> Func:
@@ -466,69 +448,9 @@ def verify_composition_rules(ops: _Operators) -> CheckReport:
 
 
 def run_all_checks(model: FiniteModel, max_len: int) -> list[CheckReport]:
+    """The three check families over the words of length up to ``max_len``."""
+    if max_len < 0:
+        raise ValidationError("maximum word length must be >= 0")
     ops = _Operators(model, max_len)
     return [verify_representation(ops), verify_structure(ops), verify_composition_rules(ops)]
 
-
-# ---------------------------------------------------------------------------
-# monomial span (exact residual-zero decomposition)
-
-
-class RationalSpan:
-    """Incremental row space over the rationals with exact reduction."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.pivots: dict[int, tuple[Fraction, ...]] = {}
-
-    def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
-        for col, row in self.pivots.items():
-            coeff = vec[col]
-            if coeff:
-                for i in range(self.dim):
-                    vec[i] -= coeff * row[i]
-        return vec
-
-    def add(self, vec) -> bool:
-        vec = self._reduce([Fraction(x) for x in vec])
-        for col in range(self.dim):
-            if vec[col]:
-                inv = _ONE / vec[col]
-                row = tuple(x * inv for x in vec)
-                for c2 in self.pivots:
-                    coeff = self.pivots[c2][col]
-                    if coeff:
-                        self.pivots[c2] = tuple(
-                            x - coeff * y for x, y in zip(self.pivots[c2], row))
-                self.pivots[col] = row
-                return True
-        return False
-
-    def contains(self, vec) -> bool:
-        vec = self._reduce([Fraction(x) for x in vec])
-        return all(x == 0 for x in vec)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-def flatten(m: Matrix) -> tuple[Fraction, ...]:
-    """The dense row-major vector of all n * n entries."""
-    return tuple(m.entries.get((i, j), _ZERO) for i in range(m.n) for j in range(m.n))
-
-
-def monomial(model: FiniteModel, u: Word, f: Func, v: Word) -> Matrix:
-    return mat_mul(op_word(model, u), mat_mul(op_diagonal(model, f), mat_transpose(op_word(model, v))))
-
-
-def monomial_span(model: FiniteModel, max_len: int) -> RationalSpan:
-    """Span of all T_u phi(e_x) T_v^t with |u|, |v| up to max_len."""
-    span = RationalSpan(model.n * model.n)
-    words = model.words_upto(max_len)
-    for u in words:
-        for v in words:
-            for i in range(model.n):
-                e = tuple(_ONE if j == i else _ZERO for j in range(model.n))
-                span.add(flatten(monomial(model, u, e, v)))
-    return span

@@ -117,11 +117,21 @@ class Presentation:
     # or None when a.x leaves the shift.
     steps: tuple[tuple[int | None, ...], ...]
 
-    def context_of(self, point: Point) -> Context:
+    def _context(self, point: Point) -> Context | None:
+        """The context of a point with letters in the alphabet, None when the
+        point is not in the shift."""
         raise NotImplementedError
 
     def contains(self, point: Point) -> bool:
-        raise NotImplementedError
+        self.check_point(point)
+        return self._context(point) is not None
+
+    def context_of(self, point: Point) -> Context:
+        self.check_point(point)
+        ctx = self._context(point)
+        if ctx is None:
+            raise ValidationError("point is not in the shift space")
+        return ctx
 
     def witness(self, ctx: Context) -> Point:
         """Some point of the shift whose context is ``ctx``."""
@@ -237,14 +247,8 @@ class FiniteShift(Presentation):
             rows[idx[y.shift()]][y.letter(0)] = i
         return tuple(map(tuple, rows))
 
-    def contains(self, point):
-        self.check_point(point)
-        return point in self._point_set
-
-    def context_of(self, point):
-        if not self.contains(point):
-            raise ValidationError("point is not in the shift space")
-        return PointContext(point)
+    def _context(self, point):
+        return PointContext(point) if point in self._point_set else None
 
     def witness(self, ctx):
         return ctx.point
@@ -323,14 +327,8 @@ class SftShift(Presentation):
     def _forb_lengths(self) -> tuple[int, ...]:
         return tuple(sorted({len(w) for w in self.forbidden}))
 
-    # words -----------------------------------------------------------------
-
-    def window_ok(self, word: Word) -> bool:
-        """No factor of ``word`` is forbidden: each factor ends some prefix."""
-        return all(self._tail_ok(word[:i]) for i in range(1, len(word) + 1))
-
     def _tail_ok(self, word: Word) -> bool:
-        # factors ending at the last position only
+        """No forbidden factor of ``word`` ends at its last position."""
         for L in self._forb_lengths:
             if L <= len(word) and word[-L:] in self.forbidden:
                 return False
@@ -384,25 +382,19 @@ class SftShift(Presentation):
 
     # core interface -----------------------------------------------------------
 
-    def contains(self, point):
+    def _context(self, point):
         """A walk of the window graph along the point: each of its windows
         starts an infinite path, so the walk meets only live windows, and
         every factor of length memory + 1 already occurs in the head and
         enough periods to cover the memory."""
-        self.check_point(point)
         m, graph = self.memory, self.window_graph
         word = point.pre + point.per * (1 + -(-m // len(point.per)))
         w = word[:m]
         for a in word[m:]:
             w = next((w2 for b, w2 in graph.get(w, ()) if b == a), None)
             if w is None:
-                return False
-        return True
-
-    def context_of(self, point):
-        if not self.contains(point):
-            raise ValidationError("point is not in the shift space")
-        return SuffixContext(point.prefix(self.memory))
+                return None
+        return SuffixContext(word[:m])
 
     def witness(self, ctx):
         graph = self.window_graph
@@ -433,7 +425,7 @@ def vertex_sft_from_adjacency(adjacency) -> SftShift:
         if len(row) != n:
             raise ValidationError("adjacency matrix must be square")
         for x in row:
-            if x not in (0, 1):
+            if type(x) is not int or x not in (0, 1):
                 raise ValidationError("adjacency entries must be 0 or 1")
     alphabet = Alphabet(tuple(str(i) for i in range(n)))
     if all(map(all, adjacency)):
@@ -592,8 +584,9 @@ class SoficShift(Presentation):
             rows.append(tuple(index.get(pre) for pre in row))
         return tuple(rows)
 
-    def _point_mask(self, point: Point) -> int:
-        """The mask of the states reading the point, off the Cayley table.
+    def _context(self, point):
+        """The set of states reading the point (None when it is empty), off
+        the Cayley table.
 
         A state reads the point when it reads every prefix, and the states
         reading a prefix only shrink as the prefix grows.  Walking the table
@@ -610,18 +603,7 @@ class SoficShift(Presentation):
             seen.add(i)
             for a in point.per:
                 i = succ[i][a]
-        return masks[i]
-
-    def contains(self, point):
-        self.check_point(point)
-        return self._point_mask(point) != 0
-
-    def context_of(self, point):
-        self.check_point(point)
-        mask = self._point_mask(point)
-        if not mask:
-            raise ValidationError("point is not in the shift space")
-        return StateSetContext(self._states_of(mask))
+        return StateSetContext(self._states_of(masks[i])) if masks[i] else None
 
     def witness(self, ctx):
         mask = self._mask_of(ctx)
@@ -724,15 +706,6 @@ def predecessor_set(p: Presentation, ctx: Context, k: int) -> list[Word]:
     return sorted(frontiers[k])
 
 
-def in_cylinder(p: Presentation, u: Word, v: Word, x: Point) -> bool:
-    """Membership of x in the set of points v.y with y and u.y both in the shift."""
-    u, v = tuple(u), tuple(v)
-    p.alphabet.check_word(u)
-    p.alphabet.check_word(v)
-    # contains checks x against the alphabet first
-    return p.contains(x) and x.prefix(len(v)) == v and p.contains(x.shift_by(len(v)).prepend(u))
-
-
 # ---------------------------------------------------------------------------
 # JSON input
 
@@ -759,13 +732,16 @@ def parse_presentation(obj) -> Presentation:
         raise ValidationError(f"missing fields for type {kind!r}: {sorted(missing)}")
 
     if kind == "sft_matrix":
-        if not isinstance(obj["adjacency"], list):
+        adjacency = obj["adjacency"]
+        if not isinstance(adjacency, list) or not all(isinstance(row, list) for row in adjacency):
             raise ValidationError("adjacency must be a list of rows")
-        return vertex_sft_from_adjacency(obj["adjacency"])
+        return vertex_sft_from_adjacency(adjacency)
 
     if kind == "sofic":
         if not isinstance(obj["states"], list) or not isinstance(obj["edges"], list):
             raise ValidationError("sofic states and edges must be lists")
+        if not all(isinstance(q, str) for q in obj["states"]):
+            raise ValidationError("sofic state names must be strings")
         edges = []
         for e in obj["edges"]:
             if not (isinstance(e, list) and len(e) == 3):
@@ -787,10 +763,14 @@ def parse_presentation(obj) -> Presentation:
             forbidden.append(alphabet.word(w))
         return SftShift(alphabet, forbidden)
 
+    if not isinstance(obj["points"], list):
+        raise ValidationError("points must be a list of points")
     points = []
     for item in obj["points"]:
         if not isinstance(item, dict) or set(item) != {"pre", "per"}:
             raise ValidationError(f"point {item!r} must be an object with fields pre, per")
+        if not isinstance(item["pre"], list) or not isinstance(item["per"], list):
+            raise ValidationError(f"point {item!r}: pre and per must be lists of symbols")
         points.append(Point.from_symbols(alphabet, item["pre"], item["per"]))
     return FiniteShift(alphabet, points)
 

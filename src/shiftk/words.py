@@ -44,7 +44,7 @@ class Alphabet:
     def index(self, symbol: str) -> int:
         try:
             return self._index[symbol]
-        except KeyError:
+        except (KeyError, TypeError):   # TypeError: an unhashable symbol, such as a list
             raise AlphabetMismatchError(f"symbol {symbol!r} not in alphabet {list(self.symbols)}") from None
 
     def word(self, symbols) -> Word:

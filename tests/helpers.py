@@ -1,9 +1,15 @@
 """Brute-force oracles kept independent of the production algorithms."""
 
 import random
+from fractions import Fraction
 
-from shiftk import Point, SoficShift, ValidationError, parse_presentation
+from shiftk import Point, SftShift, SoficShift, ValidationError, parse_presentation
+from shiftk.model import FiniteModel, Matrix, _sum, mat_mul, mat_transpose, op_diagonal, op_word
 from shiftk.presentations import Presentation
+from shiftk.words import Word
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def oracle_predecessors(p: Presentation, x: Point, k: int) -> list:
@@ -139,9 +145,7 @@ def oracle_cylinder_indicators(p, max_len: int) -> set:
     out = set()
     for u in words:
         for v in words:
-            out.add(tuple(
-                x.prefix(len(v)) == tuple(v) and p.contains(x.shift_by(len(v)).prepend(u))
-                for x in p.points))
+            out.add(tuple(in_cylinder(p, u, v, x) for x in p.points))
     return out
 
 
@@ -175,3 +179,95 @@ def random_finite_shift(rng: random.Random, max_letters: int = 2, max_points: in
     return {"type": "finite", "alphabet": alphabet,
             "points": [{"pre": [alphabet[a] for a in p.pre], "per": [alphabet[a] for a in p.per]}
                        for p in sorted(pts, key=lambda q: q.sort_key)]}
+
+
+# ---------------------------------------------------------------------------
+# set-level oracles
+
+
+def in_cylinder(p: Presentation, u: Word, v: Word, x: Point) -> bool:
+    """Membership of x in the set of points v.y with y and u.y both in the shift."""
+    u, v = tuple(u), tuple(v)
+    p.alphabet.check_word(u)
+    p.alphabet.check_word(v)
+    # contains checks x against the alphabet first
+    return p.contains(x) and x.prefix(len(v)) == v and p.contains(x.shift_by(len(v)).prepend(u))
+
+
+def window_ok(p: SftShift, word: Word) -> bool:
+    """No factor of ``word`` is forbidden in ``p``: each factor ends some prefix."""
+    return all(p._tail_ok(word[:i]) for i in range(1, len(word) + 1))
+
+
+# ---------------------------------------------------------------------------
+# operator-model oracles: the monomial span (exact residual-zero decomposition)
+
+
+class RationalSpan:
+    """Incremental row space over the rationals with exact reduction."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.pivots: dict[int, tuple[Fraction, ...]] = {}
+
+    def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
+        for col, row in self.pivots.items():
+            coeff = vec[col]
+            if coeff:
+                for i in range(self.dim):
+                    vec[i] -= coeff * row[i]
+        return vec
+
+    def add(self, vec) -> bool:
+        vec = self._reduce([Fraction(x) for x in vec])
+        for col in range(self.dim):
+            if vec[col]:
+                inv = _ONE / vec[col]
+                row = tuple(x * inv for x in vec)
+                for c2 in self.pivots:
+                    coeff = self.pivots[c2][col]
+                    if coeff:
+                        self.pivots[c2] = tuple(
+                            x - coeff * y for x, y in zip(self.pivots[c2], row))
+                self.pivots[col] = row
+                return True
+        return False
+
+    def contains(self, vec) -> bool:
+        vec = self._reduce([Fraction(x) for x in vec])
+        return all(x == 0 for x in vec)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def flatten(m: Matrix) -> tuple[Fraction, ...]:
+    """The dense row-major vector of all n * n entries."""
+    return tuple(m.entries.get((i, j), _ZERO) for i in range(m.n) for j in range(m.n))
+
+
+def monomial(model: FiniteModel, u: Word, f, v: Word) -> Matrix:
+    return mat_mul(op_word(model, u), mat_mul(op_diagonal(model, f), mat_transpose(op_word(model, v))))
+
+
+def monomial_span(model: FiniteModel, max_len: int) -> RationalSpan:
+    """Span of all T_u phi(e_x) T_v^t with |u|, |v| up to max_len."""
+    span = RationalSpan(model.n * model.n)
+    words = model.words_upto(max_len)
+    for u in words:
+        for v in words:
+            for i in range(model.n):
+                e = tuple(_ONE if j == i else _ZERO for j in range(model.n))
+                span.add(flatten(monomial(model, u, e, v)))
+    return span
+
+
+def generator_sum(model: FiniteModel, n: int = 1) -> Matrix:
+    return _sum(model.n, (op_word(model, u) for u in model.shift.alphabet.words_of_length(n)))
+
+
+def op_lambda_shift(model: FiniteModel, x: Matrix) -> Matrix:
+    """Conjugation by the summed one-letter generators: (sum T_a)^t x (sum T_b)."""
+    s = generator_sum(model, 1)
+    return mat_mul(mat_transpose(s), mat_mul(x, s))

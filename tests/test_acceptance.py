@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line,
+and one pinning the exact set of squares that fail criterion 3.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every expected value below was computed by an independent oracle
@@ -143,6 +144,15 @@ def test_criterion_3_commuting_diagrams():
     crit.finish(not failures,
                 f"{len(failures)} squares fail (delta/action is not an identity "
                 "on non-surjective shifts): " + "; ".join(failures[:4]))
+
+
+def test_criterion_3_failing_squares_are_pinned():
+    # the exact set of squares that keeps criterion 3 red: the delta/action
+    # square on the two non-shift-surjective corpus shifts, nothing else
+    expected = ([f"pair: delta/action square at k=0, l={l}" for l in range(1, 8)]
+                + [f"chain3: delta/action square at k=1, l={l}" for l in range(2, 8)])
+    failures = [f for name in CORPUS_OBJECTS for f in _diagram_failures(name)]
+    assert sorted(failures) == sorted(expected)
 
 
 def test_criterion_4_block_recoding_invariance():

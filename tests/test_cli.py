@@ -242,6 +242,46 @@ def test_model_verify(files, capsys):
     assert "finite presentation" in err
 
 
+def test_model_verify_refuses_a_negative_word_length(files, capsys):
+    code, out, err = run(capsys, "model", "verify", files["pair"], "--L", "-1")
+    assert (code, out, err) == (2, "", "error: maximum word length must be >= 0\n")
+
+
+_POINT_0 = {"pre": [], "per": ["0"]}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"type": "sft_matrix", "adjacency": [[1, 1], 5]}, "adjacency must be a list of rows"),
+    ({"type": "sft_matrix", "adjacency": [[True, 1], [1, 0]]}, "entries must be 0 or 1"),
+    ({"type": "sft_matrix", "adjacency": [[1, 1], [1, False]]}, "entries must be 0 or 1"),
+    ({"type": "sft_matrix", "adjacency": [[1, 1.0], [1, 0]]}, "entries must be 0 or 1"),
+    ({"type": "sft_matrix", "adjacency": [[1, 1], [1, 0.0]]}, "entries must be 0 or 1"),
+    ({"type": "sofic", "states": [0, 1], "edges": [[0, 1, "a"], [1, 0, "a"]]},
+     "state names must be strings"),
+    ({"type": "sofic", "states": [["a"]], "edges": [[["a"], ["a"], "0"]]},
+     "state names must be strings"),
+    ({"type": "finite", "alphabet": ["ab", "a", "b"],
+      "points": [{"pre": [], "per": "ab"}, {"pre": [], "per": ["b", "a"]}]},
+     "pre and per must be lists of symbols"),
+    ({"type": "finite", "alphabet": ["0", "1"], "points": [_POINT_0, {"pre": "1", "per": ["0"]}]},
+     "pre and per must be lists of symbols"),
+    ({"type": "finite", "alphabet": ["0"], "points": 5}, "points must be a list of points"),
+    ({"type": "finite", "alphabet": ["0"], "points": [{"pre": [], "per": [["0"]]}]},
+     "not in alphabet"),
+    ({"type": "sft", "alphabet": ["0"], "forbidden": [[["0"]]]}, "not in alphabet"),
+], ids=["row-int", "entry-true", "entry-false", "entry-1.0", "entry-0.0", "state-int",
+        "state-list", "per-string", "pre-string", "points-int", "symbol-list-point",
+        "symbol-list-forbidden"])
+def test_malformed_field_types_are_refused(tmp_path, capsys, obj, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_presentation(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "classes", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_reused_parser_leaks_no_state(files, capsys):
     """One process, several commands: each prints what a fresh process prints."""
     commands = [

@@ -9,34 +9,36 @@ from shiftk import (
     FiniteModel,
     Point,
     ValidationError,
-    in_cylinder,
     parse_presentation,
     run_all_checks,
 )
 from shiftk import model as model_module
 from shiftk.model import (
     Matrix,
-    RationalSpan,
     fn_compose_shift,
     fn_prepend,
     fn_transfer,
-    flatten,
     indicator_cylinder,
-    mat_add,
-    mat_diag,
     mat_identity,
     mat_mul,
     mat_zero,
-    monomial,
-    monomial_span,
     op_diagonal,
-    op_lambda_shift,
     op_word,
     preimage_count_function,
 )
 
 from conftest import FINITE_MODEL_NAMES, make
-from helpers import model_check_counts, oracle_cylinder_indicators, random_finite_shift
+from helpers import (
+    RationalSpan,
+    flatten,
+    in_cylinder,
+    model_check_counts,
+    monomial,
+    monomial_span,
+    op_lambda_shift,
+    oracle_cylinder_indicators,
+    random_finite_shift,
+)
 
 F = Fraction
 
@@ -76,7 +78,7 @@ def test_diagonal_operator_examples():
     # zeros are not stored and other numbers become Fractions
     d = op_diagonal(pair, (0, 2))
     assert d.entries == {(1, 1): F(2)} and type(d.entries[1, 1]) is F
-    assert d == mat_diag((F(0), F(2)))
+    assert d == Matrix(2, {(0, 0): F(0), (1, 1): F(2)})
 
 
 def test_words_upto_is_in_length_then_lexicographic_order():
@@ -325,6 +327,18 @@ def test_report_totals_over_random_shifts_are_pinned(monkeypatch, rotated):
     assert (totals, digest.hexdigest()[:16]) == PINNED_TOTALS[rotated]
 
 
+def test_run_all_checks_refuses_a_negative_word_length():
+    pair = model("pair")
+    with pytest.raises(ValidationError, match="^maximum word length must be >= 0$"):
+        run_all_checks(pair, -1)
+    # L = 0: the empty word alone, and four test functions (the all-ones
+    # indicator and the three seeded ones)
+    reports = run_all_checks(pair, 0)
+    assert all(r.ok for r in reports)
+    assert {r.name: r.checks for r in reports} == model_check_counts(
+        n_words=1, n_letters=2, n_funcs=4, max_len=0)
+
+
 def test_model_rejects_foreign_points():
     pair = model("pair")
     with pytest.raises(ValidationError):
@@ -358,7 +372,7 @@ def test_diagonal_embedding_injective():
 
 def test_lambda_shift_examples():
     single = model("single_point")
-    x = mat_diag((F(5),))
+    x = Matrix(1, {(0, 0): F(5)})
     assert dense(op_lambda_shift(single, x)) == ((F(5),),)
     pair = model("pair")
     zero = mat_zero(2)
@@ -412,7 +426,8 @@ def test_sparse_arithmetic_matches_dense_reference():
         a, b = _random_sparse(rng, n), _random_sparse(rng, n)
         da, db = dense(a), dense(b)
         product = _dense_mul(da, db)
-        for got, want in ((mat_mul(a, b), product), (mat_add(a, b), _dense_add(da, db))):
+        total = model_module._sum(n, (a, b))
+        for got, want in ((mat_mul(a, b), product), (total, _dense_add(da, db))):
             assert dense(got) == want
             assert all(v != 0 for v in got.entries.values())
         # entries whose products or sums cancel to zero are dropped
@@ -420,7 +435,7 @@ def test_sparse_arithmetic_matches_dense_reference():
             1 for i in range(n) for j in range(n)
             if product[i][j] == 0 and any(da[i][k] and db[k][j] for k in range(n)))
         negated = Matrix(n, {key: -v for key, v in a.entries.items()})
-        assert mat_add(a, negated) == mat_zero(n)
+        assert model_module._sum(n, (a, negated)) == mat_zero(n)
         assert flatten(a) == tuple(x for row in da for x in row)
     assert cancelled > 0
     assert Matrix(2, {(0, 0): F(0), (1, 0): F(3)}) == Matrix(2, {(1, 0): F(3)})

@@ -6,12 +6,14 @@ import pytest
 
 from helpers import (
     class_witnesses,
+    in_cylinder,
     oracle_predecessors,
     oracle_state_set,
     random_finite_shift,
     random_memory_sft,
     random_presentation,
     random_sofic,
+    window_ok,
 )
 from shiftk import (
     Alphabet,
@@ -25,7 +27,6 @@ from shiftk import (
     contains,
     context_of,
     higher_block,
-    in_cylinder,
     language,
     parse_presentation,
     predecessor_set,
@@ -294,7 +295,7 @@ def test_sft_steps_match_prepending_to_each_window():
         idx = p.context_index
         expected = tuple(
             tuple(idx[SuffixContext(((a,) + c.word)[:p.memory])]
-                  if p.window_ok((a,) + c.word) else None for a in p.alphabet)
+                  if window_ok(p, (a,) + c.word) else None for a in p.alphabet)
             for c in p.contexts)
         assert p.steps == expected, p.to_json()
 
@@ -304,7 +305,7 @@ def test_window_ok_is_the_brute_force_factor_check():
     for p in _sft_cases(59, 200):
         for _ in range(10):
             word = tuple(rng.randrange(len(p.alphabet)) for _ in range(rng.randint(0, 8)))
-            assert p.window_ok(word) == _factor_free(p.forbidden, word), (p.to_json(), word)
+            assert window_ok(p, word) == _factor_free(p.forbidden, word), (p.to_json(), word)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +412,7 @@ def test_sft_parse_tests_each_prefix_and_letter_once(monkeypatch):
     p = _explicit_vertex_sft(dead["adjacency"])
     assert [c.word for c in p.contexts] == [(0,)]
     assert max(calls.values()) == 1
-    assert all(p.window_ok(word[:-1]) for word in calls)
+    assert all(window_ok(p, word[:-1]) for word in calls)
 
 
 def _random_adjacency(rng):

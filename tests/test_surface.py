@@ -1,0 +1,64 @@
+"""The library holds only what the pipeline, the CLI and the documented API read.
+
+A public top-level function or class of ``src/shiftk`` must be read by other
+library code (a name or attribute outside its own definition; the package's
+``__init__`` re-exports do not count), or be in ``API``: the names the
+acceptance suite and the README's Library section call.  Oracles that only
+tests read live in ``tests/helpers.py``.
+"""
+
+import ast
+from pathlib import Path
+
+import shiftk
+
+SRC = Path(shiftk.__file__).parent
+
+API = {
+    # README, Library section
+    "parse_presentation", "build_chain", "k_groups", "dimension_triple", "higher_block",
+    # acceptance suite
+    "BipartiteExpression", "FgAbelianGroup", "FiniteModel", "IntMatrix", "action_sum",
+    "cokernel", "compare_triples", "determinant", "kernel", "past_partition",
+    "predecessor_set", "realizable_contexts", "restricted_maps", "run_all_checks",
+    "smith_normal_form", "split_letters", "symbolic_expansion", "vertex_sft_from_adjacency",
+    # membership and contexts of a point
+    "contains", "context_of",
+}
+
+
+def _public_names_and_reads():
+    """Each public top-level def or class -> its module, and every name read
+    outside the definition that binds it."""
+    defined, reads = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if not own.startswith("_"):
+                    defined[own] = path.name
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    reads.add(name)
+    return defined, reads
+
+
+def test_every_public_name_is_read_by_the_library_or_is_api():
+    defined, reads = _public_names_and_reads()
+    unread = sorted(f"{module}: {name}" for name, module in defined.items()
+                    if name not in reads and name not in API)
+    assert unread == []
+
+
+def test_api_names_are_defined():
+    defined, _ = _public_names_and_reads()
+    assert sorted(API - defined.keys()) == []
