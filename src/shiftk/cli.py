@@ -5,9 +5,9 @@ compare, model verify.  All file input is the strict JSON presentation
 format; identical input and configuration produce byte-identical output.
 
 Exit codes: 0 success; 1 ``model verify`` found a violated identity; 2 bad
-input or refused operation; 4 internal error.  compare uses 0 = no
-invariant distinguishes, 1 = distinguished, 2 = inconclusive and 3 for bad
-input.
+input or refused operation; 4 internal error.  compare uses 0 = equivalent
+(an intertwiner was found), 1 = distinguished, 2 = inconclusive and 3 for
+bad input.
 """
 
 from __future__ import annotations
@@ -448,6 +448,9 @@ def main(argv=None) -> int:
         return 3 if args.command == "compare" else 2
     except ShiftError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
+        return 4
+    except Exception as exc:    # a bug; exit 1 would read as a violated identity
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 4
 
 

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from shiftk import Point, SftShift, SoficShift, ValidationError, parse_presentation
+from shiftk.invariants import StationarySystem, triple_invariants
 from shiftk.model import FiniteModel, Matrix, _sum, mat_mul, mat_transpose, op_diagonal, op_word
 from shiftk.presentations import Presentation
 from shiftk.words import Word
@@ -179,6 +181,46 @@ def random_finite_shift(rng: random.Random, max_letters: int = 2, max_points: in
     return {"type": "finite", "alphabet": alphabet,
             "points": [{"pre": [alphabet[a] for a in p.pre], "per": [alphabet[a] for a in p.per]}
                        for p in sorted(pts, key=lambda q: q.sort_key)]}
+
+
+# ---------------------------------------------------------------------------
+# compare oracle
+
+
+def permutation_compare(s1: StationarySystem, s2: StationarySystem) -> tuple[str, str | None]:
+    """Verdict and witness of ``compare_triples`` by trying every coordinate
+    permutation in lexicographic order; rank! permutations, so small ranks only."""
+    inv1 = triple_invariants(s1)
+    inv2 = inv1 if s2 == s1 else triple_invariants(s2)
+    for key in inv1:
+        if inv1[key] != inv2[key]:
+            return "distinguished", f"{key}: {inv1[key]} vs {inv2[key]}"
+
+    if s1 == s2:
+        return "equivalent", "identity intertwiner"
+
+    if s1.rank == s2.rank:
+        mask1, mask2 = set(s1.delta_mask), set(s2.delta_mask)
+        if len(mask1) == len(mask2):
+            for perm in permutations(range(s1.rank)):
+                if {perm[i] for i in mask1} != mask2:
+                    continue
+                a1, a2 = s1.step_map.entries, s2.step_map.entries
+                if all(
+                    a1[i][j] == a2[perm[i]][perm[j]]
+                    for i in range(s1.rank) for j in range(s1.rank)
+                ):
+                    return "equivalent", f"coordinate permutation {list(perm)}"
+
+    return "inconclusive", None
+
+
+def intertwines(s1: StationarySystem, s2: StationarySystem, perm) -> bool:
+    """S2[p[i]][p[j]] == S1[i][j] for all i, j, and p maps s1's mask onto s2's."""
+    a1, a2, n = s1.step_map.entries, s2.step_map.entries, s1.rank
+    return (sorted(perm) == list(range(n)) == list(range(s2.rank))
+            and {perm[i] for i in s1.delta_mask} == set(s2.delta_mask)
+            and all(a1[i][j] == a2[perm[i]][perm[j]] for i in range(n) for j in range(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,15 @@ def test_each_stable_level_is_factored_once(files, capsys, monkeypatch):
         assert calls == {"invariant_factors": expected, "stable_step_map": expected}, argv
 
 
+def test_other_exceptions_are_internal_errors(files, capsys, monkeypatch):
+    def broken(path):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "load_presentation", broken)
+    for argv in (("invariants", files["pair"], "--no-cache"), ("model", "verify", files["pair"])):
+        assert run(capsys, *argv) == (4, "", "internal error: TypeError: unsupported operand\n")
+
+
 def test_compare_input_error_uses_exit_three(files, capsys):
     code, _, err = run(capsys, "compare", files["full2"], "/nonexistent.json")
     assert code == 3
