@@ -342,11 +342,14 @@ def cmd_compare(args) -> int:
     pa = load_presentation(args.file_a)
     pb = load_presentation(args.file_b)
     ta, tb = (dimension_triple(build_chain(p, cfg.lmax)) for p in (pa, pb))
-    rows = [("K0", ta.k_groups.k0.render(), tb.k_groups.k0.render()),
-            ("K1", ta.k_groups.k1.render(), tb.k_groups.k1.render()),
-            ("triple rank", str(ta.rank), str(tb.rank))]
     outcome = compare_triples(ta, tb)
     verdict, witness = outcome.verdict, outcome.witness
+    # an equivalent verdict carries an intertwiner, which keeps the K-groups,
+    # so b's rows are a's and b's I - S is not factored
+    ka, kb = ta.k_groups, (ta.k_groups if verdict == "equivalent" else tb.k_groups)
+    rows = [("K0", ka.k0.render(), kb.k0.render()),
+            ("K1", ka.k1.render(), kb.k1.render()),
+            ("triple rank", str(ta.rank), str(tb.rank))]
 
     if cfg.fmt == "json":
         _emit_json({

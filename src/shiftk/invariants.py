@@ -56,16 +56,11 @@ class StationarySystem:
 
         I - S is square, so its kernel rank is the cokernel's free rank.
         """
-        difference = IntMatrix._trusted(self.rank, self.rank, tuple(
-            tuple((i == j) - x for j, x in enumerate(row))
-            for i, row in enumerate(self.step_map.entries)))
-        k0 = cokernel(difference)
+        k0 = cokernel(IntMatrix.identity(self.rank).sub(self.step_map))
         return KGroups(k0, FgAbelianGroup(k0.free_rank, ()))
 
     def core_map(self) -> IntMatrix:
         """The step map restricted to the persistent coordinates."""
-        if self.delta_mask == tuple(range(self.rank)):
-            return self.step_map
         return self.step_map.submatrix(self.delta_mask, self.delta_mask)
 
     def to_json(self) -> dict:

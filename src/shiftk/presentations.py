@@ -789,6 +789,9 @@ def load_presentation(path) -> Presentation:
 
 
 def dump_presentation(p: Presentation, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(p.to_json(), fh, indent=2, ensure_ascii=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(p.to_json(), fh, indent=2, ensure_ascii=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc

@@ -140,6 +140,14 @@ def test_transform_higher_block(files, capsys, tmp_path):
     assert data["type"] == "sft" and data["alphabet"] == ["00", "01", "10"]
 
 
+def test_transform_into_a_missing_directory_is_bad_input(files, capsys, tmp_path):
+    out_path = tmp_path / "missing" / "gm2.json"
+    code, out, err = run(capsys, "transform", files["golden_mean"],
+                         '{"move":"higher_block","n":2}', str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {out_path}: ") and "internal" not in err
+
+
 def test_transform_split_writes_both_files(files, capsys, tmp_path):
     out_path = tmp_path / "union.json"
     code, out, _ = run(capsys, "transform", files["full2"],
@@ -201,7 +209,9 @@ def test_compare_exit_codes(files, capsys, tmp_path):
 
 
 def test_each_stable_level_is_factored_once(files, capsys, monkeypatch):
-    # one step map and one invariant-factor pass per presentation and command
+    # one step map per presentation and one invariant-factor pass per
+    # presentation and command, except that an equivalent compare reuses a's
+    # K-groups for b
     calls = {"invariant_factors": 0, "stable_step_map": 0}
 
     def counted(module, name):
@@ -214,17 +224,43 @@ def test_each_stable_level_is_factored_once(files, capsys, monkeypatch):
 
     counted(intlinalg, "invariant_factors")
     counted(invariants, "stable_step_map")
+    relabelled = write_relabelled_pair(files["dir"])
     commands = [
-        (("compare", files["full2"], files["golden_mean"]), 1, 2),
-        (("compare", files["full3"], files["full3"], "--format", "json"), 0, 2),
-        (("invariants", files["golden_mean"], "--no-cache"), 0, 1),
-        (("kgroups", files["pair"]), 0, 1),
+        (("compare", files["full2"], files["golden_mean"]), 1, 2, 2),
+        (("compare", files["full3"], files["full3"], "--format", "json"), 0, 1, 2),
+        (("compare", *relabelled), 0, 1, 2),
+        (("invariants", files["golden_mean"], "--no-cache"), 0, 1, 1),
+        (("kgroups", files["pair"]), 0, 1, 1),
     ]
-    for argv, exit_code, expected in commands:
+    for argv, exit_code, factored, stepped in commands:
         calls.update(invariant_factors=0, stable_step_map=0)
         code, _, _ = run(capsys, *argv)
         assert code == exit_code, argv
-        assert calls == {"invariant_factors": expected, "stable_step_map": expected}, argv
+        assert calls == {"invariant_factors": factored, "stable_step_map": stepped}, argv
+
+
+def write_relabelled_pair(directory):
+    """A vertex SFT and a relabelling of it whose stationary systems differ,
+    so that compare finds a non-identity coordinate permutation."""
+    a = [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 1, 0], [0, 1, 0, 1]]
+    relabel = [2, 3, 0, 1]
+    b = [[0] * 4 for _ in range(4)]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            b[relabel[i]][relabel[j]] = x
+    paths = []
+    for name, adjacency in (("relabel_a", a), ("relabel_b", b)):
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps({"type": "sft_matrix", "adjacency": adjacency}))
+        paths.append(str(path))
+    return paths
+
+
+def test_equivalent_compare_shows_b_the_same_rows(files, capsys):
+    code, out, _ = run(capsys, "compare", *write_relabelled_pair(files["dir"]), "--no-cache")
+    assert code == 0
+    assert out == ("K0: Z^2 | Z^2\nK1: Z^2 | Z^2\ntriple rank: 4 | 4\n"
+                   "verdict: equivalent (coordinate permutation [1, 2, 0, 3])\n")
 
 
 def test_other_exceptions_are_internal_errors(files, capsys, monkeypatch):
