@@ -64,7 +64,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._trusted(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._trusted(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
@@ -88,12 +88,12 @@ class IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("shape mismatch in sub")
         return IntMatrix._trusted(self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
+            tuple(map(operator.sub, r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
 
     def apply(self, vector: tuple[int, ...]) -> tuple[int, ...]:
         if len(vector) != self.cols:
             raise ValidationError("vector length mismatch")
-        return tuple(sum(a * x for a, x in zip(row, vector)) for row in self.entries)
+        return tuple(sum(map(operator.mul, row, vector)) for row in self.entries)
 
     def submatrix(self, row_idx, col_idx) -> "IntMatrix":
         rows = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)

@@ -211,7 +211,8 @@ class _Search:
             where = {c: j for j, c in enumerate(c2)}
             p = [where[c] for c in c1]
             if {p[i] for i in mask} == self.mask and all(
-                    matrix[i][j] == self.matrix[p[i]][p[j]] for i in range(n) for j in range(n)):
+                    row == tuple(map(self.matrix[p[i]].__getitem__, p))
+                    for i, row in enumerate(matrix)):
                 return p
         return None
 
@@ -266,7 +267,8 @@ def _intertwiner(s1: StationarySystem, s2: StationarySystem) -> list[int] | None
     matrix, mask, graph = s1.step_map.entries, set(s1.delta_mask), _graph(s1.step_map.entries)
     search = _Search(s2)
     start = _joint_colours(*(
-        [(i in marked, m[i][i], sum(m[i]), sum(row[i] for row in m)) for i in range(n)]
+        [(i in marked, m[i][i], out, into)
+         for i, (out, into) in enumerate(zip(map(sum, m), map(sum, zip(*m))))]
         for m, marked in ((matrix, mask), (search.matrix, search.mask))))
     root = start and _refine((graph, search.graph), *start)
     if root is None:

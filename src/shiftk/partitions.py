@@ -15,7 +15,7 @@ later level is the same partition.  Every other step adds a class, so the
 stable level l0 is at most the number of contexts minus one, and the chain
 is always refined to it.  The chain stores the distinct levels 0..l0 and,
 for each l <= l0, two class maps from level l+1 to level l: the parent of
-each class, and per symbol the class it lands in once the symbol is
+each class, and a (symbol, class it lands in) pair per symbol that can be
 prepended.  The levels past l0 are level l0 itself.  The chain length
 (``lmax``) only bounds which levels, matrices, M-sets and reach sets are
 shown and checked; the stable level and the limit data never depend on it.
@@ -69,8 +69,8 @@ class Stabilization:
 class ClassMaps:
     """Where each class of level l+1 goes in level l."""
 
-    parent: tuple[int, ...]                    # the level-l class containing it
-    image: tuple[tuple[int | None, ...], ...]  # per symbol: the level-l class after prepending it
+    parent: tuple[int, ...]                         # the level-l class containing it
+    image: tuple[tuple[tuple[int, int], ...], ...]  # (symbol, level-l class after prepending it)
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,10 @@ class PartitionChain:
         return tuple(lv.m for lv in self.levels)
 
 
-def _next_grade(steps, n_letters: int, prev: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical rank of each context under the next single-grade equivalence."""
-    keys = [tuple(-1 if s[a] is None else prev[s[a]] for a in range(n_letters)) for s in steps]
+def _next_grade(steps, prev: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical rank of each context under the next single-grade equivalence.
+    Keys of (-letter, rank) pairs sort as rank vectors with -1 where undefined."""
+    keys = [tuple((-a, prev[t]) for a, t in row) for row in steps]
     order = {key: r for r, key in enumerate(sorted(set(keys)))}
     return tuple(order[key] for key in keys)
 
@@ -129,7 +130,7 @@ def _level(level_id) -> PartitionLevel:
     return PartitionLevel(tuple(PartitionClass(tuple(ms)) for ms in members), tuple(level_id))
 
 
-def _refine(steps, n_letters: int):
+def _refine(steps):
     """Grade ranks 0..l0+1 and the distinct levels 0..l0, l0 the first fixed point.
 
     Class ids rank the grade-rank vectors (grade 0, ..., grade l).  The levels
@@ -141,7 +142,7 @@ def _refine(steps, n_letters: int):
     level_id = grade[0]
     tower = [_level(level_id)]
     while True:
-        grade.append(_next_grade(steps, n_letters, grade[-1]))
+        grade.append(_next_grade(steps, grade[-1]))
         keys = list(zip(level_id, grade[-1]))
         order = {key: r for r, key in enumerate(sorted(set(keys)))}
         if len(order) == tower[-1].m:
@@ -150,53 +151,60 @@ def _refine(steps, n_letters: int):
         tower.append(_level(level_id))
 
 
-def _class_maps(steps, n_letters: int, fine: PartitionLevel, coarse: PartitionLevel) -> ClassMaps:
-    """Parent and per-symbol image of each fine class, checked to be single-valued.
+def _class_maps(steps, fine: PartitionLevel, coarse: PartitionLevel) -> ClassMaps:
+    """Parent and image pairs of each fine class, checked to be single-valued.
 
     Each map is one pass over the contexts: the first context of a fine class
-    sets its coarse id (or None), and every other context must agree.
+    sets its coarse id and its (symbol, coarse id) pairs, and every other
+    context must agree.
     """
     fine_of, coarse_of = fine.class_of, coarse.class_of
     parent = {}
     for f, c in zip(fine_of, coarse_of):
         if parent.setdefault(f, c) != c:
             raise ConsistencyError("a refined class straddles two coarser classes")
-    image = []
-    for a in range(n_letters):
-        row = {}
-        for f, s in zip(fine_of, steps):
-            t = None if s[a] is None else coarse_of[s[a]]
-            first = row.setdefault(f, t)
+    image = {}
+    for f, row in zip(fine_of, steps):
+        pairs = tuple((a, coarse_of[t]) for a, t in row)
+        if image.setdefault(f, pairs) != pairs:
+            _raise_first_conflict(steps, fine_of, coarse_of)
+    return ClassMaps(tuple(parent[f] for f in range(fine.m)),
+                     tuple(image[f] for f in range(fine.m)))
+
+
+def _raise_first_conflict(steps, fine_of, coarse_of) -> None:
+    """Raise the error of the first symbol, then context, at which two
+    contexts of one fine class disagree; one does when their pairs differ."""
+    for a in sorted({a for row in steps for a, _ in row}):
+        seen = {}
+        for f, row in zip(fine_of, steps):
+            t = next((coarse_of[t] for b, t in row if b == a), None)
+            first = seen.setdefault(f, t)
             if first != t:
                 if first is None or t is None:
                     raise ConsistencyError(
                         f"prepending symbol {a} is defined on part of a class only")
                 raise StraddleError(f"prepending symbol {a} moves one class into two classes")
-        image.append(tuple(row[f] for f in range(fine.m)))
-    return ClassMaps(tuple(parent[f] for f in range(fine.m)), tuple(image))
 
 
 def past_partition(p: Presentation, level: int) -> PartitionLevel:
     """Contexts grouped by equality of all predecessor sets up to ``level``."""
     if level < 0:
         raise ValidationError("level must be >= 0")
-    tower = _refine(p.steps, len(p.alphabet))[1]
+    tower = _refine(p.steps)[1]
     return tower[min(level, len(tower) - 1)]
 
 
-def _reach_sets(steps, n_letters: int, upto: int):
+def _reach_sets(steps, upto: int):
     """Contexts with a predecessor word of each length 0..upto, and of every
     length: those that start an infinite path of steps."""
     def shrink(cur):
-        return frozenset(
-            i for i in cur
-            if any(steps[i][a] is not None and steps[i][a] in cur for a in range(n_letters))
-        )
+        return frozenset(i for i in cur if any(t in cur for _, t in steps[i]))
 
     reach = [frozenset(range(len(steps)))]
     for _ in range(upto):
         reach.append(shrink(reach[-1]))
-    limit = _live({i: [j for j in row if j is not None] for i, row in enumerate(steps)})
+    limit = _live({i: [t for _, t in row] for i, row in enumerate(steps)})
     return tuple(reach), frozenset(limit)
 
 
@@ -209,13 +217,12 @@ def build_chain(p: Presentation, length: int) -> PartitionChain:
     if length < 1:
         raise ValidationError("chain length must be >= 1")
     steps = p.steps
-    n_letters = len(p.alphabet)
-    grade, tower = _refine(steps, n_letters)
+    grade, tower = _refine(steps)
     while len(grade) <= length:
-        grade.append(_next_grade(steps, n_letters, grade[-1]))
-    maps = tuple(_class_maps(steps, n_letters, fine, coarse)
+        grade.append(_next_grade(steps, grade[-1]))
+    maps = tuple(_class_maps(steps, fine, coarse)
                  for coarse, fine in zip(tower, tower[1:] + tower[-1:]))
-    reach, reach_limit = _reach_sets(steps, n_letters, length)
+    reach, reach_limit = _reach_sets(steps, length)
     return PartitionChain(p, tuple(grade), tuple(tower), maps, reach, reach_limit, length)
 
 
@@ -228,47 +235,52 @@ def _check_level(chain: PartitionChain, l: int) -> None:
         raise ValidationError(f"level {l} out of range; chain has matrices for 0..{chain.length - 1}")
 
 
-def _level_matrix(chain: PartitionChain, l: int, inclusion: int, symbols, action: int) -> IntMatrix:
-    """m(l+1) x m(l): ``inclusion`` at each parent, plus ``action`` at each symbol's image."""
+def _level_matrix(chain: PartitionChain, l: int, inclusion: int, action: int,
+                  images=None) -> IntMatrix:
+    """m(l+1) x m(l): ``inclusion`` at each parent, plus ``action`` at each
+    (class, image class) pair of ``images``, by default those of every symbol."""
     maps = chain.maps[min(l, len(chain.maps) - 1)]
+    if images is None:
+        images = ((i, j) for i, row in enumerate(maps.image) for _, j in row)
     out = [[0] * chain.m(l) for _ in maps.parent]
     for i, j in enumerate(maps.parent):
         out[i][j] += inclusion
-    for a in symbols:
-        for i, j in enumerate(maps.image[a]):
-            if j is not None:
-                out[i][j] += action
+    for i, j in images:
+        out[i][j] += action
     return IntMatrix._trusted(len(out), chain.m(l), tuple(map(tuple, out)))
 
 
 def inclusion_matrix(chain: PartitionChain, l: int) -> IntMatrix:
     """0/1 matrix with one 1 per row: class i of level l+1 inside class j of level l."""
     _check_level(chain, l)
-    return _level_matrix(chain, l, 1, (), 0)
+    return _level_matrix(chain, l, 1, 0, ())
 
 
 def action_matrices(chain: PartitionChain, l: int) -> dict[int, IntMatrix]:
     """Per-symbol 0/1 matrices: prepending the symbol maps class i (level l+1) into class j (level l)."""
     _check_level(chain, l)
-    return {a: _level_matrix(chain, l, 0, (a,), 1) for a in range(len(chain.presentation.alphabet))}
+    by_symbol = {a: [] for a in chain.presentation.alphabet}
+    for i, row in enumerate(chain.maps[min(l, len(chain.maps) - 1)].image):
+        for a, j in row:
+            by_symbol[a].append((i, j))
+    return {a: _level_matrix(chain, l, 0, 1, images) for a, images in by_symbol.items()}
 
 
 def action_sum(chain: PartitionChain, l: int) -> IntMatrix:
     """Sum of the per-symbol action matrices."""
     _check_level(chain, l)
-    return _level_matrix(chain, l, 0, range(len(chain.presentation.alphabet)), 1)
+    return _level_matrix(chain, l, 0, 1)
 
 
 def stable_step_map(chain: PartitionChain) -> IntMatrix:
     """The action sum at the stable level, a square matrix, whatever the chain length."""
-    return _level_matrix(chain, chain.stabilization.level, 0,
-                         range(len(chain.presentation.alphabet)), 1)
+    return _level_matrix(chain, chain.stabilization.level, 0, 1)
 
 
 def bowen_franks_matrix(chain: PartitionChain, l: int) -> IntMatrix:
     """Inclusion minus summed action; its cokernel/kernel carry the K-data."""
     _check_level(chain, l)
-    return _level_matrix(chain, l, 1, range(len(chain.presentation.alphabet)), -1)
+    return _level_matrix(chain, l, 1, -1)
 
 
 def _membership(chain: PartitionChain, l: int, subset) -> tuple[str, ...]:
@@ -355,8 +367,7 @@ def class_signatures(chain: PartitionChain, level: int) -> tuple[tuple, ...]:
         rep = cls.contexts[0]
         words = chain._signature_words.get(rep)
         if words is None:
-            frontiers = predecessor_frontiers(
-                (rep,), p.steps, len(p.alphabet), chain.length, SIGNATURE_WORD_LIMIT)
+            frontiers = predecessor_frontiers((rep,), p.steps, chain.length, SIGNATURE_WORD_LIMIT)
             words = chain._signature_words[rep] = [tuple(sorted(f)) for f in frontiers]
         out.append(tuple(
             ("w",) + words[k] if k < len(words) else ("e", chain.grade_ranks[k][rep])

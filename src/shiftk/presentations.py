@@ -113,9 +113,10 @@ class Presentation:
         return {c: i for i, c in enumerate(self.contexts)}
 
     # Prepend table on context indices, a cached property of each kind:
-    # ``steps[i][a]`` is the index of the context of a.x for x with context i,
-    # or None when a.x leaves the shift.
-    steps: tuple[tuple[int | None, ...], ...]
+    # ``steps[i]`` holds a pair (a, j), in ascending letter order, for each
+    # letter a such that a.x, for x with context i, is in the shift with
+    # context j.  A letter with no pair takes a.x out of the shift.
+    steps: tuple[tuple[tuple[int, int], ...], ...]
 
     def _context(self, point: Point) -> Context | None:
         """The context of a point with letters in the alphabet, None when the
@@ -145,7 +146,7 @@ class Presentation:
     @cached_property
     def sigma_surjective(self) -> bool:
         """True iff every point has a one-letter predecessor in the shift."""
-        return all(any(j is not None for j in row) for row in self.steps)
+        return all(self.steps)
 
     def check_point(self, point: Point) -> None:
         letters = point.pre + point.per
@@ -238,14 +239,14 @@ class FiniteShift(Presentation):
         return [PointContext(p) for p in self.points]
 
     @cached_property
-    def steps(self) -> tuple[tuple[int | None, ...], ...]:
+    def steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The prepend table read off the shift map: a.x is the point y with
         first letter a whose shift is x (the contexts are the sorted points)."""
         idx = {p: i for i, p in enumerate(self.points)}
-        rows = [[None] * len(self.alphabet) for _ in self.points]
+        rows = [[] for _ in self.points]
         for i, y in enumerate(self.points):
-            rows[idx[y.shift()]][y.letter(0)] = i
-        return tuple(map(tuple, rows))
+            rows[idx[y.shift()]].append((y.letter(0), i))
+        return tuple(tuple(sorted(row)) for row in rows)
 
     def _context(self, point):
         return PointContext(point) if point in self._point_set else None
@@ -368,16 +369,18 @@ class SftShift(Presentation):
         return [SuffixContext(w) for w in self.window_graph]
 
     @cached_property
-    def steps(self) -> tuple[tuple[int | None, ...], ...]:
+    def steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The prepend table read off the window graph: an edge s -b-> w says
         that a.x, for x with window w, has window s, where a is the first
-        letter of s (or b itself when the memory is 0)."""
+        letter of s (or b itself when the memory is 0).  Sorted windows give
+        each row in ascending letter order, as the s into one w differ only
+        in their first letter (memory 0 has one window, edges by letter)."""
         graph = self.window_graph
         idx = {w: i for i, w in enumerate(graph)}   # sorted, as the contexts are
-        rows = [[None] * len(self.alphabet) for _ in graph]
+        rows = [[] for _ in graph]
         for s, edges in graph.items():
             for b, w in edges:
-                rows[idx[w]][s[0] if self.memory else b] = idx[s]
+                rows[idx[w]].append((s[0] if self.memory else b, idx[s]))
         return tuple(map(tuple, rows))
 
     # core interface -----------------------------------------------------------
@@ -572,16 +575,16 @@ class SoficShift(Presentation):
         return frozenset(q for q in range(len(self.states)) if mask >> q & 1)
 
     @cached_property
-    def steps(self) -> tuple[tuple[int | None, ...], ...]:
+    def steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The prepend table on state masks: a.x is read from the states with an
         a-edge into a state reading x, and leaves the shift when there is none."""
         index = {self._mask_of(c): i for i, c in enumerate(self.contexts)}
         rows = []
         for mask in index:
-            row = [self._pre_mask(a, mask) for a in self.alphabet]
-            if not set(row) <= index.keys() | {0}:
+            row = [(a, pre) for a in self.alphabet if (pre := self._pre_mask(a, mask))]
+            if not all(pre in index for _, pre in row):
                 raise ConsistencyError("prepending left the realizable context set")
-            rows.append(tuple(index.get(pre) for pre in row))
+            rows.append(tuple((a, index[pre]) for a, pre in row))
         return tuple(rows)
 
     def _context(self, point):
@@ -648,8 +651,7 @@ def language(p: Presentation, k: int) -> list[Word]:
     """
     if k < 0:
         raise ValidationError("word length must be >= 0")
-    frontiers = predecessor_frontiers(range(len(p.contexts)), p.steps, len(p.alphabet), k,
-                                      MAX_LANGUAGE_WORDS)
+    frontiers = predecessor_frontiers(range(len(p.contexts)), p.steps, k, MAX_LANGUAGE_WORDS)
     if len(frontiers) <= k:
         raise ResourceCapError(f"language size exceeds cap {MAX_LANGUAGE_WORDS}")
     return sorted(frontiers[k])
@@ -667,7 +669,7 @@ def realizable_contexts(p: Presentation) -> tuple[Context, ...]:
     return p.contexts
 
 
-def predecessor_frontiers(starts, steps, n_letters: int, upto: int, cap: int) -> list[dict]:
+def predecessor_frontiers(starts, steps, upto: int, cap: int) -> list[dict]:
     """Predecessor words of the contexts ``starts``, grades 0..upto.
 
     Grade k maps each length-k word u with u.x in the shift, for some x with
@@ -682,8 +684,10 @@ def predecessor_frontiers(starts, steps, n_letters: int, upto: int, cap: int) ->
         nxt = {}
         for w, cs in frontier.items():
             if cs not in moves:
-                targets = [{steps[c][a] for c in cs} - {None} for a in range(n_letters)]
-                moves[cs] = [(a, frozenset(t)) for a, t in enumerate(targets) if t]
+                targets = {}   # letter -> contexts, letters ascending
+                for a, t in sorted({pair for c in cs for pair in steps[c]}):
+                    targets.setdefault(a, set()).add(t)
+                moves[cs] = [(a, frozenset(ts)) for a, ts in targets.items()]
             for a, cs2 in moves[cs]:
                 nxt[(a,) + w] = cs2
             if len(nxt) > cap:
@@ -699,8 +703,7 @@ def predecessor_set(p: Presentation, ctx: Context, k: int) -> list[Word]:
         raise ValidationError("predecessor length must be >= 0")
     if ctx not in p.context_index:
         raise ValidationError("context is not realizable for this presentation")
-    frontiers = predecessor_frontiers((p.context_index[ctx],), p.steps, len(p.alphabet), k,
-                                      MAX_LANGUAGE_WORDS)
+    frontiers = predecessor_frontiers((p.context_index[ctx],), p.steps, k, MAX_LANGUAGE_WORDS)
     if len(frontiers) <= k:
         raise ResourceCapError(f"predecessor set exceeds cap {MAX_LANGUAGE_WORDS}")
     return sorted(frontiers[k])

@@ -4,9 +4,18 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from shiftk import Point, SftShift, SoficShift, ValidationError, parse_presentation
+from shiftk import (
+    ConsistencyError,
+    Point,
+    SftShift,
+    SoficShift,
+    StraddleError,
+    ValidationError,
+    parse_presentation,
+)
 from shiftk.invariants import StationarySystem, triple_invariants
 from shiftk.model import FiniteModel, Matrix, _sum, mat_mul, mat_transpose, op_diagonal, op_word
+from shiftk.partitions import _level
 from shiftk.presentations import Presentation
 from shiftk.words import Word
 
@@ -221,6 +230,92 @@ def intertwines(s1: StationarySystem, s2: StationarySystem, perm) -> bool:
     return (sorted(perm) == list(range(n)) == list(range(s2.rank))
             and {perm[i] for i in s1.delta_mask} == set(s2.delta_mask)
             and all(a1[i][j] == a2[perm[i]][perm[j]] for i in range(n) for j in range(n)))
+
+
+# ---------------------------------------------------------------------------
+# dense tower oracle: the refinement over the prepend table padded to the
+# whole alphabet, one entry per (context, letter)
+
+
+def dense_steps(p: Presentation) -> tuple:
+    """``p.steps`` with one entry per letter: the target context, or None."""
+    rows = []
+    for row in p.steps:
+        dense = [None] * len(p.alphabet)
+        for a, t in row:
+            dense[a] = t
+        rows.append(tuple(dense))
+    return tuple(rows)
+
+
+def dense_next_grade(steps, n_letters: int, prev: tuple) -> tuple:
+    """Canonical rank of each context under the next single-grade equivalence."""
+    keys = [tuple(-1 if s[a] is None else prev[s[a]] for a in range(n_letters)) for s in steps]
+    order = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return tuple(order[key] for key in keys)
+
+
+def dense_class_maps(steps, n_letters: int, fine, coarse) -> tuple:
+    """Parent and per-symbol image (None where undefined) of each fine class,
+    checked to be single-valued, letter by letter."""
+    fine_of, coarse_of = fine.class_of, coarse.class_of
+    parent = {}
+    for f, c in zip(fine_of, coarse_of):
+        if parent.setdefault(f, c) != c:
+            raise ConsistencyError("a refined class straddles two coarser classes")
+    image = []
+    for a in range(n_letters):
+        row = {}
+        for f, s in zip(fine_of, steps):
+            t = None if s[a] is None else coarse_of[s[a]]
+            first = row.setdefault(f, t)
+            if first != t:
+                if first is None or t is None:
+                    raise ConsistencyError(
+                        f"prepending symbol {a} is defined on part of a class only")
+                raise StraddleError(f"prepending symbol {a} moves one class into two classes")
+        image.append(tuple(row[f] for f in range(fine.m)))
+    return tuple(parent[f] for f in range(fine.m)), tuple(image)
+
+
+def dense_reach_sets(steps, n_letters: int, upto: int) -> tuple:
+    """Contexts with a predecessor word of each length 0..upto, and the
+    contexts left once whole shrinking passes drop nothing."""
+    def shrink(cur):
+        return frozenset(
+            i for i in cur
+            if any(steps[i][a] is not None and steps[i][a] in cur for a in range(n_letters)))
+
+    reach = [frozenset(range(len(steps)))]
+    for _ in range(upto):
+        reach.append(shrink(reach[-1]))
+    limit = reach[-1]
+    while (nxt := shrink(limit)) != limit:
+        limit = nxt
+    return tuple(reach), limit
+
+
+def dense_chain(p: Presentation, length: int) -> dict:
+    """Grade ranks, class ids per level, class maps and reach sets of
+    ``build_chain(p, length)``, refined over the dense table."""
+    steps, n_letters = dense_steps(p), len(p.alphabet)
+    grade = [(0,) * len(steps)]
+    level_ids = [grade[0]]
+    while True:
+        grade.append(dense_next_grade(steps, n_letters, grade[-1]))
+        keys = list(zip(level_ids[-1], grade[-1]))
+        order = {key: r for r, key in enumerate(sorted(set(keys)))}
+        if len(order) == len(set(level_ids[-1])):
+            break
+        level_ids.append(tuple(order[key] for key in keys))
+    while len(grade) <= length:
+        grade.append(dense_next_grade(steps, n_letters, grade[-1]))
+    tower = [_level(ids) for ids in level_ids]
+    maps = [dense_class_maps(steps, n_letters, fine, coarse)
+            for coarse, fine in zip(tower, tower[1:] + tower[-1:])]
+    reach, limit = dense_reach_sets(steps, n_letters, length)
+    return {"grade_ranks": tuple(grade), "class_of": tuple(level_ids), "maps": maps,
+            "reach": reach, "reach_limit": limit}
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,21 @@ import random
 import pytest
 
 from helpers import (
+    dense_chain,
+    dense_class_maps,
     oracle_graded,
     oracle_partition,
     partition_as_context_groups,
     periodic_orbit,
+    random_finite_shift,
     random_presentation,
+    random_sofic,
 )
 from shiftk import (
     ConsistencyError,
+    FiniteShift,
+    SftShift,
+    SoficShift,
     StraddleError,
     ValidationError,
     action_matrices,
@@ -19,6 +26,7 @@ from shiftk import (
     bowen_franks_matrix,
     build_chain,
     dimension_triple,
+    higher_block,
     inclusion_matrix,
     k_groups,
     m_index_set,
@@ -270,9 +278,115 @@ def test_reach_limit_is_the_round_based_fixpoint():
         steps = p.steps
         cur = frozenset(range(len(steps)))
         while (nxt := frozenset(i for i in cur
-                                if any(j is not None and j in cur for j in steps[i]))) != cur:
+                                if any(j in cur for _, j in steps[i]))) != cur:
             cur = nxt
         assert build_chain(p, 2).reach_limit == cur, p.to_json()
+
+
+def _tower_cases(seed: int, n_random: int) -> list:
+    """The corpus, ``n_random`` seeded random presentations of every kind (SFTs
+    by forbidden words and by adjacency, sofic graphs, finite shifts), and the
+    2-block recodings of those that have one."""
+    rng = random.Random(seed)
+    cases = [make(name) for name in CORPUS_OBJECTS]
+    objs = []
+    while len(objs) < n_random:
+        kind = rng.randrange(4)
+        if kind == 0:
+            obj = random_presentation(rng)
+        elif kind == 1:
+            n = rng.randint(1, 6)
+            obj = {"type": "sft_matrix",
+                   "adjacency": [[int(rng.random() < 0.4) for _ in range(n)] for _ in range(n)]}
+        elif kind == 2:
+            obj = random_sofic(rng)
+        else:
+            obj = random_finite_shift(rng, 3)
+        try:
+            objs.append(parse_presentation(obj))
+        except ValidationError:
+            continue
+    cases += objs
+    for p in list(cases):
+        try:
+            cases.append(higher_block(p, 2)[0])
+        except ValidationError:
+            continue
+    return cases
+
+
+def _image_per_symbol(image, n_letters: int) -> tuple:
+    """Class-map image pairs rendered as one tuple per symbol, None where undefined."""
+    return tuple(tuple(dict(row).get(a) for row in image) for a in range(n_letters))
+
+
+def test_sparse_tower_matches_the_dense_oracle():
+    cases = _tower_cases(89, 400)
+    assert {p.kind for p in cases} == {"sft", "sofic", "finite"}
+    assert sum(isinstance(p, SftShift) and "_adjacency" in p.__dict__ for p in cases) > 50
+    for p in cases:
+        chain, want = build_chain(p, 3), dense_chain(p, 3)
+        assert chain.grade_ranks == want["grade_ranks"], p.to_json()
+        assert tuple(lv.class_of for lv in chain.tower) == want["class_of"], p.to_json()
+        for maps, (parent, image) in zip(chain.maps, want["maps"], strict=True):
+            assert maps.parent == parent, p.to_json()
+            assert _image_per_symbol(maps.image, len(p.alphabet)) == image, p.to_json()
+        assert chain.reach == want["reach"], p.to_json()
+        assert chain.reach_limit == want["reach_limit"], p.to_json()
+
+
+def test_class_maps_raise_as_the_dense_oracle_does():
+    # random sparse tables under random fine and coarse partitions, most of
+    # them not single-valued: the same maps, or the same error and message
+    rng = random.Random(101)
+    outcomes = set()
+    for _ in range(3000):
+        n, n_letters = rng.randint(1, 6), rng.randint(1, 4)
+        steps = tuple(tuple((a, rng.randrange(n)) for a in range(n_letters) if rng.random() < 0.6)
+                      for _ in range(n))
+        coarse = partitions._level(_canonical_ids([rng.randrange(2) for _ in range(n)]))
+        fine = partitions._level(_canonical_ids([
+            c * 3 + rng.randrange(1 + (rng.random() < 0.3)) for c in coarse.class_of]))
+        dense = tuple(tuple(dict(row).get(a) for a in range(n_letters)) for row in steps)
+        try:
+            want = dense_class_maps(dense, n_letters, fine, coarse)
+        except (ConsistencyError, StraddleError) as exc:
+            with pytest.raises(type(exc)) as info:
+                partitions._class_maps(steps, fine, coarse)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc)), steps
+            outcomes.add(type(exc).__name__)
+            continue
+        got = partitions._class_maps(steps, fine, coarse)
+        assert (got.parent, _image_per_symbol(got.image, n_letters)) == want, steps
+        outcomes.add("maps")
+    assert len(outcomes) == 3, outcomes
+
+
+def _canonical_ids(ids: list) -> tuple:
+    """Class ids renumbered 0, 1, ... in order of first appearance."""
+    first = {}
+    return tuple(first.setdefault(i, len(first)) for i in ids)
+
+
+def test_steps_hold_one_pair_per_transition():
+    # an SFT has one pair per window-graph edge, a finite shift one per point
+    # (its prepend that lands on it) and a sofic shift one per letter and
+    # context whose preimage mask is nonempty
+    for p in _tower_cases(97, 200):
+        pairs = sum(map(len, p.steps))
+        if isinstance(p, SftShift):
+            assert pairs == sum(map(len, p.window_graph.values())), p.to_json()
+        elif isinstance(p, FiniteShift):
+            assert pairs == len(p.points), p.to_json()
+        else:
+            assert isinstance(p, SoficShift)
+            masks = [p._mask_of(c) for c in p.contexts]
+            assert pairs == sum(bool(p._pre_mask(a, m)) for m in masks for a in p.alphabet), \
+                p.to_json()
+        assert len(p.steps) == len(p.contexts)
+        for row in p.steps:
+            assert all(type(a) is int and type(t) is int for a, t in row), p.to_json()
+            assert all(a < b for (a, _), (b, _) in zip(row, row[1:])), p.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +485,18 @@ def test_class_maps_reject_inconsistent_levels(golden_mean):
     steps = golden_mean.steps
     one_class, singletons = partitions._level((0, 0)), partitions._level((0, 1))
     with pytest.raises(ConsistencyError, match="^a refined class straddles two coarser classes$"):
-        partitions._class_maps(steps, 2, one_class, singletons)
+        partitions._class_maps(steps, one_class, singletons)
     with pytest.raises(ConsistencyError,
                        match="^prepending symbol 1 is defined on part of a class only$"):
-        partitions._class_maps(steps, 2, one_class, one_class)
+        partitions._class_maps(steps, one_class, one_class)
     # a corrupted table sends the class {0, 1} to contexts 2 and 1, which lie
     # in two coarser classes
-    corrupted = ((2,), (1,), (0,))
+    corrupted = (((0, 2),), ((0, 1),), ((0, 0),))
     level = partitions._level((0, 0, 1))
     with pytest.raises(StraddleError, match="^prepending symbol 0 moves one class into two classes$"):
-        partitions._class_maps(corrupted, 1, level, level)
-    assert partitions._class_maps(steps, 2, singletons, one_class) == partitions.ClassMaps(
-        (0, 0), ((0, 0), (0, None)))
+        partitions._class_maps(corrupted, level, level)
+    assert partitions._class_maps(steps, singletons, one_class) == partitions.ClassMaps(
+        (0, 0), (((0, 0), (1, 0)), ((0, 0),)))
 
 
 # ---------------------------------------------------------------------------

@@ -294,8 +294,8 @@ def test_sft_steps_match_prepending_to_each_window():
     for p in _sft_cases(47):
         idx = p.context_index
         expected = tuple(
-            tuple(idx[SuffixContext(((a,) + c.word)[:p.memory])]
-                  if window_ok(p, (a,) + c.word) else None for a in p.alphabet)
+            tuple((a, idx[SuffixContext(((a,) + c.word)[:p.memory])])
+                  for a in p.alphabet if window_ok(p, (a,) + c.word))
             for c in p.contexts)
         assert p.steps == expected, p.to_json()
 
@@ -510,8 +510,10 @@ def test_finite_steps_are_prepending_to_each_point():
     cases += [parse_presentation(random_finite_shift(rng, 3)) for _ in range(200)]
     for p in cases:
         idx = p.context_index
-        expected = tuple(tuple(idx.get(PointContext(c.point.prepend((a,)))) for a in p.alphabet)
-                         for c in p.contexts)
+        expected = tuple(
+            tuple((a, j) for a in p.alphabet
+                  if (j := idx.get(PointContext(c.point.prepend((a,))))) is not None)
+            for c in p.contexts)
         assert p.steps == expected, p.to_json()
 
 
