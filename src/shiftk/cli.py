@@ -3,6 +3,7 @@
 Subcommands: invariants, classes, matrices, kgroups, triple, transform,
 compare, model verify.  All file input is the strict JSON presentation
 format; identical input and configuration produce byte-identical output.
+A table renders the payload its command prints under ``--format json``.
 
 Exit codes: 0 success; 1 ``model verify`` found a violated identity; 2 bad
 input or refused operation; 4 internal error.  compare uses 0 = equivalent
@@ -26,18 +27,7 @@ from . import __version__
 from .errors import ResourceCapError, ShiftError, ValidationError
 from .invariants import compare_triples, dimension_triple, k_groups
 from .model import FiniteModel, run_all_checks
-from .partitions import (
-    Stabilization,
-    action_matrices,
-    action_sum,
-    bowen_franks_matrix,
-    build_chain,
-    chain_to_json,
-    class_signatures,
-    inclusion_matrix,
-    matrices_to_json,
-    persistence_markers,
-)
+from .partitions import Stabilization, build_chain, chain_to_json, matrices_to_json
 from .presentations import FiniteShift, dump_presentation, load_presentation
 from .transforms import BipartiteExpression, higher_block, split_letters, symbolic_expansion
 
@@ -109,11 +99,8 @@ def _emit_json(obj) -> None:
 # invariant records and cache
 
 
-def _matrix_lines(name: str, mat) -> list[str]:
-    lines = [f"{name}:"]
-    for row in mat.to_lists():
-        lines.append("  [" + " ".join(f"{x:3d}" for x in row) + "]")
-    return lines
+def _matrix_lines(name: str, rows) -> list[str]:
+    return [f"{name}:"] + ["  [" + " ".join(f"{x:3d}" for x in row) + "]" for row in rows]
 
 
 def _invariant_record(p, cfg: RunConfig) -> dict:
@@ -198,35 +185,32 @@ def cmd_invariants(args) -> int:
 def cmd_classes(args) -> int:
     cfg = _config_from(args)
     p = load_presentation(args.file)
-    chain = build_chain(p, cfg.lmax)
+    payload = {"presentation": p.content_hash(), **chain_to_json(build_chain(p, cfg.lmax))}
     if cfg.fmt == "json":
-        _emit_json({"presentation": p.content_hash(), **chain_to_json(chain)})
+        _emit_json(payload)
         return 0
-    lines = ["m-sequence: " + " ".join(str(m) for m in chain.m_sequence),
-             f"stabilization: {chain.stabilization.render()}"]
-    for l, lv in enumerate(chain.levels):
-        markers = persistence_markers(chain, l)
-        signatures = class_signatures(chain, l)
-        lines.append(f"level {l}: m = {lv.m}")
-        for ci, cls in enumerate(lv.classes):
-            mark = markers[ci]
-            members = ", ".join(p.render_context(p.contexts[i]) for i in cls.contexts[:6])
-            if len(cls.contexts) > 6:
-                members += f", ... ({len(cls.contexts)} contexts)"
-            sig = _sig_text(p, signatures[ci])
-            lines.append(f"  class {ci} [{mark}] {{{members}}} {sig}")
+    lines = ["m-sequence: " + " ".join(str(m) for m in payload["m_sequence"]),
+             "stabilization: " + Stabilization(**payload["stabilization"]).render()]
+    for lv, m_set in zip(payload["levels"], payload["m_sets"]):
+        lines.append(f"level {lv['level']}: m = {lv['m']}")
+        for ci, (cls, mark) in enumerate(zip(lv["classes"], m_set["persistence"])):
+            members = ", ".join(cls["contexts"][:6])
+            if len(cls["contexts"]) > 6:
+                members += f", ... ({len(cls['contexts'])} contexts)"
+            lines.append(f"  class {ci} [{mark}] {{{members}}} {_sig_text(cls['signature'])}")
     _emit("\n".join(lines))
     return 0
 
 
-def _sig_text(p, signature) -> str:
+def _sig_text(signature) -> str:
     parts = []
-    for k, entry in enumerate(signature):
-        if entry[0] == "e":
-            parts.append(f"P{k}=<elided #{entry[1]}>")
+    for entry in signature:
+        k = entry["grade"]
+        if "elided" in entry:
+            parts.append(f"P{k}=<elided #{entry['rank']}>")
         else:
-            words = entry[1:]
-            shown = ",".join(p.alphabet.render_word(w) for w in words[:5])
+            words = entry["words"]
+            shown = ",".join(words[:5])
             if len(words) > 5:
                 shown += f",... ({len(words)} words)"
             parts.append(f"P{k}={{{shown}}}")
@@ -236,22 +220,18 @@ def _sig_text(p, signature) -> str:
 def cmd_matrices(args) -> int:
     cfg = _config_from(args)
     p = load_presentation(args.file)
-    chain = build_chain(p, cfg.lmax)
+    levels = matrices_to_json(build_chain(p, cfg.lmax))
     if cfg.fmt == "json":
-        _emit_json({
-            "presentation": p.content_hash(),
-            "matrices": matrices_to_json(chain),
-        })
+        _emit_json({"presentation": p.content_hash(), "matrices": levels})
         return 0
     lines = []
-    for l in range(chain.length):
-        lines.append(f"level {l} -> {l + 1}:")
-        lines.extend("  " + s for s in _matrix_lines("inclusion", inclusion_matrix(chain, l)))
-        for a, mat in sorted(action_matrices(chain, l).items()):
-            lines.extend("  " + s for s in _matrix_lines(
-                f"action[{p.alphabet.symbols[a]}]", mat))
-        lines.extend("  " + s for s in _matrix_lines("action sum", action_sum(chain, l)))
-        lines.extend("  " + s for s in _matrix_lines("difference", bowen_franks_matrix(chain, l)))
+    for lv in levels:
+        lines.append(f"level {lv['level']} -> {lv['level'] + 1}:")
+        blocks = [("inclusion", lv["inclusion"])]
+        blocks += [(f"action[{a}]", rows) for a, rows in lv["action"].items()]
+        blocks += [("action sum", lv["action_sum"]), ("difference", lv["bowen_franks"])]
+        for name, rows in blocks:
+            lines.extend("  " + s for s in _matrix_lines(name, rows))
     _emit("\n".join(lines))
     return 0
 
@@ -270,13 +250,13 @@ def cmd_kgroups(args) -> int:
 def cmd_triple(args) -> int:
     cfg = _config_from(args)
     p = load_presentation(args.file)
-    triple = dimension_triple(build_chain(p, cfg.lmax))
+    payload = dimension_triple(build_chain(p, cfg.lmax)).to_json()
     if cfg.fmt == "json":
-        _emit_json(triple.to_json())
+        _emit_json(payload)
     else:
-        lines = [f"rank: {triple.rank}"]
-        lines.extend(_matrix_lines("step map", triple.step_map))
-        lines.append("delta mask: " + json.dumps(list(triple.delta_mask)))
+        lines = [f"rank: {payload['rank']}"]
+        lines.extend(_matrix_lines("step map", payload["step_map"]))
+        lines.append("delta mask: " + json.dumps(payload["delta_mask"]))
         _emit("\n".join(lines))
     return 0
 

@@ -19,6 +19,11 @@ each class, and a (symbol, class it lands in) pair per symbol that can be
 prepended.  The levels past l0 are level l0 itself.  The chain length
 (``lmax``) only bounds which levels, matrices, M-sets and reach sets are
 shown and checked; the stable level and the limit data never depend on it.
+Which contexts have predecessor words of each length, and of every length,
+is read off one trim of the prepend graph (``_live``): a context has words
+of length k when it starts an infinite path or a path of k steps.  The
+M-sets (the classes with a nonempty grade-k past) and the restricted maps
+are read off those sets and the class maps.
 
 The matrices are built from the class maps on demand and follow the
 source's indexing: entry (i, j) of the inclusion matrix is 1 when class i of
@@ -197,15 +202,13 @@ def past_partition(p: Presentation, level: int) -> PartitionLevel:
 
 def _reach_sets(steps, upto: int):
     """Contexts with a predecessor word of each length 0..upto, and of every
-    length: those that start an infinite path of steps."""
-    def shrink(cur):
-        return frozenset(i for i in cur if any(t in cur for _, t in steps[i]))
-
-    reach = [frozenset(range(len(steps)))]
-    for _ in range(upto):
-        reach.append(shrink(reach[-1]))
-    limit = _live({i: [t for _, t in row] for i, row in enumerate(steps)})
-    return tuple(reach), frozenset(limit)
+    length: those that start an infinite path of steps.  One trim gives both:
+    a context has words of length k when it is live or its longest path has
+    k steps or more."""
+    live, longest = _live({i: [t for _, t in row] for i, row in enumerate(steps)})
+    reach = tuple(frozenset(live.union(i for i, d in longest.items() if d >= k))
+                  for k in range(upto + 1))
+    return reach, frozenset(live)
 
 
 def build_chain(p: Presentation, length: int) -> PartitionChain:
@@ -315,18 +318,16 @@ def restricted_maps(chain: PartitionChain, k: int, l: int) -> RestrictedMaps:
     inc_range = m_index_set(chain, k, l + 1)
     act_range = m_index_set(chain, k + 1, l + 1)
 
-    inc_full = inclusion_matrix(chain, l)
-    act_full = action_sum(chain, l)
-    inc_range_set, act_range_set = set(inc_range), set(act_range)
-    for j in dom:
-        for i in range(chain.m(l + 1)):
-            if inc_full.entry(i, j) and i not in inc_range_set:
-                raise ConsistencyError("inclusion leaves the grade-k coordinates")
-            if act_full.entry(i, j) and i not in act_range_set:
-                raise ConsistencyError("action leaves the grade-(k+1) coordinates")
+    maps = chain.maps[min(l, len(chain.maps) - 1)]
+    dom_set, inc_range_set, act_range_set = set(dom), set(inc_range), set(act_range)
+    if any(j in dom_set and i not in inc_range_set for i, j in enumerate(maps.parent)):
+        raise ConsistencyError("inclusion leaves the grade-k coordinates")
+    if any(j in dom_set and i not in act_range_set
+           for i, row in enumerate(maps.image) for _, j in row):
+        raise ConsistencyError("action leaves the grade-(k+1) coordinates")
 
-    inc = inc_full.submatrix(inc_range, dom)
-    act = act_full.submatrix(act_range, dom)
+    inc = inclusion_matrix(chain, l).submatrix(inc_range, dom)
+    act = action_sum(chain, l).submatrix(act_range, dom)
 
     delta = None
     delta_range = None

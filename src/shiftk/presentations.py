@@ -25,7 +25,8 @@ the forward graph of its live suffix windows), which also gives its
 witnesses and its recodings.  The live windows of an SFT, the trimmed
 states and good matrices of a sofic graph, and a chain's persistent contexts
 are each the nodes of a finite graph that start an infinite path, found by
-one pass (``_live``).  The partition tower downstream refines over the
+one pass (``_live``), which also gives every other node's longest path (a
+chain's reach sets).  The partition tower downstream refines over the
 table, and since the shift of a point is again a point of the shift, the
 language is that predecessor set taken over every context:
 
@@ -38,6 +39,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .errors import (
     AlphabetMismatchError,
@@ -177,11 +179,17 @@ class Presentation:
         return f"<{type(self).__name__} over {list(self.alphabet.symbols)}>"
 
 
-def _live(successors) -> set:
+def _live(successors) -> tuple[set, dict]:
     """The nodes that start an infinite path in the graph ``successors`` (each
     node mapped to the list of its successor nodes, one per edge): the
     greatest set in which every member has a successor member.  One worklist
-    pass over the reverse edges reads each edge once."""
+    pass over the reverse edges reads each edge once.
+
+    Every other node dies, and the pass also returns the length of its
+    longest path.  The dying nodes are taken in the order they die, which is
+    the order of their longest paths, so the last successor of a node to die
+    has the longest path of them all and sets the node's as one more.
+    """
     preds = {u: [] for u in successors}
     out_degree = {}
     for u, vs in successors.items():
@@ -189,12 +197,14 @@ def _live(successors) -> set:
         for v in vs:
             preds[v].append(u)
     dead = [u for u, d in out_degree.items() if not d]
-    while dead:
-        for u in preds[dead.pop()]:
+    longest = dict.fromkeys(dead, 0)
+    for v in dead:              # grows as nodes die
+        for u in preds[v]:
             out_degree[u] -= 1
             if not out_degree[u]:
+                longest[u] = longest[v] + 1
                 dead.append(u)
-    return {u for u, d in out_degree.items() if d}
+    return {u for u, d in out_degree.items() if d}, longest
 
 
 def _lasso(start, step, head: Word) -> Point:
@@ -304,9 +314,9 @@ class SftShift(Presentation):
         p._adjacency = adjacency
         if len(adjacency) > MAX_CONTEXTS:
             raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
-        successors = {(i,): [(j,) for j, x in enumerate(row) if x]
-                      for i, row in enumerate(adjacency)}
-        live = _live(successors)
+        windows = [(j,) for j in range(len(adjacency))]
+        successors = {w: list(compress(windows, row)) for w, row in zip(windows, adjacency)}
+        live = _live(successors)[0]
         p.window_graph = {w: tuple((w2[0], w2) for w2 in successors[w] if w2 in live)
                           for w in sorted(live)}
         p.contexts  # force emptiness check
@@ -362,7 +372,7 @@ class SftShift(Presentation):
                 stack.extend(ok)
             else:
                 edges[w] = [(u[-1], u[1:]) for u in ok]
-        live = _live({w: [w2 for _, w2 in out] for w, out in edges.items()})
+        live = _live({w: [w2 for _, w2 in out] for w, out in edges.items()})[0]
         return {w: tuple((a, w2) for a, w2 in edges[w] if w2 in live) for w in sorted(live)}
 
     def _realizable_contexts(self):
@@ -427,9 +437,8 @@ def vertex_sft_from_adjacency(adjacency) -> SftShift:
     for row in adjacency:
         if len(row) != n:
             raise ValidationError("adjacency matrix must be square")
-        for x in row:
-            if type(x) is not int or x not in (0, 1):
-                raise ValidationError("adjacency entries must be 0 or 1")
+        if not set(map(type, row)) <= {int} or not set(row) <= {0, 1}:
+            raise ValidationError("adjacency entries must be 0 or 1")
     alphabet = Alphabet(tuple(str(i) for i in range(n)))
     if all(map(all, adjacency)):
         return SftShift(alphabet, ())      # the full shift, of memory 0
@@ -498,7 +507,7 @@ class SoficShift(Presentation):
         for (q, r, _) in triples:
             forward[q].append(r)
             backward[r].append(q)
-        alive = _live(forward) & _live(backward)
+        alive = _live(forward)[0] & _live(backward)[0]
         triples = {(q, r, s) for (q, r, s) in triples if q in alive and r in alive}
         if not triples:
             raise ValidationError("presentation describes the empty shift space")
@@ -552,7 +561,7 @@ class SoficShift(Presentation):
         greatest set in which each member has a successor member of its mask."""
         _, masks, succ = self._monoid
         return frozenset(_live({i: [j for j in succ[i] if masks[j] == mask]
-                                for i, mask in enumerate(masks) if mask}))
+                                for i, mask in enumerate(masks) if mask})[0])
 
     @cached_property
     def _context_reps(self) -> dict[int, int]:

@@ -8,6 +8,7 @@ kept in a normal form so that equality of points is tuple equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import AlphabetMismatchError, ValidationError
 
@@ -85,20 +86,7 @@ class Alphabet:
         >>> list(Alphabet(("a", "b")).words_of_length(2))
         [(0, 0), (0, 1), (1, 0), (1, 1)]
         """
-        if k == 0:
-            yield EPSILON
-            return
-        n = len(self.symbols)
-        w = [0] * k
-        while True:
-            yield tuple(w)
-            i = k - 1
-            while i >= 0 and w[i] == n - 1:
-                w[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            w[i] += 1
+        return product(range(len(self.symbols)), repeat=k)
 
 
 def _primitive_root(per: Word) -> Word:

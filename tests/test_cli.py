@@ -109,6 +109,18 @@ def test_matrices_output(files, capsys):
     assert "inclusion" in out and "action sum" in out and "difference" in out
 
 
+@pytest.mark.parametrize("command", ["classes", "matrices", "triple"])
+def test_tables_are_pinned_byte_for_byte(tmp_path, capsys, command):
+    # each table is a rendering of its --format json payload, and its bytes
+    # are pinned line by line
+    pinned = json.loads((Path(__file__).parent / "data" / "tables_lmax3.json").read_text())
+    for name in ("golden_mean", "pair", "even"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(CORPUS_OBJECTS[name]))
+        assert run(capsys, command, str(path), "--lmax", "3") == (
+            0, "\n".join(pinned[f"{command} {name}"]) + "\n", "")
+
+
 def test_kgroups_and_triple(files, capsys):
     code, out, _ = run(capsys, "kgroups", files["full3"])
     assert code == 0 and "K0: Z/2" in out and "K1: 0" in out

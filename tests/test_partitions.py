@@ -6,6 +6,8 @@ import pytest
 from helpers import (
     dense_chain,
     dense_class_maps,
+    dense_reach_sets,
+    dense_steps,
     oracle_graded,
     oracle_partition,
     partition_as_context_groups,
@@ -256,6 +258,34 @@ def test_restricted_maps(golden_mean, pair):
     assert rm.domain == (0, 1) and rm.delta_range == (keep,)
 
 
+def _with_maps(chain, l, **fields):
+    """Replace ``fields`` of the class maps of level l+1 -> l in ``chain``."""
+    maps = list(chain.maps)
+    maps[l] = partitions.ClassMaps(**{**vars(maps[l]), **fields})
+    chain.maps = tuple(maps)
+
+
+def test_restricted_maps_refuse_maps_that_leave_the_coordinates(pair):
+    # at l = 1, M_1^2 is the inclusion range for k = 1 and the action range
+    # for k = 0; a broken map sends a class of level 2 outside it into the domain
+    l = 1
+    chain = build_chain(pair, 3)
+    outside = next(i for i in range(chain.m(l + 1)) if i not in m_index_set(chain, 1, l + 1))
+    parent = list(chain.maps[l].parent)
+    parent[outside] = m_index_set(chain, 1, l)[0]
+    _with_maps(chain, l, parent=tuple(parent))
+    with pytest.raises(ConsistencyError, match=r"^inclusion leaves the grade-k coordinates$"):
+        restricted_maps(chain, 1, l)
+
+    chain = build_chain(pair, 3)
+    image = list(chain.maps[l].image)
+    image[outside] = ((0, m_index_set(chain, 0, l)[0]),)
+    _with_maps(chain, l, image=tuple(image))
+    with pytest.raises(ConsistencyError,
+                       match=r"^action leaves the grade-\(k\+1\) coordinates$"):
+        restricted_maps(chain, 0, l)
+
+
 def test_persistent_classes(pair, golden_mean):
     chain = build_chain(pair, 3)
     keep = class_index_of_context(chain, 1, context_of(pair, pair.points[0]))
@@ -333,6 +363,23 @@ def test_sparse_tower_matches_the_dense_oracle():
             assert _image_per_symbol(maps.image, len(p.alphabet)) == image, p.to_json()
         assert chain.reach == want["reach"], p.to_json()
         assert chain.reach_limit == want["reach_limit"], p.to_json()
+
+
+def test_reach_sets_are_the_round_based_shrink():
+    # the reach sets and the reach limit, read off one trim, against shrinking
+    # the whole context set pass by pass, at every length up to 250; the
+    # vertex SFT whose vertices 199 -> 198 -> ... -> 1 run into a loop at 0
+    # has contexts whose longest paths take every length 0..198
+    path = parse_presentation({"type": "sft_matrix", "adjacency": [
+        [int(j == i - 1 or i == j == 0) for j in range(200)] for i in range(200)]})
+    cases = _tower_cases(103, 200) + [path]
+    for p in cases:
+        want, limit = dense_reach_sets(dense_steps(p), len(p.alphabet), 250)
+        for length in (1, 3, 250):
+            chain = build_chain(p, length)
+            assert chain.reach == want[:length + 1], p.to_json()
+            assert chain.reach_limit == limit, p.to_json()
+    assert [len(r) for r in build_chain(path, 250).reach] == [200 - k for k in range(200)] + [1] * 51
 
 
 def test_class_maps_raise_as_the_dense_oracle_does():

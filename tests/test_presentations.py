@@ -326,12 +326,33 @@ def _round_based_live(successors):
     return alive
 
 
+def _round_based_longest(successors, live):
+    """The longest path of each node outside ``live``: the number of whole
+    passes, shrinking the node set to the nodes with a successor left, that
+    keep it."""
+    cur, passes, longest = set(successors), 0, {}
+    while cur != live:
+        nxt = {u for u in cur if any(v in cur for v in successors[u])}
+        longest.update(dict.fromkeys(cur - nxt, passes))
+        cur, passes = nxt, passes + 1
+    return longest
+
+
 def test_live_is_the_round_based_greatest_fixpoint():
     rng = random.Random(67)
     for _ in range(500):
         n = rng.randint(0, 12)
         successors = {u: [rng.randrange(n) for _ in range(rng.randint(0, 3))] for u in range(n)}
-        assert _live(successors) == _round_based_live(successors), successors
+        live = _round_based_live(successors)
+        assert _live(successors) == (live, _round_based_longest(successors, live)), successors
+    for _ in range(200):
+        # edges down to smaller nodes and one more edge: long dying paths
+        n = rng.randint(1, 40)
+        successors = {u: [rng.randrange(u) for _ in range(rng.randint(0, 3) if u else 0)]
+                      for u in range(n)}
+        successors[rng.randrange(n)].append(rng.randrange(n))
+        live = _round_based_live(successors)
+        assert _live(successors) == (live, _round_based_longest(successors, live)), successors
 
 
 def _dead_path(n):

@@ -62,3 +62,19 @@ def test_every_public_name_is_read_by_the_library_or_is_api():
 def test_api_names_are_defined():
     defined, _ = _public_names_and_reads()
     assert sorted(API - defined.keys()) == []
+
+
+# The CLI tables render the --format json payloads, so the CLI reads the
+# partitions module through these names only: one data route per table.
+CLI_FROM_PARTITIONS = {"Stabilization", "build_chain", "chain_to_json", "matrices_to_json"}
+
+
+def test_cli_reads_partitions_through_the_json_payloads_only():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("partitions"):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):   # the module itself
+            imported.update(alias.name for alias in node.names if alias.name.endswith("partitions"))
+    assert sorted(imported - CLI_FROM_PARTITIONS) == []
