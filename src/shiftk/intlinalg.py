@@ -4,14 +4,20 @@ Everything runs on Python's arbitrary-precision integers; no fixed-width
 arithmetic is used anywhere.
 
 Ranks, cokernels and K-groups need only the rank and the invariant factors,
-which ``invariant_factors`` computes without unimodular transforms.  A square
-nonsingular M, the usual I - S, takes one fraction-free (Bareiss) pass on
+which ``invariant_factors`` and ``matrix_rank`` compute without unimodular
+transforms.  Both first pivot on entries +-1 (``_unit_pivots``, the first
+stage of sparse integer Smith forms: Havas-Majewski 1997,
+Dumas-Saunders-Villard 2001): each pivot is a unimodular step that adds a
+factor 1 and a rank 1, and what is left is a core whose entries are minors
+of the input, so no larger than its Hadamard bound.  I - S of a vertex shift
+is mostly such pivots, and the paths below see only the core.  A square
+nonsingular core M takes one fraction-free (Bareiss) pass on
 [M | b] with b = (1, ..., 1): back-substitution gives x = +-adj(M) * b,
 certified by M * x == det * b, and g = gcd(|det|, x) is a multiple of
 s1 * ... * s(n-1).  When g == 1 the factors are (1, ..., 1, |det|); otherwise
 the row and column elimination modulo g gives s1 ... s(n-1), and sn is |det|
 over their product, checked for exact division and the divisibility chain
-(Eberly-Giesbrecht-Villard 2000, Saunders-Wan 2004).  Any other matrix takes
+(Eberly-Giesbrecht-Villard 2000, Saunders-Wan 2004).  Any other core takes
 one Bareiss pass for its rank r and a nonzero r x r minor Delta, and the
 elimination runs with every entry reduced modulo Delta (Domich-Kannan-Trotter
 1987, Hafner-McCurley 1991), so entries never grow past Delta.  Each nonzero
@@ -153,8 +159,61 @@ def determinant(m: IntMatrix) -> int:
 
 
 def matrix_rank(m: IntMatrix) -> int:
-    """Rank over Q, from the fraction-free elimination alone."""
-    return _echelon(m)[0]
+    """Rank over Q: the unit pivots (``_unit_pivots``) plus the rank of the
+    core from one fraction-free elimination."""
+    units, core = _unit_pivots(m)
+    return units + _echelon(core)[0]
+
+
+def _unit_pivots(m: IntMatrix) -> tuple[int, IntMatrix]:
+    """Pivot on entries +-1 while there are any: the pivot count k and the
+    remaining core, m itself when k == 0.
+
+    A pivot on a[i][c] = e = +-1 subtracts a[r][c] * e times row i from each
+    other row r, which clears column c, and drops row i and column c; the
+    column steps that would clear the rest of row i touch no other row, so
+    they are skipped.  Every step is unimodular, so m is equivalent to
+    diag(1, ..., 1, core) with k ones: rank(m) = k + rank(core), and the
+    invariant factors of m are k ones followed by those of the core
+    (Havas-Majewski 1997, Dumas-Saunders-Villard 2001).  The pivot is the
+    first 1, else the first -1, of the first row holding either.
+
+    The core is the Schur complement of the pivot block, whose determinant
+    is the product of the pivots, +-1.  So each core entry is, up to sign,
+    the minor of m on the pivot rows and columns plus that entry's row and
+    column, and stays under the Hadamard bound of m (the product of its
+    nonzero row norms), whatever the order of the pivots.
+    """
+    rows = [list(r) for r in m.entries]
+    pivots = []
+    i = 0
+    while i < len(rows):
+        row = rows[i]
+        if 1 in row:
+            c = row.index(1)
+        elif -1 in row:
+            c = row.index(-1)
+        else:
+            i += 1
+            continue
+        del rows[i]
+        pivots.append(c)
+        e = row[c]
+        support = [(j, y) for j, y in enumerate(row) if y]
+        for k, r in enumerate(rows):
+            f = r[c]
+            if f:
+                f *= e
+                for j, y in support:
+                    r[j] -= f * y
+                if k < i:       # rows above i held no +-1; this one may now
+                    i = k
+    if not pivots:
+        return 0, m
+    dropped = set(pivots)
+    keep = [j for j in range(m.cols) if j not in dropped]
+    core = tuple(tuple([r[j] for j in keep]) for r in rows)
+    return len(pivots), IntMatrix._trusted(len(rows), len(keep), core)
 
 
 def _gcdex(a: int, b: int) -> tuple[int, int, int]:
@@ -356,13 +415,13 @@ def _divisibility_chain(diag: list[int]) -> list[int]:
     return [1] * (len(diag) - len(chain)) + chain
 
 
-def _certificate_failure(m: IntMatrix, modulus: int, check: str) -> ConsistencyError:
+def _certificate_failure(where: str, modulus: int, check: str) -> ConsistencyError:
     return ConsistencyError(
-        f"invariant factors failed the {check} check on a {m.rows}x{m.cols} matrix "
+        f"invariant factors failed the {check} check on a {where} "
         f"(modulus of {modulus.bit_length()} bits)")
 
 
-def _nonsingular_factors(m: IntMatrix, a: list[list[int]], p: int) -> tuple[int, ...]:
+def _nonsingular_factors(m: IntMatrix, a: list[list[int]], p: int, where: str) -> tuple[int, ...]:
     """Invariant factors of a square nonsingular m from its Bareiss echelon
     form ``a`` on [m | b], b the ones vector, with last pivot p = +-det(m).
 
@@ -380,40 +439,53 @@ def _nonsingular_factors(m: IntMatrix, a: list[list[int]], p: int) -> tuple[int,
         x[i] = (p * row[n] - sum(map(operator.mul, row[i + 1:n], x[i + 1:]))) // row[i]
     delta = abs(p)
     if m.apply(tuple(x)) != (p,) * n:
-        raise _certificate_failure(m, delta, "M*x == det*b")
+        raise _certificate_failure(where, delta, "M*x == det*b")
     g = gcd(delta, *x)
     if g == 1:
         return (1,) * (n - 1) + (delta,)
     diag = [gcd(v, g) for v in _diagonal_mod(m, g)]
     head = _divisibility_chain(diag + [g] * (n - len(diag)))[:n - 1]
     if delta % prod(head):
-        raise _certificate_failure(m, g, "product equals |det|")
+        raise _certificate_failure(where, g, "product equals |det|")
     factors = tuple(head) + (delta // prod(head),)
     if any(t % s for s, t in zip(factors, factors[1:])):
-        raise _certificate_failure(m, g, "divisibility chain")
+        raise _certificate_failure(where, g, "divisibility chain")
     return factors
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """Rank r and the r nonzero invariant factors d1 | d2 | ... | dr of m.
 
-    A square nonsingular m takes one Bareiss pass with a right-hand side (see
-    ``_nonsingular_factors``).  Otherwise the diagonal of the reduction
-    modulo Delta, a nonzero r x r minor, gives gcd(di, Delta) = di for
-    i <= r and Delta for the zero factors; missing diagonal entries of a
-    rectangular matrix count as zero, so it needs no padding, and gcd/lcm
-    exchanges order the diagonal into a chain.  The result is certified
-    (chain, rank count, product dividing Delta) and a failure raises
-    ConsistencyError naming the check.
+    The pivots on entries +-1 (``_unit_pivots``) come first: each gives a
+    factor 1, and the rest are those of the remaining core, whose entries
+    stay under the Hadamard bound of m.  A square nonsingular core takes one
+    Bareiss pass with a right-hand side (see ``_nonsingular_factors``).
+    Otherwise the diagonal of the reduction modulo Delta, a nonzero r x r
+    minor of the core, gives gcd(di, Delta) = di for i <= r and Delta for
+    the zero factors; missing diagonal entries of a rectangular core count
+    as zero, so it needs no padding, and gcd/lcm exchanges order the
+    diagonal into a chain.  The result is certified (chain, rank count,
+    product dividing Delta) and a failure raises ConsistencyError naming the
+    check, the shape of m and, when pivots shrank it, that of the core.
 
     >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
     (2, (2, 4))
     """
+    units, core = _unit_pivots(m)
+    where = f"{m.rows}x{m.cols} matrix"
+    if units:
+        where += f" (core {core.rows}x{core.cols})"
+    rank, factors = _core_factors(core, where)
+    return units + rank, (1,) * units + factors
+
+
+def _core_factors(m: IntMatrix, where: str) -> tuple[int, tuple[int, ...]]:
+    """``invariant_factors`` of a core, with no unit pivot taken."""
     if m.rows and m.is_square():
         a = [list(r) + [1] for r in m.entries]
         rank, _, minor = _bareiss(a, m.cols)
         if rank == m.rows:
-            return rank, _nonsingular_factors(m, a, minor)
+            return rank, _nonsingular_factors(m, a, minor, where)
     else:
         rank, minor = _echelon(m)
     delta = abs(minor)
@@ -422,11 +494,11 @@ def invariant_factors(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
     diag = _divisibility_chain(diag)
     factors = tuple(diag[:rank])
     if any(y % x for x, y in zip(factors, factors[1:])):
-        raise _certificate_failure(m, delta, "divisibility chain")
+        raise _certificate_failure(where, delta, "divisibility chain")
     if len(factors) != rank or any(x != delta for x in diag[rank:]):
-        raise _certificate_failure(m, delta, "rank count")
+        raise _certificate_failure(where, delta, "rank count")
     if delta % prod(factors):
-        raise _certificate_failure(m, delta, "product divides the minor")
+        raise _certificate_failure(where, delta, "product divides the minor")
     return rank, factors
 
 

@@ -98,7 +98,9 @@ def eventual_rank(m: IntMatrix) -> int:
 
     The rank drops of successive powers never grow, so rank(m^j) equal to
     rank(m^2j) means the ranks are constant from j on: squaring until two
-    consecutive ranks agree finds the limit.
+    consecutive ranks agree finds the limit.  Each rank pivots on the +-1
+    entries of the power first (``intlinalg.matrix_rank``), so for a 0/1
+    core map only the small core left by those pivots is eliminated.
     """
     power, rank, prev = m, matrix_rank(m), None
     while 0 < rank < m.rows and rank != prev:

@@ -274,6 +274,9 @@ def check_det_five_matrix():
              [0, 0, 0, -1, 0, 0, 1, 0], [0, -1, -1, 0, 0, 0, 0, 1])
     assert determinant(b) == -5
     assert invariant_factors(b) == (8, (1,) * 7 + (5,)) == snf_factors(b)
+    # invariant_factors no longer reaches the loop on b (its unit pivots leave
+    # the 1x1 core (5), and g == 1 there), so run the reduction modulo 5 itself
+    assert intlinalg._diagonal_mod(b, 5) == [1] * 7
 
 
 _BAREISS = intlinalg._bareiss
@@ -298,6 +301,10 @@ def _bareiss_with_a_wrong_right_hand_side(a, cols):
     ([[2, 0], [0, 3]], ("_bareiss", _bareiss_with_a_wrong_right_hand_side), "M*x == det*b"),
     ([[2, 0, 0], [0, 3, 0]], ("_divisibility_chain", lambda diag: [6, 1]),
      "divisibility chain"),
+    # the unit pivot leaves the core diag(2, 2, 2), which fails as the first case
+    ([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+     ("_diagonal_mod", lambda m, modulus: []),
+     "product equals |det| check on a 4x4 matrix (core 3x3)"),
 ])
 def test_certificate_failures_name_check_shape_and_modulus(monkeypatch, matrix, patch, check):
     m = IntMatrix.from_rows(matrix)
@@ -309,6 +316,141 @@ def test_certificate_failures_name_check_shape_and_modulus(monkeypatch, matrix, 
     assert check in message
     assert f"{m.rows}x{m.cols} matrix" in message
     assert "modulus of" in message and "bits" in message
+    # the core is named exactly when unit pivots shrank the matrix
+    assert ("(core " in message) == any(abs(x) == 1 for row in matrix for x in row)
+
+
+def sparse_matrix(rng, r, c, per_row=5, values=(-3, -2, -1, 1, 2, 3)):
+    rows = [[0] * c for _ in range(r)]
+    for row in rows:
+        for j in rng.sample(range(c), min(per_row, c)):
+            row[j] = rng.choice(values)
+    return IntMatrix.from_rows(rows)
+
+
+NO_UNITS = (0, 0, 0, 2, -2, 3, -3, 4, -5, 6)
+
+
+def unit_pivot_case(rng, kind, r, c):
+    """Seeded matrices for the unit pivots: dense, sparse (about 5 nonzeros a
+    row), with no entry +-1, and square singular (last row a sum of two)."""
+    if kind == "dense":
+        m = random_matrix(rng, "dense", r, c)
+    elif kind == "sparse":
+        m = sparse_matrix(rng, r, c)
+    elif kind == "no-units":
+        m = IntMatrix.from_rows([[rng.choice(NO_UNITS) for _ in range(c)] for _ in range(r)])
+    else:
+        m = sparse_matrix(rng, r, c, per_row=3) if rng.random() < 0.5 else \
+            random_matrix(rng, "dense", r, c)
+        e = [list(row) for row in m.entries]
+        e[-1] = [x + y for x, y in zip(e[0], e[1])]
+        m = IntMatrix.from_rows(e)
+    return m
+
+
+def test_unit_pivots_keep_rank_and_invariant_factors():
+    """invariant_factors and matrix_rank against smith_normal_form and the
+    plain Bareiss rank; past 12 rows or columns, where smith_normal_form's
+    entries explode, against the factor path run on the whole matrix."""
+    rng = random.Random(20261021)
+    seen = collections.Counter()
+    sizes = [(n, n) for n in (1, 2, 3, 5, 8, 12, 32, 64, 128)]
+    sizes += [(3, 7), (7, 3), (12, 5), (5, 12), (24, 48), (48, 24)]
+    largest = {"dense": 64, "sparse": 128, "no-units": 32, "singular": 128}
+    for kind in ("dense", "sparse", "no-units", "singular"):
+        for r, c in sizes:
+            if max(r, c) > largest[kind] or kind == "singular" and (r != c or r < 2):
+                continue
+            for _ in range(6 if max(r, c) <= 12 else 2):
+                m = unit_pivot_case(rng, kind, r, c)
+                units, core = intlinalg._unit_pivots(m)
+                rank, factors = invariant_factors(m)
+                assert matrix_rank(m) == rank == intlinalg._echelon(m)[0]
+                if max(r, c) <= 12:
+                    assert (rank, factors) == snf_factors(m)
+                else:
+                    assert (rank, factors) == intlinalg._core_factors(m, "whole matrix")
+                if kind == "no-units":
+                    assert (units, core) == (0, m)
+                seen[kind] += 1
+                seen["rectangular" if r != c else "nonsingular" if rank == r else "singular"] += 1
+                seen["pivoted"] += units > 0
+                seen["large"] += max(r, c) >= 64
+    assert min(seen.values()) >= 10, seen
+
+
+def test_complete_elimination_leaves_an_empty_core():
+    # T is unit upper triangular, so its rows pivot in order and every unit
+    # pivot of [T | X] or [T ; Y] comes from T
+    rng = random.Random(20261022)
+    for k, j in [(1, 1), (3, 2), (6, 4), (10, 1)]:
+        t = [[int(a == b) if a >= b else rng.randint(-3, 3) for b in range(k)] for a in range(k)]
+        x = [[rng.randint(-4, 4) for _ in range(j)] for _ in range(k)]
+        y = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(j)]
+        for rows, shape in [(t, (0, 0)), ([a + b for a, b in zip(t, x)], (0, j)), (t + y, (j, 0))]:
+            m = IntMatrix.from_rows(rows)
+            units, core = intlinalg._unit_pivots(m)
+            assert units == k and (core.rows, core.cols) == shape
+            assert invariant_factors(m) == (k, (1,) * k) == snf_factors(m)
+            assert matrix_rank(m) == k
+    for r, c in [(0, 0), (0, 3), (3, 0)]:
+        empty = IntMatrix(r, c, tuple(() for _ in range(r)))
+        assert intlinalg._unit_pivots(empty) == (0, empty)
+        assert invariant_factors(empty) == (0, ()) and matrix_rank(empty) == 0
+
+
+def test_core_entries_stay_under_the_hadamard_bound():
+    """Each core entry is a minor of order k + 1 of the input, k the number of
+    unit pivots, so log2 |x| is at most the sum of log2 of the k + 1 largest
+    row norms, within the input's Hadamard bound (the sum over every nonzero
+    row); both are checked as exact integer bounds on x**2."""
+    rng = random.Random(20261023)
+    grown = 0
+    for _ in range(200):
+        kind = rng.choice(["dense", "sparse", "small", "i-minus-a"])
+        r, c = rng.randint(1, 24), rng.randint(1, 24)
+        if kind == "small":       # entries in -2..2 give many pivots and much fill
+            m = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)])
+        elif kind == "i-minus-a":     # two arcs a vertex: little room under the bound
+            arcs = [rng.sample(range(r), min(r, 2)) for _ in range(r)]
+            m = IntMatrix.from_rows(
+                [[int(i == j) - (j in arcs[i]) for j in range(r)] for i in range(r)])
+        else:
+            m = unit_pivot_case(rng, kind, r, c)
+        units, core = intlinalg._unit_pivots(m)
+        norms = sorted((sum(x * x for x in row) for row in m.entries if any(row)), reverse=True)
+        biggest = max((abs(x) for row in core.entries for x in row), default=0)
+        assert biggest * biggest <= math.prod(norms[:units + 1]) <= math.prod(norms), (m, core)
+        grown += biggest > max(abs(x) for row in m.entries for x in row)
+    assert grown >= 20, grown
+
+
+def test_bowen_franks_difference_matrix_reaches_bareiss_as_a_smaller_core(monkeypatch):
+    # the vertex shift of a random 0/1 matrix at density 0.3, as the
+    # bowen-franks benchmark builds it: its I - S is 20x20
+    from shiftk import invariants, parse_presentation
+    from shiftk.partitions import build_chain
+    rng = random.Random(20)
+    n = 20
+    adj = [[int(rng.random() < 0.3) for _ in range(n)] for _ in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    for i in range(n):
+        adj[i][perm[i]] = 1
+    s = invariants.dimension_triple(
+        build_chain(parse_presentation({"type": "sft_matrix", "adjacency": adj}), 2))
+    assert s.rank == n
+    shapes = []
+    bareiss = intlinalg._bareiss
+
+    def counting(a, cols):
+        shapes.append((len(a), cols))
+        return bareiss(a, cols)
+    monkeypatch.setattr(intlinalg, "_bareiss", counting)
+    invariants.triple_invariants(s)       # I - S, then the rank of the core map
+    assert len(shapes) >= 2
+    assert all(rows < n and cols < n for rows, cols in shapes), shapes
 
 
 def test_caller_data_is_checked_and_results_are_plain_matrices():
