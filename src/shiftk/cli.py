@@ -8,7 +8,7 @@ A table renders the payload its command prints under ``--format json``.
 Exit codes: 0 success; 1 ``model verify`` found a violated identity; 2 bad
 input or refused operation; 4 internal error.  compare uses 0 = equivalent
 (an intertwiner was found), 1 = distinguished, 2 = inconclusive and 3 for
-bad input.
+bad input or a usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -45,44 +45,31 @@ def _source_hash() -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    lmax: int
-    fmt: str
-    cache_dir: Path
-    no_cache: bool
-
-    def fingerprint(self) -> str:
-        return json.dumps({"lmax": self.lmax, "source": _source_hash()}, sort_keys=True)
+def _option(args, dest: str, default):
+    """The flag stored at ``dest``, else ``SHIFTK_<DEST>`` from the environment, else ``default``."""
+    flag = getattr(args, dest)
+    if flag is not None:
+        return flag
+    raw = os.environ.get(ENV_PREFIX + dest.upper())
+    return default if raw is None else raw
 
 
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _config_from(args) -> RunConfig:
-    def pick(flag, env_name, default, conv):
-        if flag is not None:
-            return conv(flag)
-        raw = _env(env_name)
-        if raw is not None:
-            return conv(raw)
-        return default
-
-    try:
-        lmax = pick(getattr(args, "lmax", None), "LMAX", DEFAULT_LMAX, int)
-    except ValueError:   # the flag is an int already, so the value came from the environment
-        raise ValidationError(
-            f"{ENV_PREFIX}LMAX must be an integer, not {_env('LMAX')!r}") from None
-    fmt = pick(getattr(args, "format", None), "FORMAT", "table", str)
+def _fmt(args) -> str:
+    fmt = _option(args, "format", "table")
     if fmt not in ("table", "json"):
         raise ValidationError(f"unknown output format {fmt!r}")
-    cache_dir = pick(getattr(args, "cache_dir", None), "CACHE_DIR",
-                     Path.home() / ".cache" / "shiftk", Path)
-    no_cache = bool(getattr(args, "no_cache", False)) or _env("NO_CACHE") == "1"
+    return fmt
+
+
+def _lmax(args) -> int:
+    raw = _option(args, "lmax", DEFAULT_LMAX)
+    try:
+        lmax = int(raw)
+    except ValueError:   # the flag is an int already, so the value came from the environment
+        raise ValidationError(f"{ENV_PREFIX}LMAX must be an integer, not {raw!r}") from None
     if lmax < 1:
         raise ValidationError("lmax must be >= 1")
-    return RunConfig(lmax, fmt, Path(cache_dir), no_cache)
+    return lmax
 
 
 def _emit(text: str) -> None:
@@ -103,8 +90,8 @@ def _matrix_lines(name: str, rows) -> list[str]:
     return [f"{name}:"] + ["  [" + " ".join(f"{x:3d}" for x in row) + "]" for row in rows]
 
 
-def _invariant_record(p, cfg: RunConfig) -> dict:
-    chain = build_chain(p, cfg.lmax)
+def _invariant_record(p, lmax: int) -> dict:
+    chain = build_chain(p, lmax)
     triple = dimension_triple(chain)
     kg = triple.k_groups
     return {
@@ -120,9 +107,10 @@ def _invariant_record(p, cfg: RunConfig) -> dict:
     }
 
 
-def _cache_path(cfg: RunConfig, p) -> Path:
-    key = hashlib.sha256(p.canonical_bytes() + b"\n" + cfg.fingerprint().encode()).hexdigest()
-    return cfg.cache_dir / f"{key}.json"
+def _cache_path(cache_dir, lmax: int, p) -> Path:
+    fingerprint = json.dumps({"lmax": lmax, "source": _source_hash()}, sort_keys=True)
+    key = hashlib.sha256(p.canonical_bytes() + b"\n" + fingerprint.encode()).hexdigest()
+    return Path(cache_dir) / f"{key}.json"
 
 
 def _cache_read(path: Path):
@@ -145,8 +133,8 @@ def _cache_write(path: Path, record: dict) -> None:
         pass  # cache is best-effort
 
 
-def _print_record(record: dict, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def _print_record(record: dict, fmt: str) -> None:
+    if fmt == "json":
         _emit_json(record)
         return
     triple = record["triple"]
@@ -168,25 +156,25 @@ def _print_record(record: dict, cfg: RunConfig) -> None:
 
 
 def cmd_invariants(args) -> int:
-    cfg = _config_from(args)
+    fmt, lmax = _fmt(args), _lmax(args)
     p = load_presentation(args.file)
-    cache_file = _cache_path(cfg, p)
-    record = None
-    if not cfg.no_cache:
-        record = _cache_read(cache_file)
+    cache_file = None
+    if not (args.no_cache or os.environ.get(ENV_PREFIX + "NO_CACHE") == "1"):
+        cache_file = _cache_path(_option(args, "cache_dir", Path.home() / ".cache" / "shiftk"), lmax, p)
+    record = _cache_read(cache_file) if cache_file else None
     if record is None:
-        record = _invariant_record(p, cfg)
-        if not cfg.no_cache:
+        record = _invariant_record(p, lmax)
+        if cache_file:
             _cache_write(cache_file, record)
-    _print_record(record, cfg)
+    _print_record(record, fmt)
     return 0
 
 
 def cmd_classes(args) -> int:
-    cfg = _config_from(args)
+    fmt, lmax = _fmt(args), _lmax(args)
     p = load_presentation(args.file)
-    payload = {"presentation": p.content_hash(), **chain_to_json(build_chain(p, cfg.lmax))}
-    if cfg.fmt == "json":
+    payload = {"presentation": p.content_hash(), **chain_to_json(build_chain(p, lmax))}
+    if fmt == "json":
         _emit_json(payload)
         return 0
     lines = ["m-sequence: " + " ".join(str(m) for m in payload["m_sequence"]),
@@ -218,10 +206,10 @@ def _sig_text(signature) -> str:
 
 
 def cmd_matrices(args) -> int:
-    cfg = _config_from(args)
+    fmt, lmax = _fmt(args), _lmax(args)
     p = load_presentation(args.file)
-    levels = matrices_to_json(build_chain(p, cfg.lmax))
-    if cfg.fmt == "json":
+    levels = matrices_to_json(build_chain(p, lmax))
+    if fmt == "json":
         _emit_json({"presentation": p.content_hash(), "matrices": levels})
         return 0
     lines = []
@@ -237,10 +225,10 @@ def cmd_matrices(args) -> int:
 
 
 def cmd_kgroups(args) -> int:
-    cfg = _config_from(args)
+    fmt = _fmt(args)
     p = load_presentation(args.file)
-    kg = k_groups(build_chain(p, cfg.lmax))
-    if cfg.fmt == "json":
+    kg = k_groups(build_chain(p, 1))   # limit data: the chain's length cannot change it
+    if fmt == "json":
         _emit_json({"k0": kg.k0.to_json(), "k1": kg.k1.to_json()})
     else:
         _emit(f"K0: {kg.k0.render()}\nK1: {kg.k1.render()}")
@@ -248,10 +236,10 @@ def cmd_kgroups(args) -> int:
 
 
 def cmd_triple(args) -> int:
-    cfg = _config_from(args)
+    fmt = _fmt(args)
     p = load_presentation(args.file)
-    payload = dimension_triple(build_chain(p, cfg.lmax)).to_json()
-    if cfg.fmt == "json":
+    payload = dimension_triple(build_chain(p, 1)).to_json()   # limit data, as in kgroups
+    if fmt == "json":
         _emit_json(payload)
     else:
         lines = [f"rank: {payload['rank']}"]
@@ -262,7 +250,7 @@ def cmd_triple(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    cfg = _config_from(args)
+    fmt = _fmt(args)
     p = load_presentation(args.file)
     try:
         move = json.loads(args.move)
@@ -308,7 +296,7 @@ def cmd_transform(args) -> int:
         "written": [str(path) for (path, _) in outputs],
         "report": report.to_json(),
     }
-    if cfg.fmt == "json":
+    if fmt == "json":
         _emit_json(payload)
     else:
         lines = [f"wrote {path}" for (path, _) in outputs]
@@ -318,10 +306,10 @@ def cmd_transform(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _config_from(args)
+    fmt = _fmt(args)
     pa = load_presentation(args.file_a)
     pb = load_presentation(args.file_b)
-    ta, tb = (dimension_triple(build_chain(p, cfg.lmax)) for p in (pa, pb))
+    ta, tb = (dimension_triple(build_chain(p, 1)) for p in (pa, pb))   # as in kgroups
     outcome = compare_triples(ta, tb)
     verdict, witness = outcome.verdict, outcome.witness
     # an equivalent verdict carries an intertwiner, which keeps the K-groups,
@@ -331,7 +319,7 @@ def cmd_compare(args) -> int:
             ("K1", ka.k1.render(), kb.k1.render()),
             ("triple rank", str(ta.rank), str(tb.rank))]
 
-    if cfg.fmt == "json":
+    if fmt == "json":
         _emit_json({
             "a": pa.content_hash(),
             "b": pb.content_hash(),
@@ -347,13 +335,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_model_verify(args) -> int:
-    cfg = _config_from(args)
+    fmt = _fmt(args)
     p = load_presentation(args.file)
     if not isinstance(p, FiniteShift):
         raise ValidationError("model verification needs a finite presentation")
     model = FiniteModel(p)
     reports = run_all_checks(model, args.max_word_len)
-    if cfg.fmt == "json":
+    if fmt == "json":
         _emit_json([
             {"name": r.name, "checks": r.checks, "violations": r.violations}
             for r in reports
@@ -367,12 +355,8 @@ def cmd_model_verify(args) -> int:
 # argument parsing
 
 
-def _add_common(sub):
-    sub.add_argument("--lmax", type=int, default=None,
-                     help=f"partition levels to show (default {DEFAULT_LMAX})")
+def _add_format(sub):
     sub.add_argument("--format", choices=["table", "json"], default=None)
-    sub.add_argument("--cache-dir", default=None)
-    sub.add_argument("--no-cache", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,20 +371,26 @@ def build_parser() -> argparse.ArgumentParser:
                      ("triple", cmd_triple)]:
         sub = subs.add_parser(name)
         sub.add_argument("file")
-        _add_common(sub)
+        if name in ("invariants", "classes", "matrices"):   # the commands that show levels
+            sub.add_argument("--lmax", type=int, default=None,
+                             help=f"partition levels to show (default {DEFAULT_LMAX})")
+        _add_format(sub)
+        if name == "invariants":    # the only command that reads the cache
+            sub.add_argument("--cache-dir", default=None)
+            sub.add_argument("--no-cache", action="store_true")
         sub.set_defaults(fn=fn)
 
     sub = subs.add_parser("transform")
     sub.add_argument("file")
     sub.add_argument("move", help='JSON move descriptor, e.g. {"move":"higher_block","n":2}')
     sub.add_argument("out")
-    _add_common(sub)
+    _add_format(sub)
     sub.set_defaults(fn=cmd_transform)
 
     sub = subs.add_parser("compare")
     sub.add_argument("file_a")
     sub.add_argument("file_b")
-    _add_common(sub)
+    _add_format(sub)
     sub.set_defaults(fn=cmd_compare)
 
     sub = subs.add_parser("model")
@@ -409,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("file")
     verify.add_argument("--L", dest="max_word_len", type=int, default=3,
                         help="maximum word length for the identity checks")
-    _add_common(verify)
+    _add_format(verify)
     verify.set_defaults(fn=cmd_model_verify)
 
     return parser
@@ -418,12 +408,20 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """One parser per process: every default is None or fixed and the
-    environment is read in ``_config_from``, so reuse carries no state."""
+    environment is read by the commands, so reuse carries no state."""
     return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but compare's 2 means inconclusive;
+        # the top-level flags take no value, so the first word names the command
+        if exc.code == 2 and next((a for a in argv if not a.startswith("-")), None) == "compare":
+            sys.exit(3)
+        raise
     try:
         return args.fn(args)
     except (ValidationError, ResourceCapError) as exc:

@@ -62,8 +62,9 @@ class BipartiteExpression:
         pairs = []
         for src in sorted(mapping):
             img = mapping[src]
-            if not (isinstance(img, (list, tuple)) and len(img) == 2):
-                raise ValidationError(f"image of {src!r} must be a [first, second] pair")
+            if not (isinstance(img, (list, tuple)) and len(img) == 2
+                    and all(isinstance(x, str) for x in img)):
+                raise ValidationError(f"image of {src!r} must be a [first, second] pair of strings")
             pairs.append((src, img[0], img[1]))
         return cls(tuple(pairs))
 

@@ -16,9 +16,13 @@ from helpers import (
 from shiftk import (
     ResourceCapError,
     ValidationError,
+    build_chain,
     cli,
+    compare_triples,
+    dimension_triple,
     intlinalg,
     invariants,
+    k_groups,
     parse_presentation,
     partitions,
     presentations,
@@ -114,10 +118,11 @@ def test_tables_are_pinned_byte_for_byte(tmp_path, capsys, command):
     # each table is a rendering of its --format json payload, and its bytes
     # are pinned line by line
     pinned = json.loads((Path(__file__).parent / "data" / "tables_lmax3.json").read_text())
+    lmax = () if command == "triple" else ("--lmax", "3")   # the triple is limit data
     for name in ("golden_mean", "pair", "even"):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(CORPUS_OBJECTS[name]))
-        assert run(capsys, command, str(path), "--lmax", "3") == (
+        assert run(capsys, command, str(path), *lmax) == (
             0, "\n".join(pinned[f"{command} {name}"]) + "\n", "")
 
 
@@ -189,9 +194,12 @@ def test_transform_bad_descriptor(files, capsys):
     ('{"move":"higher_block","n":2.7}', "n must be an integer"),
     ('{"move":"higher_block","n":true}', "n must be an integer"),
     ('{"move":"split","f":["a"]}', "f must be an object"),
+    ('{"move":"split","f":{"0":[["x"],"c"],"1":["b","d"]}}',
+     "image of '0' must be a [first, second] pair of strings"),
     ('{"move":"expand","a0":["0"],"star":"*"}', "a0 and star must be strings"),
     ('{"move":"expand","a0":"0","star":1}', "a0 and star must be strings"),
-], ids=["n-string", "n-null", "n-float", "n-bool", "f-list", "a0-list", "star-int"])
+], ids=["n-string", "n-null", "n-float", "n-bool", "f-list", "image-list", "a0-list",
+        "star-int"])
 def test_transform_malformed_descriptor_is_refused(files, capsys, descriptor, message):
     out = files["dir"] / "never-written.json"
     code, stdout, err = run(capsys, "transform", files["full2"], descriptor, str(out))
@@ -269,7 +277,7 @@ def write_relabelled_pair(directory):
 
 
 def test_equivalent_compare_shows_b_the_same_rows(files, capsys):
-    code, out, _ = run(capsys, "compare", *write_relabelled_pair(files["dir"]), "--no-cache")
+    code, out, _ = run(capsys, "compare", *write_relabelled_pair(files["dir"]))
     assert code == 0
     assert out == ("K0: Z^2 | Z^2\nK1: Z^2 | Z^2\ntriple rank: 4 | 4\n"
                    "verdict: equivalent (coordinate permutation [1, 2, 0, 3])\n")
@@ -287,6 +295,24 @@ def test_other_exceptions_are_internal_errors(files, capsys, monkeypatch):
 def test_compare_input_error_uses_exit_three(files, capsys):
     code, _, err = run(capsys, "compare", files["full2"], "/nonexistent.json")
     assert code == 3
+
+
+def test_compare_usage_errors_exit_three(files, capsys):
+    # compare's exit 2 means inconclusive, so a usage error there exits 3
+    argvs = [("compare", files["full2"]), ("compare", files["full2"], files["full3"], "--bogus"),
+             ("compare", files["full2"], files["full3"], "--lmax", "3")]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv, code in [(a, 3) for a in argvs] + [(("kgroups",), 2), (("compare", "-h"), 0),
+                                                   (("--version",), 0)]:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "shiftk.cli", *argv],
+                               capture_output=True, text=True, env=env, check=False)
+        assert exc.value.code == fresh.returncode == code, argv
+        assert (fresh.stdout, fresh.stderr) == (out.out, out.err), argv
+        if code:
+            assert out.err.startswith("usage: shiftk") and "error: " in out.err, argv
 
 
 def test_model_verify(files, capsys):
@@ -344,7 +370,7 @@ def test_reused_parser_leaks_no_state(files, capsys):
     commands = [
         ("model", "verify", files["pair"], "--L", "2"),
         ("invariants", files["golden_mean"], "--no-cache", "--format", "json"),
-        ("kgroups", files["full3"], "--no-cache"),
+        ("kgroups", files["full3"]),
         ("model", "verify", files["pair"]),     # the default --L, not the last one
     ]
     in_process = [run(capsys, *command)[:2] for command in commands]
@@ -365,9 +391,46 @@ def test_env_overrides_format(files, capsys, monkeypatch):
 
 def test_non_integer_lmax_from_the_environment_is_refused(files, capsys, monkeypatch):
     monkeypatch.setenv("SHIFTK_LMAX", "abc")
-    code, out, err = run(capsys, "kgroups", files["full3"])
+    code, out, err = run(capsys, "invariants", files["full3"])
     assert (code, out) == (2, "")
     assert err == "error: SHIFTK_LMAX must be an integer, not 'abc'\n"
+
+
+def test_each_command_has_only_the_options_it_reads(files, capsys, monkeypatch):
+    subs = next(a for a in cli.build_parser()._actions if a.choices and "model" in a.choices)
+    commands = dict(subs.choices)
+    model = commands.pop("model")
+    commands["model verify"] = next(a for a in model._actions if a.choices).choices["verify"]
+    options = {name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, sub in commands.items()}
+    assert options == {
+        "invariants": {"--lmax", "--format", "--cache-dir", "--no-cache"},
+        "classes": {"--lmax", "--format"},
+        "matrices": {"--lmax", "--format"},
+        "kgroups": {"--format"},
+        "triple": {"--format"},
+        "transform": {"--format"},
+        "compare": {"--format"},
+        "model verify": {"--L", "--format"},
+    }
+
+    out = str(files["dir"] / "hb2.json")
+    higher_block = ("transform", files["golden_mean"], '{"move":"higher_block","n":2}', out)
+    for argv in (("model", "verify", files["pair"]), higher_block):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--lmax", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lmax 0" in capsys.readouterr().err
+
+    # an override is read only where its flag exists
+    monkeypatch.setenv("SHIFTK_LMAX", "abc")
+    refused = (2, "error: SHIFTK_LMAX must be an integer, not 'abc'\n")
+    for argv in [("invariants", files["pair"]), ("classes", files["pair"]),
+                 ("matrices", files["pair"]), ("kgroups", files["pair"]),
+                 ("triple", files["pair"]), higher_block,
+                 ("compare", files["pair"], files["pair"]), ("model", "verify", files["pair"])]:
+        expected = refused if argv[0] in ("invariants", "classes", "matrices") else (0, "")
+        assert run(capsys, *argv)[::2] == expected, argv
 
 
 def test_cache_misses_when_sources_change(files, capsys, tmp_path, monkeypatch):
@@ -403,7 +466,8 @@ def test_output_independent_of_caps_and_state_names(tmp_path, capsys, monkeypatc
         out = []
         for path in paths:
             for command in ("invariants", "matrices", "classes"):
-                code, text, _ = run(capsys, command, str(path), "--no-cache",
+                no_cache = ("--no-cache",) if command == "invariants" else ()
+                code, text, _ = run(capsys, command, str(path), *no_cache,
                                     "--format", "json", "--lmax", "6")
                 assert code == 0, (command, path)
                 data = json.loads(text)
@@ -463,26 +527,27 @@ def test_limit_invariants_do_not_depend_on_lmax(tmp_path, capsys):
     for i, obj in enumerate(objects):
         paths.append(str(tmp_path / f"p{i}.json"))
         Path(paths[-1]).write_text(json.dumps(obj))
+    parsed = [parse_presentation(obj) for obj in objects]
 
-    def answers(path, partner, lmax):
-        out = {}
-        for command in ("invariants", "kgroups", "triple"):
-            code, text, _ = run(capsys, command, path, "--no-cache", "--format", "json",
-                                "--lmax", str(lmax))
-            assert code == 0, (command, path, lmax)
-            out[command] = _limit_json(text)
-        code, text, _ = run(capsys, "compare", path, partner, "--format", "json",
+    def answers(i, lmax):
+        """invariants through the CLI; what kgroups, triple and compare print,
+        through the library at chain length lmax."""
+        code, text, _ = run(capsys, "invariants", paths[i], "--no-cache", "--format", "json",
                             "--lmax", str(lmax))
-        out["compare"] = (code, json.loads(text))
-        return out
+        assert code == 0, (paths[i], lmax)
+        p, partner = parsed[i], parsed[(i + 1) % len(parsed)]
+        kg = k_groups(build_chain(p, lmax))
+        ta, tb = (dimension_triple(build_chain(q, lmax)) for q in (p, partner))
+        outcome = compare_triples(ta, tb)
+        return {"invariants": _limit_json(text), "kgroups": (kg.k0.to_json(), kg.k1.to_json()),
+                "triple": ta.to_json(), "compare": (outcome.verdict, outcome.witness)}
 
     below_l0 = 0
-    for i, path in enumerate(paths):
-        partner = paths[(i + 1) % len(paths)]
-        limit = answers(path, partner, 40)
+    for i in range(len(objects)):
+        limit = answers(i, 40)
         l0 = limit["invariants"]["stabilization"]["level"]
         for lmax in range(1, l0 + 3):
-            assert answers(path, partner, lmax) == limit, (objects[i], lmax)
+            assert answers(i, lmax) == limit, (objects[i], lmax)
             below_l0 += lmax <= l0
     assert below_l0 >= 40
 
