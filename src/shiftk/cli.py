@@ -14,6 +14,7 @@ bad input or a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -33,6 +34,8 @@ from .transforms import BipartiteExpression, higher_block, split_letters, symbol
 
 ENV_PREFIX = "SHIFTK_"
 DEFAULT_LMAX = 12
+_RECORD_KEYS = {"presentation", "tool_version", "m_sequence", "stabilization",
+                "k0", "k0_text", "k1", "k1_text", "triple"}
 
 
 @functools.cache
@@ -108,20 +111,25 @@ def _invariant_record(p, lmax: int) -> dict:
 
 
 def _cache_path(cache_dir, lmax: int, p) -> Path:
+    if cache_dir == "":   # Path("") is the working directory
+        raise ValidationError("cache dir must not be empty")
     fingerprint = json.dumps({"lmax": lmax, "source": _source_hash()}, sort_keys=True)
     key = hashlib.sha256(p.canonical_bytes() + b"\n" + fingerprint.encode()).hexdigest()
     return Path(cache_dir) / f"{key}.json"
 
 
 def _cache_read(path: Path):
+    """The record cached at ``path``; None, a miss, unless it has exactly the record's keys."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
+            record = json.load(fh)
+    except (OSError, ValueError):   # ValueError: not UTF-8 or not JSON
         return None
+    return record if isinstance(record, dict) and record.keys() == _RECORD_KEYS else None
 
 
 def _cache_write(path: Path, record: dict) -> None:
+    tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -129,8 +137,10 @@ def _cache_write(path: Path, record: dict) -> None:
             json.dump(record, fh, indent=2)
             fh.write("\n")
         os.replace(tmp, path)
-    except OSError:
-        pass  # cache is best-effort
+    except OSError:   # cache is best-effort, but leaves no partial file
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def _print_record(record: dict, fmt: str) -> None:

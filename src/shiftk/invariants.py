@@ -9,8 +9,8 @@ B.  They and the triple are read at l0 once, whatever the chain length.
 
 ``compare_triples`` calls two stationary systems equivalent when a coordinate
 permutation carries one onto the other, at any rank.  It finds the
-permutation by colour refinement with individualization, so a pair with an
-intertwiner has its second I - S neither factored nor needed.
+permutation by colour refinement with individualization, and reads the
+invariants of both systems (K0, then the limit rank) only when there is none.
 """
 
 from __future__ import annotations
@@ -109,28 +109,16 @@ def eventual_rank(m: IntMatrix) -> int:
     return rank
 
 
-def triple_invariants(s: StationarySystem) -> dict:
-    """Comparison-safe invariants of the stationary system.
-
-    Only quantities invariant under isomorphism of the limit data are used:
-    the K-groups of the full step map (via the difference matrix) and the
-    rational rank of the limit (eventual rank of the core map).  Raw
-    cokernels of powers of the step map are NOT stage-shift invariant and
-    would wrongly distinguish conjugate presentations, so they are excluded.
-    """
-    kg = s.k_groups
-    return {
-        "k0": kg.k0.to_json(),
-        "k1_rank": kg.k1.free_rank,
-        "limit_rank": eventual_rank(s.core_map()),
-    }
+_COMPARED = (   # read in this order by compare_triples, only when no intertwiner is found
+    ("k0", lambda s: s.k_groups.k0.to_json()),
+    ("limit_rank", lambda s: eventual_rank(s.core_map())),
+)
 
 
 @dataclass(frozen=True)
 class CompareOutcome:
     verdict: str                       # "equivalent" | "distinguished" | "inconclusive"
     witness: str | None
-    invariants: tuple[dict, dict]
 
     @property
     def exit_code(self) -> int:
@@ -282,20 +270,21 @@ def compare_triples(s1: StationarySystem, s2: StationarySystem) -> CompareOutcom
     """Three-valued comparison of two stationary systems.
 
     ``equivalent`` requires an explicit intertwiner: the systems are equal, or
-    a coordinate permutation carries one onto the other, at any rank.  The
-    triple invariants are kept by such a permutation, so s2's are then not
-    computed.  ``distinguished`` requires a genuinely isomorphism-invariant
-    difference; anything else is ``inconclusive``.
+    a coordinate permutation carries one onto the other, at any rank.  Such a
+    permutation keeps every invariant, so none is computed.  ``distinguished``
+    requires a difference in ``_COMPARED``: K0 of the full step map, then the
+    rational rank of the limit (eventual rank of the core map), both kept by
+    isomorphism of the limit data.  K1 is Z^(free rank of K0), so it separates
+    nothing K0 does not; raw cokernels of powers of S are not stage-shift
+    invariant.  Anything else is ``inconclusive``.
     """
-    inv1 = triple_invariants(s1)
     if s1 == s2:
-        return CompareOutcome("equivalent", "identity intertwiner", (inv1, inv1))
+        return CompareOutcome("equivalent", "identity intertwiner")
     perm = _intertwiner(s1, s2)
     if perm is not None:
-        return CompareOutcome("equivalent", f"coordinate permutation {perm}", (inv1, inv1))
-    inv2 = triple_invariants(s2)
-    for key in inv1:
-        if inv1[key] != inv2[key]:
-            return CompareOutcome(
-                "distinguished", f"{key}: {inv1[key]} vs {inv2[key]}", (inv1, inv2))
-    return CompareOutcome("inconclusive", None, (inv1, inv2))
+        return CompareOutcome("equivalent", f"coordinate permutation {perm}")
+    for key, invariant in _COMPARED:
+        a, b = invariant(s1), invariant(s2)
+        if a != b:
+            return CompareOutcome("distinguished", f"{key}: {a} vs {b}")
+    return CompareOutcome("inconclusive", None)

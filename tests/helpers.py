@@ -13,7 +13,8 @@ from shiftk import (
     ValidationError,
     parse_presentation,
 )
-from shiftk.invariants import StationarySystem, triple_invariants
+from shiftk.intlinalg import IntMatrix, cokernel, matrix_rank
+from shiftk.invariants import StationarySystem
 from shiftk.model import FiniteModel, Matrix, _sum, mat_mul, mat_transpose, op_diagonal, op_word
 from shiftk.partitions import _level
 from shiftk.presentations import Presentation
@@ -194,6 +195,19 @@ def random_finite_shift(rng: random.Random, max_letters: int = 2, max_points: in
 
 # ---------------------------------------------------------------------------
 # compare oracle
+
+
+def triple_invariants(s: StationarySystem) -> dict:
+    """K0 from the cokernel of I - S, the kernel rank of I - S, and the limit
+    rank as the rank of the core map raised to its dimension."""
+    difference = IntMatrix.identity(s.rank).sub(s.step_map)
+    core = s.core_map()
+    power = IntMatrix.identity(core.rows)
+    for _ in range(core.rows):
+        power = power.mul(core)
+    return {"k0": cokernel(difference).to_json(),
+            "k1_rank": s.rank - matrix_rank(difference),
+            "limit_rank": matrix_rank(power)}
 
 
 def permutation_compare(s1: StationarySystem, s2: StationarySystem) -> tuple[str, str | None]:

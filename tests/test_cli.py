@@ -283,6 +283,24 @@ def test_equivalent_compare_shows_b_the_same_rows(files, capsys):
                    "verdict: equivalent (coordinate permutation [1, 2, 0, 3])\n")
 
 
+def test_compare_of_a_file_with_itself_computes_no_limit_rank(tmp_path, capsys, monkeypatch):
+    # a sparse vertex SFT: a permutation plus one random edge per vertex
+    rng, n = random.Random(3), 256
+    perm = list(range(n))
+    rng.shuffle(perm)
+    adjacency = [[0] * n for _ in range(n)]
+    for i in range(n):
+        adjacency[i][perm[i]] = adjacency[i][rng.randrange(n)] = 1
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"type": "sft_matrix", "adjacency": adjacency}))
+    calls = []
+    real = invariants.eventual_rank
+    monkeypatch.setattr(invariants, "eventual_rank", lambda m: calls.append(m) or real(m))
+    code, out, _ = run(capsys, "compare", str(path), str(path))
+    assert code == 0 and out.endswith("verdict: equivalent (identity intertwiner)\n")
+    assert calls == []
+
+
 def test_other_exceptions_are_internal_errors(files, capsys, monkeypatch):
     def broken(path):
         raise TypeError("unsupported operand")
@@ -442,6 +460,45 @@ def test_cache_misses_when_sources_change(files, capsys, tmp_path, monkeypatch):
     code, again, _ = run(capsys, *args)
     assert code == 0 and again == fresh
     assert len(list(cache.glob("*.json"))) == 2
+
+
+def test_a_cache_hit_is_served_only_from_a_whole_record(files, capsys, tmp_path):
+    cache = tmp_path / "cache"
+    args = ("invariants", files["golden_mean"], "--cache-dir", str(cache), "--format", "json")
+    code, fresh, _ = run(capsys, *args)
+    assert code == 0 and set(json.loads(fresh)) == cli._RECORD_KEYS
+    [path] = cache.glob("*.json")
+    record = json.loads(fresh)
+    extra, short = {**record, "k2": None}, dict(record)
+    del short["triple"]
+    for bad in (b"[1]", b"{}", b"null", json.dumps(extra).encode(), json.dumps(short).encode(),
+                b"{", b"\xff\xfe"):
+        path.write_bytes(bad)
+        assert run(capsys, *args) == (0, fresh, ""), bad
+        assert path.read_text() == fresh, bad      # the fresh record overwrote the bad one
+    assert run(capsys, *args) == (0, fresh, "")
+
+
+def test_a_failed_cache_write_leaves_no_temp_file(files, capsys, tmp_path, monkeypatch):
+    def full(src, dst):
+        raise OSError(28, "No space left on device")
+    expected = run(capsys, "invariants", files["golden_mean"], "--no-cache")
+    monkeypatch.setattr(cli.os, "replace", full)
+    cache = tmp_path / "cache"
+    assert run(capsys, "invariants", files["golden_mean"], "--cache-dir", str(cache)) == expected
+    assert list(cache.iterdir()) == []
+
+
+def test_an_empty_cache_dir_is_refused(files, capsys, tmp_path, monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    refused = (2, "", "error: cache dir must not be empty\n")
+    assert run(capsys, "invariants", files["golden_mean"], "--cache-dir", "") == refused
+    monkeypatch.setenv("SHIFTK_CACHE_DIR", "")
+    assert run(capsys, "invariants", files["golden_mean"]) == refused
+    assert run(capsys, "invariants", files["golden_mean"], "--no-cache")[0] == 0
+    assert list(work.iterdir()) == []
 
 
 def _random_sofic(rng, n_states):

@@ -13,11 +13,12 @@ from shiftk import (
     k_groups,
 )
 from shiftk.intlinalg import matrix_rank
-from shiftk.invariants import StationarySystem, _Search, eventual_rank, triple_invariants
+from shiftk import invariants
+from shiftk.invariants import StationarySystem, _Search, eventual_rank
 from shiftk.presentations import context_of, parse_presentation
 
 from conftest import make
-from helpers import intertwines, permutation_compare, random_essential_adjacency
+from helpers import intertwines, permutation_compare, random_essential_adjacency, triple_invariants
 
 
 def test_k_group_examples():
@@ -74,7 +75,7 @@ def test_one_stationary_system_per_chain(monkeypatch):
     kg = k_groups(chain)
     s = dimension_triple(chain)
     assert dimension_triple(chain) is s
-    assert triple_invariants(s)["k0"] == kg.k0.to_json()
+    assert s.k_groups is kg
     assert len(calls) == 1
 
 
@@ -173,8 +174,7 @@ def test_compare_golden_mean_with_two_block():
     ta = dimension_triple(build_chain(gm, 5))
     tb = dimension_triple(build_chain(blocked, 5))
     out = compare_triples(ta, tb)
-    assert out.verdict != "distinguished"
-    assert out.invariants[0] == out.invariants[1]
+    assert triple_invariants(ta) == triple_invariants(tb)
     assert out.verdict == "equivalent"         # a permutation intertwiner exists
 
 
@@ -189,10 +189,11 @@ def test_compare_respects_mask():
 
 def test_triple_invariants_content():
     t = dimension_triple(build_chain(make("full3"), 3))
-    inv = triple_invariants(t)
-    assert inv["k0"] == {"free_rank": 0, "torsion": [2]}
-    assert inv["k1_rank"] == 0
-    assert inv["limit_rank"] == 1
+    assert triple_invariants(t) == {"k0": {"free_rank": 0, "torsion": [2]},
+                                    "k1_rank": 0, "limit_rank": 1}
+    assert t.k_groups.k0.to_json() == {"free_rank": 0, "torsion": [2]}
+    assert t.k_groups.k1.free_rank == 0
+    assert eventual_rank(t.core_map()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +284,6 @@ def test_compare_matches_the_permutation_oracle_up_to_rank_7():
         out = compare_triples(s1, s2)
         expected = permutation_compare(s1, s2)
         assert (out.verdict, out.witness) == expected, (kind, s1, s2)
-        assert out.invariants == (triple_invariants(s1), triple_invariants(s2))
         seen.add((kind, out.verdict))
     assert seen >= {("random", "equivalent"), ("random", "distinguished"),
                     ("random", "inconclusive"), ("relabelled", "equivalent"),
@@ -297,7 +297,8 @@ def _witness_permutation(out):
     return json.loads(out.witness[len(prefix):])
 
 
-def test_relabelled_pairs_are_equivalent_at_any_rank():
+def _relabelled_pairs():
+    """Vertex systems and weighted systems of ranks 8-64, each with a relabelling."""
     rng = random.Random(99)
     pairs = []
     for n in (10, 14, 18, 24, 33, 48, 64):
@@ -311,11 +312,25 @@ def test_relabelled_pairs_are_equivalent_at_any_rank():
         s1 = _system([[rng.choice(weights) for _ in range(n)] for _ in range(n)],
                      _random_mask(rng, n))
         pairs.append((s1, _relabelled(s1, rng)))
-    for s1, s2 in pairs:
+    return pairs
+
+
+def test_relabelled_pairs_are_equivalent_at_any_rank():
+    for s1, s2 in _relabelled_pairs():
         assert 8 <= s1.rank <= 64 and s1 != s2
         out = compare_triples(s1, s2)
         assert intertwines(s1, s2, _witness_permutation(out))
-        assert out.invariants == (triple_invariants(s2), triple_invariants(s2))
+
+
+def test_an_equivalent_verdict_computes_no_invariant(monkeypatch):
+    def refuse(m):
+        raise AssertionError("a limit rank was computed")
+    monkeypatch.setattr(invariants, "eventual_rank", refuse)
+    t = dimension_triple(build_chain(make("golden_mean"), 4))
+    pairs = [(t, t)] + _relabelled_pairs()
+    for s1, s2 in pairs:
+        assert compare_triples(s1, s2).verdict == "equivalent"
+        assert "k_groups" not in s2.__dict__
 
 
 def _walk_profile(s: StationarySystem):
