@@ -4,6 +4,8 @@ Subcommands: invariants, classes, matrices, kgroups, triple, transform,
 compare, model verify.  All file input is the strict JSON presentation
 format; identical input and configuration produce byte-identical output.
 A table renders the payload its command prints under ``--format json``.
+``transform`` looks its move up in one table, ``MOVES``; each move checks
+its own arguments.
 
 Exit codes: 0 success; 1 ``model verify`` found a violated identity; 2 bad
 input or refused operation; 4 internal error.  compare uses 0 = equivalent
@@ -29,13 +31,18 @@ from .errors import ResourceCapError, ShiftError, ValidationError
 from .invariants import compare_triples, dimension_triple, k_groups
 from .model import FiniteModel, run_all_checks
 from .partitions import Stabilization, build_chain, chain_to_json, matrices_to_json
-from .presentations import FiniteShift, dump_presentation, load_presentation
+from .presentations import dump_presentation, load_presentation
 from .transforms import BipartiteExpression, higher_block, split_letters, symbolic_expansion
 
 ENV_PREFIX = "SHIFTK_"
 DEFAULT_LMAX = 12
 _RECORD_KEYS = {"presentation", "tool_version", "m_sequence", "stabilization",
                 "k0", "k0_text", "k1", "k1_text", "triple"}
+_RECORD_TEXTS = ("presentation", "tool_version", "k0_text", "k1_text")
+# the keys of each object in a record, as _invariant_record writes them
+_RECORD_OBJECTS = {"stabilization": {"stable", "level", "checked_to"},
+                   "k0": {"free_rank", "torsion"}, "k1": {"free_rank", "torsion"},
+                   "triple": {"rank", "step_map", "delta_mask"}}
 
 
 @functools.cache
@@ -119,13 +126,20 @@ def _cache_path(cache_dir, lmax: int, p) -> Path:
 
 
 def _cache_read(path: Path):
-    """The record cached at ``path``; None, a miss, unless it has exactly the record's keys."""
+    """The record cached at ``path``; None, a miss, unless it has a record's keys, its
+    objects' keys, a list for the m-sequence and strings for the texts (not walked further)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
     except (OSError, ValueError):   # ValueError: not UTF-8 or not JSON
         return None
-    return record if isinstance(record, dict) and record.keys() == _RECORD_KEYS else None
+    if not (isinstance(record, dict) and record.keys() == _RECORD_KEYS
+            and isinstance(record["m_sequence"], list)
+            and all(isinstance(record[k], str) for k in _RECORD_TEXTS)
+            and all(isinstance(record[k], dict) and record[k].keys() == keys
+                    for k, keys in _RECORD_OBJECTS.items())):
+        return None
+    return record
 
 
 def _cache_write(path: Path, record: dict) -> None:
@@ -259,6 +273,15 @@ def cmd_triple(args) -> int:
     return 0
 
 
+# move name -> (descriptor fields after "move", call returning the presentations to
+# write, then the report); a call looks its move up when it runs, so wrappers apply
+MOVES = {
+    "higher_block": (("n",), lambda p, d: higher_block(p, d["n"])),
+    "expand": (("a0", "star"), lambda p, d: symbolic_expansion(p, d["a0"], d["star"])),
+    "split": (("f",), lambda p, d: split_letters(p, BipartiteExpression.from_mapping(d["f"]))),
+}
+
+
 def cmd_transform(args) -> int:
     fmt = _fmt(args)
     p = load_presentation(args.file)
@@ -270,35 +293,17 @@ def cmd_transform(args) -> int:
         raise ValidationError('move descriptor must be an object with a "move" field')
 
     kind = move["move"]
-    outputs = []
-    if kind == "higher_block":
-        if set(move) != {"move", "n"}:
-            raise ValidationError('higher_block descriptor fields: {"move","n"}')
-        n = move["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValidationError(f"higher_block n must be an integer, not {n!r}")
-        out, report = higher_block(p, n)
-        outputs.append((Path(args.out), out))
-    elif kind == "expand":
-        if set(move) != {"move", "a0", "star"}:
-            raise ValidationError('expand descriptor fields: {"move","a0","star"}')
-        if not all(isinstance(move[k], str) for k in ("a0", "star")):
-            raise ValidationError("expand a0 and star must be strings")
-        out, report = symbolic_expansion(p, move["a0"], move["star"])
-        outputs.append((Path(args.out), out))
-    elif kind == "split":
-        if set(move) != {"move", "f"}:
-            raise ValidationError('split descriptor fields: {"move","f"}')
-        if not isinstance(move["f"], dict):
-            raise ValidationError("split f must be an object from letters to [first, second]")
-        expr = BipartiteExpression.from_mapping(move["f"])
-        union, second, report = split_letters(p, expr)
-        out_path = Path(args.out)
-        second_path = out_path.with_name(out_path.stem + ".second" + out_path.suffix)
-        outputs.append((out_path, union))
-        outputs.append((second_path, second))
-    else:
+    if not (isinstance(kind, str) and kind in MOVES):
         raise ValidationError(f"unknown move {kind!r}")
+    fields, call = MOVES[kind]
+    if set(move) != {"move", *fields}:
+        names = ",".join(f'"{f}"' for f in ("move", *fields))
+        raise ValidationError(f"{kind} descriptor fields: {{{names}}}")
+    *written, report = call(p, move)
+    out = Path(args.out)
+    # a second presentation (split's induced shift) is written next to the first
+    paths = [out, *(out.with_name(out.stem + ".second" + out.suffix) for _ in written[1:])]
+    outputs = list(zip(paths, written))
 
     for path, pres in outputs:
         dump_presentation(pres, path)
@@ -346,10 +351,7 @@ def cmd_compare(args) -> int:
 
 def cmd_model_verify(args) -> int:
     fmt = _fmt(args)
-    p = load_presentation(args.file)
-    if not isinstance(p, FiniteShift):
-        raise ValidationError("model verification needs a finite presentation")
-    model = FiniteModel(p)
+    model = FiniteModel(load_presentation(args.file))
     reports = run_all_checks(model, args.max_word_len)
     if fmt == "json":
         _emit_json([

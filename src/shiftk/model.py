@@ -61,6 +61,8 @@ class FiniteModel:
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.shift, FiniteShift):
+            raise ValidationError("model verification needs a finite presentation")
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.shift.points)})
 
     @property

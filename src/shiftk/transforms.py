@@ -11,7 +11,9 @@
 The expansion and splitting moves are defined on shifts induced by two-sided
 ones, so they require shift-surjective input and are built on a labeled-graph
 form of the presentation (a shift-surjective SFT is exactly the label shift
-of its memory-window graph).
+of its memory-window graph); both subdivide its edges through ``_subdivide``.
+Each move checks its own arguments first, raising ``ValidationError`` with
+the message the command line prints.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ class BipartiteExpression:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "BipartiteExpression":
+        if not isinstance(mapping, dict):
+            raise ValidationError("split f must be an object from letters to [first, second]")
         pairs = []
         for src in sorted(mapping):
             img = mapping[src]
@@ -67,12 +71,6 @@ class BipartiteExpression:
                 raise ValidationError(f"image of {src!r} must be a [first, second] pair of strings")
             pairs.append((src, img[0], img[1]))
         return cls(tuple(pairs))
-
-    def image(self, source: str) -> tuple[str, str]:
-        for (s, b, c) in self.pairs:
-            if s == source:
-                return (b, c)
-        raise ValidationError(f"bipartite expression does not cover letter {source!r}")
 
     @property
     def sources(self) -> tuple[str, ...]:
@@ -112,14 +110,6 @@ def _join_names(names) -> str:
     return "-".join(names)
 
 
-def _fresh_name(base: str, used: set) -> str:
-    name = base
-    while name in used:
-        name += "'"
-    used.add(name)
-    return name
-
-
 def _block_name(alphabet: Alphabet, w: Word) -> str:
     return _join_names(alphabet.word_symbols(w))
 
@@ -131,11 +121,9 @@ def _block_name(alphabet: Alphabet, w: Word) -> str:
 def _as_labeled_graph(p: Presentation):
     """(state names, edges as (from, to, symbol)) presenting exactly the shift.
 
-    Only valid for shift-surjective presentations; for an SFT the memory
-    window graph presents precisely the left-extendable points.
+    Only valid for shift-surjective presentations (each caller checks); for
+    an SFT the memory window graph presents precisely the left-extendable points.
     """
-    if not p.sigma_surjective:
-        raise ValidationError("move requires a shift-surjective presentation")
     if isinstance(p, SoficShift):
         states = list(p.states)
         edges = [(p.states[q], p.states[r], p.alphabet.symbols[a]) for (q, r, a) in p.edges]
@@ -155,12 +143,40 @@ def _as_labeled_graph(p: Presentation):
     raise ValidationError(f"unsupported presentation kind {p.kind!r}")
 
 
+def _subdivide(p: Presentation, image: dict):
+    """Replace each edge q -a-> r of p's labeled graph, a in ``image``, by q -b-> m -c-> r.
+
+    (b, c) = image[a].  The middle state of the i-th sorted edge is ``m{i:04d}``,
+    primed until fresh.  Returns the new graph, the sorted edges and the middle
+    state of each subdivided edge by edge index.
+    """
+    states, edges = _as_labeled_graph(p)
+    edges.sort()
+    used = set(states)
+    mids = {}
+    new_edges = []
+    for i, (q, r, sym) in enumerate(edges):
+        if sym in image:
+            b, c = image[sym]
+            mid = f"m{i:04d}"
+            while mid in used:
+                mid += "'"
+            used.add(mid)
+            mids[i] = mid
+            new_edges += [(q, mid, b), (mid, r, c)]
+        else:
+            new_edges.append((q, r, sym))
+    return SoficShift.build(states + list(mids.values()), new_edges), edges, mids
+
+
 # ---------------------------------------------------------------------------
 # higher-block recoding
 
 
 def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport]:
     """Recode over the alphabet of length-n factors; conjugate to the input."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValidationError(f"higher_block n must be an integer, not {n!r}")
     if n < 2:
         raise ValidationError("block length must be >= 2")
     if isinstance(p, FiniteShift):
@@ -226,6 +242,8 @@ def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport
 
 def symbolic_expansion(p: Presentation, a0: str, star: str) -> tuple[Presentation, TransformReport]:
     """Insert ``star`` after every occurrence of ``a0``; star occurs nowhere else."""
+    if not (isinstance(a0, str) and isinstance(star, str)):
+        raise ValidationError("expand a0 and star must be strings")
     a0_idx = p.alphabet.index(a0)
     if star in p.alphabet.symbols:
         raise ValidationError(f"expansion symbol {star!r} collides with the alphabet")
@@ -253,19 +271,7 @@ def symbolic_expansion(p: Presentation, a0: str, star: str) -> tuple[Presentatio
         out = FiniteShift(out_alphabet, points)
         return out, TransformReport(p.content_hash(), move, {"inserted_after": {a0: star}})
 
-    states, edges = _as_labeled_graph(p)
-    new_states = list(states)
-    used = set(states)
-    new_edges = []
-    for i, (q, r, sym) in enumerate(sorted(edges)):
-        if sym == a0:
-            mid = _fresh_name(f"m{i:04d}", used)
-            new_states.append(mid)
-            new_edges.append((q, mid, a0))
-            new_edges.append((mid, r, star))
-        else:
-            new_edges.append((q, r, sym))
-    out = SoficShift.build(new_states, new_edges)
+    out, _, _ = _subdivide(p, {a0: (a0, star)})
     return out, TransformReport(p.content_hash(), move, {"inserted_after": {a0: star}})
 
 
@@ -285,33 +291,21 @@ def split_letters(p: Presentation, expr: BipartiteExpression):
     if not p.sigma_surjective:
         raise ValidationError("letter splitting requires a shift-surjective presentation")
 
-    states, edges = _as_labeled_graph(p)
-    edges = sorted(edges)
-    mids = {}
-    union_states = list(states)
-    used = set(states)
-    union_edges = []
-    for i, (q, r, sym) in enumerate(edges):
-        b, c = expr.image(sym)
-        mid = _fresh_name(f"m{i:04d}", used)
-        mids[(q, r, sym, i)] = mid
-        union_states.append(mid)
-        union_edges.append((q, mid, b))
-        union_edges.append((mid, r, c))
-    union = SoficShift.build(union_states, union_edges)
+    image = {s: (b, c) for (s, b, c) in expr.pairs}
+    union, edges, mids = _subdivide(p, image)
 
     second_edges = []
     second_map = {}
     by_source = {}
-    for i, (q, r, sym) in enumerate(edges):
-        by_source.setdefault(q, []).append((i, q, r, sym))
-    for i, (q, r, sym) in enumerate(edges):
-        _, c = expr.image(sym)
-        for (j, q2, r2, sym2) in by_source.get(r, ()):
-            b2, _ = expr.image(sym2)
+    for i, (q, _, _) in enumerate(edges):
+        by_source.setdefault(q, []).append(i)
+    for i, (_, r, sym) in enumerate(edges):
+        c = image[sym][1]
+        for j in by_source.get(r, ()):
+            b2 = image[edges[j][2]][0]
             d = _join_names((c, b2))
             second_map[d] = [c, b2]
-            second_edges.append((mids[(q, r, sym, i)], mids[(q2, r2, sym2, j)], d))
+            second_edges.append((mids[i], mids[j], d))
     second = SoficShift.build(list(mids.values()), second_edges)
 
     report = TransformReport(

@@ -53,8 +53,15 @@ class Alphabet:
         return tuple(self.index(s) for s in symbols)
 
     def word_symbols(self, w: Word) -> tuple[str, ...]:
-        self.check_word(w)
-        return tuple(self.symbols[a] for a in w)
+        """The symbol names of w's letters, checked only when one fails to index
+        the symbols or is negative, so a refused word gets ``check_word``'s error."""
+        try:
+            parts = tuple([self.symbols[a] for a in w])
+        except (IndexError, TypeError):
+            parts = None
+        if parts is None or (w and min(w) < 0):
+            self.check_word(w)
+        return parts
 
     def check_word(self, w: Word) -> None:
         for a in w:
@@ -62,23 +69,12 @@ class Alphabet:
                 raise AlphabetMismatchError(f"letter index {a!r} out of range for alphabet of size {len(self.symbols)}")
 
     def render_word(self, w: Word) -> str:
-        """Human-readable word; single-character symbols concatenate bare.
-
-        The letters are checked only when one fails to index the symbols or
-        is negative, so a refused word gets ``check_word``'s error.
+        """Human-readable word (``"e"`` when empty); single-character symbols concatenate bare.
 
         >>> Alphabet(("0", "1")).render_word((1, 0)), Alphabet(("a", "bc")).render_word((1, 0))
         ('10', 'bc.a')
         """
-        if not w:
-            return "e"
-        try:
-            parts = [self.symbols[a] for a in w]
-        except (IndexError, TypeError):
-            parts = None
-        if parts is None or min(w) < 0:
-            self.check_word(w)
-        return self._joiner.join(parts)
+        return self._joiner.join(self.word_symbols(w)) if w else "e"
 
     def words_of_length(self, k: int):
         """All length-k words in lexicographic order.

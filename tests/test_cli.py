@@ -126,6 +126,27 @@ def test_tables_are_pinned_byte_for_byte(tmp_path, capsys, command):
             0, "\n".join(pinned[f"{command} {name}"]) + "\n", "")
 
 
+def test_transform_outputs_are_pinned_byte_for_byte(tmp_path, capsys, monkeypatch):
+    # each move on every corpus file that accepts it: the stdout of both
+    # formats and every written file
+    pinned = json.loads((Path(__file__).parent / "data" / "transform_moves.json").read_text())
+    assert {json.loads(case["move"])["move"] for case in pinned} == {
+        "higher_block", "expand", "split"}
+    monkeypatch.chdir(tmp_path)
+    source = tmp_path / "in.json"
+    for case in pinned:
+        source.write_text(json.dumps(CORPUS_OBJECTS[case["file"]]))
+        for fmt in ("table", "json"):
+            argv = ("transform", "in.json", case["move"], "out.json", "--format", fmt)
+            assert run(capsys, *argv) == (0, case[fmt], ""), (case["file"], case["move"])
+            written = {}
+            for path in tmp_path.iterdir():
+                if path != source:
+                    written[path.name] = path.read_text()
+                    path.unlink()
+            assert written == case["files"], (case["file"], case["move"])
+
+
 def test_kgroups_and_triple(files, capsys):
     code, out, _ = run(capsys, "kgroups", files["full3"])
     assert code == 0 and "K0: Z/2" in out and "K1: 0" in out
@@ -343,6 +364,19 @@ def test_model_verify(files, capsys):
     assert "finite presentation" in err
 
 
+def test_model_verify_json_lists_each_family(files, capsys):
+    code, out, err = run(capsys, "model", "verify", files["pair"], "--L", "2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [
+        {"name": "representation", "checks": 98, "violations": []},
+        {"name": "structure", "checks": 44, "violations": []},
+        {"name": "composition rules", "checks": 177, "violations": []},
+    ]
+    assert run(capsys, "model", "verify", files["pair"], "--L", "2") == (0, (
+        "representation: 98 checks, ok\nstructure: 44 checks, ok\n"
+        "composition rules: 177 checks, ok\n"), "")
+
+
 def test_model_verify_refuses_a_negative_word_length(files, capsys):
     code, out, err = run(capsys, "model", "verify", files["pair"], "--L", "-1")
     assert (code, out, err) == (2, "", "error: maximum word length must be >= 0\n")
@@ -477,6 +511,26 @@ def test_a_cache_hit_is_served_only_from_a_whole_record(files, capsys, tmp_path)
         assert run(capsys, *args) == (0, fresh, ""), bad
         assert path.read_text() == fresh, bad      # the fresh record overwrote the bad one
     assert run(capsys, *args) == (0, fresh, "")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("triple", 1), ("stabilization", []), ("stabilization", {"level": 1}), ("k0", "Z"),
+    ("m_sequence", 3),
+])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_cache_hit_is_served_only_from_a_record_of_the_written_shape(
+        files, capsys, tmp_path, field, value, fmt):
+    cache = tmp_path / "cache"
+    args = ("invariants", files["golden_mean"], "--cache-dir", str(cache))
+    expected = run(capsys, *args[:2], "--no-cache", "--format", fmt)
+    assert expected[0] == 0
+    run(capsys, *args)
+    [path] = cache.glob("*.json")
+    fresh = path.read_text()
+    assert cli._cache_read(path) == json.loads(fresh)     # a written record is a hit
+    path.write_text(json.dumps({**json.loads(fresh), field: value}))
+    assert run(capsys, *args, "--format", fmt) == expected
+    assert path.read_text() == fresh      # the fresh record overwrote the bad one
 
 
 def test_a_failed_cache_write_leaves_no_temp_file(files, capsys, tmp_path, monkeypatch):

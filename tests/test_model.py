@@ -60,6 +60,12 @@ def as_int_lists(m):
 # operators
 
 
+def test_a_model_needs_a_finite_shift():
+    with pytest.raises(ValidationError) as info:
+        FiniteModel(make("golden_mean"))
+    assert str(info.value) == "model verification needs a finite presentation"
+
+
 def test_word_operator_examples():
     pair = model("pair")
     # basis order is ((0)*, 1(0)*)

@@ -273,3 +273,49 @@ def test_split_union_step_map_is_block_antidiagonal():
         for j in range(t.rank):
             if t.step_map.entry(i, j):
                 assert side[i] != side[j]
+
+
+# ---------------------------------------------------------------------------
+# argument checks and middle-state names
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: higher_block(make("full2"), "2"), "higher_block n must be an integer, not '2'"),
+    (lambda: higher_block(make("full2"), 2.0), "higher_block n must be an integer, not 2.0"),
+    (lambda: higher_block(make("full2"), True), "higher_block n must be an integer, not True"),
+    (lambda: symbolic_expansion(make("full2"), ["0"], "*"), "expand a0 and star must be strings"),
+    (lambda: symbolic_expansion(make("full2"), "0", 1), "expand a0 and star must be strings"),
+    (lambda: BipartiteExpression.from_mapping(["0"]),
+     "split f must be an object from letters to [first, second]"),
+], ids=["n-str", "n-float", "n-bool", "a0-list", "star-int", "f-list"])
+def test_moves_check_their_own_arguments_with_the_cli_messages(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def named_edges(p):
+    return {(p.states[q], p.states[r], p.alphabet.symbols[a]) for (q, r, a) in p.edges}
+
+
+def test_middle_states_are_primed_past_existing_state_names():
+    # sorted edges: 0 = m0000 -a-> m0000, 1 = m0000 -a-> m0001, 2 = m0001 -b-> m0000;
+    # the middle state of edge i is m{i:04d}, primed while a state has that name
+    p = parse_presentation({"type": "sofic", "states": ["m0000", "m0001"],
+                            "edges": [["m0001", "m0000", "b"], ["m0000", "m0001", "a"],
+                                      ["m0000", "m0000", "a"]]})
+    expanded, _ = symbolic_expansion(p, "a", "*")
+    assert named_edges(expanded) == {
+        ("m0000", "m0000'", "a"), ("m0000'", "m0000", "*"),
+        ("m0000", "m0001'", "a"), ("m0001'", "m0001", "*"), ("m0001", "m0000", "b")}
+
+    expr = BipartiteExpression.from_mapping({"a": ["ba", "ca"], "b": ["bb", "cb"]})
+    union, second, _ = split_letters(p, expr)
+    assert named_edges(union) == {
+        ("m0000", "m0000'", "ba"), ("m0000'", "m0000", "ca"),
+        ("m0000", "m0001'", "ba"), ("m0001'", "m0001", "ca"),
+        ("m0001", "m0002", "bb"), ("m0002", "m0000", "cb")}
+    assert named_edges(second) == {
+        ("m0000'", "m0000'", "ca-ba"), ("m0000'", "m0001'", "ca-ba"),
+        ("m0001'", "m0002", "ca-bb"),
+        ("m0002", "m0000'", "cb-ba"), ("m0002", "m0001'", "cb-ba")}
