@@ -100,12 +100,12 @@ def _matrix_lines(name: str, rows) -> list[str]:
     return [f"{name}:"] + ["  [" + " ".join(f"{x:3d}" for x in row) + "]" for row in rows]
 
 
-def _invariant_record(p, lmax: int) -> dict:
+def _invariant_record(p, canonical: bytes, lmax: int) -> dict:
     chain = build_chain(p, lmax)
     triple = dimension_triple(chain)
     kg = triple.k_groups
     return {
-        "presentation": p.content_hash(),
+        "presentation": hashlib.sha256(canonical).hexdigest(),   # p.content_hash()
         "tool_version": __version__,
         "m_sequence": list(chain.m_sequence),
         "stabilization": asdict(chain.stabilization),
@@ -117,11 +117,11 @@ def _invariant_record(p, lmax: int) -> dict:
     }
 
 
-def _cache_path(cache_dir, lmax: int, p) -> Path:
+def _cache_path(cache_dir, lmax: int, canonical: bytes) -> Path:
     if cache_dir == "":   # Path("") is the working directory
         raise ValidationError("cache dir must not be empty")
     fingerprint = json.dumps({"lmax": lmax, "source": _source_hash()}, sort_keys=True)
-    key = hashlib.sha256(p.canonical_bytes() + b"\n" + fingerprint.encode()).hexdigest()
+    key = hashlib.sha256(canonical + b"\n" + fingerprint.encode()).hexdigest()
     return Path(cache_dir) / f"{key}.json"
 
 
@@ -182,12 +182,14 @@ def _print_record(record: dict, fmt: str) -> None:
 def cmd_invariants(args) -> int:
     fmt, lmax = _fmt(args), _lmax(args)
     p = load_presentation(args.file)
+    canonical = p.canonical_bytes()   # rendered once: the cache key and the record's hash
     cache_file = None
     if not (args.no_cache or os.environ.get(ENV_PREFIX + "NO_CACHE") == "1"):
-        cache_file = _cache_path(_option(args, "cache_dir", Path.home() / ".cache" / "shiftk"), lmax, p)
+        cache_file = _cache_path(_option(args, "cache_dir", Path.home() / ".cache" / "shiftk"),
+                                 lmax, canonical)
     record = _cache_read(cache_file) if cache_file else None
     if record is None:
-        record = _invariant_record(p, lmax)
+        record = _invariant_record(p, canonical, lmax)
         if cache_file:
             _cache_write(cache_file, record)
     _print_record(record, fmt)
@@ -209,14 +211,15 @@ def cmd_classes(args) -> int:
             members = ", ".join(cls["contexts"][:6])
             if len(cls["contexts"]) > 6:
                 members += f", ... ({len(cls['contexts'])} contexts)"
-            lines.append(f"  class {ci} [{mark}] {{{members}}} {_sig_text(cls['signature'])}")
+            grades = payload["signatures"][cls["representative"]][:lv["level"] + 1]
+            lines.append(f"  class {ci} [{mark}] {{{members}}} {_sig_text(grades)}")
     _emit("\n".join(lines))
     return 0
 
 
-def _sig_text(signature) -> str:
+def _sig_text(grades) -> str:
     parts = []
-    for entry in signature:
+    for entry in grades:
         k = entry["grade"]
         if "elided" in entry:
             parts.append(f"P{k}=<elided #{entry['rank']}>")
@@ -301,20 +304,19 @@ def cmd_transform(args) -> int:
         raise ValidationError(f"{kind} descriptor fields: {{{names}}}")
     *written, report = call(p, move)
     out = Path(args.out)
-    # a second presentation (split's induced shift) is written next to the first
-    paths = [out, *(out.with_name(out.stem + ".second" + out.suffix) for _ in written[1:])]
-    outputs = list(zip(paths, written))
-
-    for path, pres in outputs:
+    paths = []
+    for pres in written:   # split's induced shift goes next to the first, once that is written
+        path = out.with_name(out.stem + ".second" + out.suffix) if paths else out
         dump_presentation(pres, path)
+        paths.append(path)
     payload = {
-        "written": [str(path) for (path, _) in outputs],
+        "written": [str(path) for path in paths],
         "report": report.to_json(),
     }
     if fmt == "json":
         _emit_json(payload)
     else:
-        lines = [f"wrote {path}" for (path, _) in outputs]
+        lines = [f"wrote {path}" for path in paths]
         lines.append("report: " + json.dumps(report.to_json()))
         _emit("\n".join(lines))
     return 0

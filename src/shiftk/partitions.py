@@ -92,7 +92,8 @@ class RestrictedMaps:
 
 
 class PartitionChain:
-    """The distinct levels 0..l0 and their class maps, shown through level ``length``."""
+    """The distinct levels 0..l0, their class maps and grade ranks 0..l0+1,
+    shown through level ``length``."""
 
     def __init__(self, presentation, grade_ranks, tower, maps, reach, reach_limit, length):
         self.presentation: Presentation = presentation
@@ -105,7 +106,6 @@ class PartitionChain:
         self.reach_limit: frozenset[int] = reach_limit
         l0 = len(tower) - 1
         self.stabilization = Stabilization(True, l0, max(length, l0 + 1))
-        self._signature_words: dict[int, list] = {}   # context -> sorted words per grade
         self.stationary = None   # its invariants.StationarySystem, made on first request
 
     def level(self, l: int) -> PartitionLevel:
@@ -215,14 +215,12 @@ def build_chain(p: Presentation, length: int) -> PartitionChain:
     """The tower refined to its stable level, its class maps, and the reach sets.
 
     ``length`` bounds only what the chain shows (levels, matrices, M-sets,
-    reach sets); the tower and its maps are the same for every length.
+    reach sets); the tower, its maps and grade ranks 0..l0+1 never depend on it.
     """
     if length < 1:
         raise ValidationError("chain length must be >= 1")
     steps = p.steps
     grade, tower = _refine(steps)
-    while len(grade) <= length:
-        grade.append(_next_grade(steps, grade[-1]))
     maps = tuple(_class_maps(steps, fine, coarse)
                  for coarse, fine in zip(tower, tower[1:] + tower[-1:]))
     reach, reach_limit = _reach_sets(steps, length)
@@ -352,27 +350,28 @@ def persistence_markers(chain: PartitionChain, l: int) -> tuple[str, ...]:
     return _membership(chain, l, chain.reach_limit)
 
 
-def class_signatures(chain: PartitionChain, level: int) -> tuple[tuple, ...]:
-    """Per class of ``level``, its predecessor words for each grade k <= level.
+def class_signatures(chain: PartitionChain) -> tuple[tuple, ...]:
+    """Per class of the last level shown, its predecessor words for each grade
+    k <= ``chain.length``: ("w", words...) with the sorted length-k words of
+    the class's first context, or ("e", rank) with its grade-k rank once that
+    context has more than SIGNATURE_WORD_LIMIT words in some grade <= k.
 
-    Grade k reads ("w", words...) with the sorted length-k predecessor words
-    of the class's first context, or ("e", rank) with its grade-k rank once
-    that context has more than SIGNATURE_WORD_LIMIT words in some grade <= k.
-    Words are enumerated once per context and chain, only when asked for.
+    A class of level l is a union of these classes, and its first context is
+    the first context of one of them, whose first l+1 entries are its
+    signature.  A grade past ``chain.grade_ranks`` is ranked only if shown.
     """
-    if not 0 <= level <= chain.length:
-        raise ValidationError(f"level {level} out of range 0..{chain.length}")
-    p = chain.presentation
+    steps = chain.presentation.steps
+    grade = list(chain.grade_ranks)
     out = []
-    for cls in chain.levels[level].classes:
+    for cls in chain.levels[-1].classes:
         rep = cls.contexts[0]
-        words = chain._signature_words.get(rep)
-        if words is None:
-            frontiers = predecessor_frontiers((rep,), p.steps, chain.length, SIGNATURE_WORD_LIMIT)
-            words = chain._signature_words[rep] = [tuple(sorted(f)) for f in frontiers]
-        out.append(tuple(
-            ("w",) + words[k] if k < len(words) else ("e", chain.grade_ranks[k][rep])
-            for k in range(level + 1)))
+        frontiers = predecessor_frontiers((rep,), steps, chain.length, SIGNATURE_WORD_LIMIT)
+        sig = [("w",) + tuple(sorted(f)) for f in frontiers]
+        for k in range(len(frontiers), chain.length + 1):
+            while k >= len(grade):
+                grade.append(_next_grade(steps, grade[-1]))
+            sig.append(("e", grade[k][rep]))
+        out.append(tuple(sig))
     return tuple(out)
 
 
@@ -380,18 +379,10 @@ def class_signatures(chain: PartitionChain, level: int) -> tuple[tuple, ...]:
 # export
 
 
-def _signature_json(p: Presentation, rep: int, sig, rendered: dict) -> list:
-    """JSON of a class signature; ``rendered`` keeps each (representative,
-    grade) word list rendered once, as every level repeats it."""
-    out = []
-    for k, entry in enumerate(sig):
-        if entry[0] == "w":
-            if (rep, k) not in rendered:
-                rendered[rep, k] = [p.alphabet.render_word(w) for w in entry[1:]]
-            out.append({"grade": k, "words": rendered[rep, k]})
-        else:
-            out.append({"grade": k, "elided": True, "rank": entry[1]})
-    return out
+def _signature_json(p: Presentation, sig) -> list:
+    return [{"grade": k, "words": [p.alphabet.render_word(w) for w in entry[1:]]}
+            if entry[0] == "w" else {"grade": k, "elided": True, "rank": entry[1]}
+            for k, entry in enumerate(sig)]
 
 
 def matrices_to_json(chain: PartitionChain) -> list[dict]:
@@ -413,10 +404,12 @@ def matrices_to_json(chain: PartitionChain) -> list[dict]:
 
 
 def chain_to_json(chain: PartitionChain) -> dict:
-    """Chain export: class signatures, M-sets, stabilization (the matrices are
-    ``matrices_to_json``)."""
+    """Chain export: class signatures, levels, M-sets, stabilization (the
+    matrices are ``matrices_to_json``).  ``signatures`` lists
+    ``class_signatures`` once; a class of level l names in ``representative``
+    the entry of its first context, and its signature is that one's first l+1 grades."""
     p = chain.presentation
-    rendered = {}
+    last = chain.levels[-1]
     levels = []
     for l, lv in enumerate(chain.levels):
         levels.append({
@@ -425,9 +418,9 @@ def chain_to_json(chain: PartitionChain) -> dict:
             "classes": [
                 {
                     "contexts": [p.render_context(p.contexts[i]) for i in cls.contexts],
-                    "signature": _signature_json(p, cls.contexts[0], sig, rendered),
+                    "representative": last.class_of[cls.contexts[0]],
                 }
-                for cls, sig in zip(lv.classes, class_signatures(chain, l))
+                for cls in lv.classes
             ],
         })
     m_sets = []
@@ -440,6 +433,7 @@ def chain_to_json(chain: PartitionChain) -> dict:
     return {
         "m_sequence": list(chain.m_sequence),
         "stabilization": asdict(chain.stabilization),
+        "signatures": [_signature_json(p, sig) for sig in class_signatures(chain)],
         "levels": levels,
         "m_sets": m_sets,
     }

@@ -81,6 +81,21 @@ def test_invariants_cache_soundness(files, capsys, tmp_path):
     assert nocache == fresh
 
 
+def test_invariants_render_the_canonical_bytes_once(files, capsys, tmp_path, monkeypatch):
+    # one rendering gives both the cache key and the record's presentation hash
+    cache = tmp_path / "cache"
+    for i, name in enumerate(("golden_mean", "full2", "pair", "single_point")):
+        cls = type(parse_presentation(CORPUS_OBJECTS[name]))
+        calls = []
+        to_json = cls.to_json
+        monkeypatch.setattr(cls, "to_json", lambda p: calls.append(1) or to_json(p))
+        for expect in ("cold", "hit"):
+            calls.clear()
+            assert run(capsys, "invariants", files[name], "--cache-dir", str(cache))[0] == 0
+            assert (len(calls), len(list(cache.iterdir()))) == (1, i + 1), (name, expect)
+        monkeypatch.undo()
+
+
 def test_invariants_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type":')
@@ -107,6 +122,22 @@ def test_classes_output(files, capsys):
     assert "[-]" in out and "[+]" in out      # the delta-kill marker column
 
 
+def test_classes_json_holds_each_signature_once(tmp_path, capsys, monkeypatch):
+    # the six-vertex SFT is stable at level 1; past the grades whose words are
+    # listed, more levels add only elided ranks, class names and M-sets
+    monkeypatch.setattr(partitions, "SIGNATURE_WORD_LIMIT", 4000)
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps({"type": "sft_matrix", "adjacency": [
+        [1, 0, 0, 0, 0, 0], [1, 0, 0, 1, 1, 1], [0, 0, 0, 0, 0, 0],
+        [1, 1, 0, 0, 1, 0], [1, 0, 1, 0, 0, 0], [1, 1, 1, 1, 0, 0]]}))
+    sizes = []
+    for lmax in ("20", "40"):
+        code, out, _ = run(capsys, "classes", str(path), "--format", "json", "--lmax", lmax)
+        assert code == 0
+        sizes.append(len(out))
+    assert sizes[1] <= 1.1 * sizes[0]
+
+
 def test_matrices_output(files, capsys):
     code, out, _ = run(capsys, "matrices", files["golden_mean"], "--lmax", "2")
     assert code == 0
@@ -114,16 +145,26 @@ def test_matrices_output(files, capsys):
 
 
 @pytest.mark.parametrize("command", ["classes", "matrices", "triple"])
-def test_tables_are_pinned_byte_for_byte(tmp_path, capsys, command):
+def test_tables_are_pinned_byte_for_byte(tmp_path, capsys, monkeypatch, command):
     # each table is a rendering of its --format json payload, and its bytes
     # are pinned line by line
-    pinned = json.loads((Path(__file__).parent / "data" / "tables_lmax3.json").read_text())
+    data = Path(__file__).parent / "data"
+    pinned = json.loads((data / "tables_lmax3.json").read_text())
     lmax = () if command == "triple" else ("--lmax", "3")   # the triple is limit data
     for name in ("golden_mean", "pair", "even"):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(CORPUS_OBJECTS[name]))
         assert run(capsys, command, str(path), *lmax) == (
             0, "\n".join(pinned[f"{command} {name}"]) + "\n", "")
+    if command == "classes":
+        # grades past the word limit show their rank, past the stable level too
+        pinned = json.loads((data / "tables_elided_lmax6.json").read_text())
+        monkeypatch.setattr(partitions, "SIGNATURE_WORD_LIMIT", 2)
+        for name in ("full2", "golden_mean"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(CORPUS_OBJECTS[name]))
+            assert run(capsys, command, str(path), "--lmax", "6") == (
+                0, "\n".join(pinned[f"classes {name}"]) + "\n", "")
 
 
 def test_transform_outputs_are_pinned_byte_for_byte(tmp_path, capsys, monkeypatch):
@@ -184,6 +225,18 @@ def test_transform_into_a_missing_directory_is_bad_input(files, capsys, tmp_path
                          '{"move":"higher_block","n":2}', str(out_path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {out_path}: ") and "internal" not in err
+
+
+@pytest.mark.parametrize("out", [".", "/"])
+def test_transform_into_a_directory_is_bad_input(files, capsys, tmp_path, monkeypatch, out):
+    # every move, split's second file included, refuses a path with no file name
+    monkeypatch.chdir(tmp_path)
+    for move in ('{"move":"higher_block","n":2}', '{"move":"expand","a0":"0","star":"*"}',
+                 '{"move":"split","f":{"0":["b0","c0"],"1":["b1","c1"]}}'):
+        assert run(capsys, "transform", files["full2"], move, out) == (
+            2, "", f"error: {out}: Is a directory\n"), move
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        Path(p).name for p in files.values() if p != tmp_path)
 
 
 def test_transform_split_writes_both_files(files, capsys, tmp_path):
@@ -582,9 +635,7 @@ def test_output_independent_of_caps_and_state_names(tmp_path, capsys, monkeypatc
                                     "--format", "json", "--lmax", "6")
                 assert code == 0, (command, path)
                 data = json.loads(text)
-                for level in data.get("levels", ()):
-                    for cls in level["classes"]:
-                        del cls["signature"]      # the displayed words, limited on purpose
+                data.pop("signatures", None)      # the displayed words, limited on purpose
                 out.append(data if command == "classes" else text)
         return out
 

@@ -34,6 +34,7 @@ from shiftk import (
     m_index_set,
     parse_presentation,
     past_partition,
+    predecessor_set,
     restricted_maps,
 )
 from shiftk import partitions
@@ -45,7 +46,7 @@ from shiftk.partitions import (
 )
 from shiftk.presentations import SuffixContext, context_of
 
-from conftest import CORPUS_OBJECTS, make
+from conftest import CORPUS_OBJECTS, FINITE_MODEL_NAMES, make
 
 
 def class_index_of_context(chain, level, ctx):
@@ -72,22 +73,30 @@ def test_golden_mean_level_one(golden_mean):
 
 
 def test_pair_level_one_signatures(pair):
-    chain = build_chain(pair, 1)
+    chain = build_chain(pair, 3)
     assert chain.m(1) == 2
-    # signatures are ({eps}, {0,1}) and ({eps}, {})
-    sigs = set(class_signatures(chain, 1))
+    # level-1 signatures are ({eps}, {0,1}) and ({eps}, {})
+    sigs = {sig[:2] for sig in class_signatures(chain)}
     assert sigs == {
         (("w", ()), ("w",)),
         (("w", ()), ("w", (0,), (1,))),
     }
 
 
-def test_signatures_elide_to_grade_rank(full2, monkeypatch):
+def test_signatures_elide_to_grade_rank(full2, golden_mean, monkeypatch):
     monkeypatch.setattr(partitions, "SIGNATURE_WORD_LIMIT", 2)
     chain = build_chain(full2, 3)
-    assert class_signatures(chain, 3) == (
+    assert class_signatures(chain) == (
         (("w", ()), ("w", (0,), (1,)), ("e", 0), ("e", 0)),
     )
+    # ranks of grades past l0 + 1, ranked where shown, against the dense oracle
+    for p in (full2, golden_mean):
+        chain, want = build_chain(p, 6), dense_chain(p, 6)["grade_ranks"]
+        assert len(chain.grade_ranks) == chain.stabilization.level + 2 < 6
+        for cls, sig in zip(chain.levels[-1].classes, class_signatures(chain)):
+            assert sig[-1][0] == "e"
+            for k, entry in enumerate(sig):
+                assert entry[0] == "w" or entry == ("e", want[k][cls.contexts[0]]), (p, k)
 
 
 def test_chain_stabilization(corpus):
@@ -356,7 +365,9 @@ def test_sparse_tower_matches_the_dense_oracle():
     assert sum(isinstance(p, SftShift) and "_adjacency" in p.__dict__ for p in cases) > 50
     for p in cases:
         chain, want = build_chain(p, 3), dense_chain(p, 3)
-        assert chain.grade_ranks == want["grade_ranks"], p.to_json()
+        # grades 0..l0+1; later ones are ranked only where a signature shows them
+        assert len(chain.grade_ranks) == chain.stabilization.level + 2, p.to_json()
+        assert chain.grade_ranks == want["grade_ranks"][:len(chain.grade_ranks)], p.to_json()
         assert tuple(lv.class_of for lv in chain.tower) == want["class_of"], p.to_json()
         for maps, (parent, image) in zip(chain.maps, want["maps"], strict=True):
             assert maps.parent == parent, p.to_json()
@@ -567,15 +578,40 @@ def test_chain_json_shape(even):
 
 
 def test_chain_json_renders_each_class_signature(corpus):
-    # every level repeats its classes' lower grades; each class shows its own words
+    # each signature is listed once; a class of level l shows the first l + 1
+    # grades of its representative's, the predecessor sets of its first context
     for p in corpus.values():
         chain = build_chain(p, 4)
-        for l, level in enumerate(chain_to_json(chain)["levels"]):
-            shown = [cls["signature"] for cls in level["classes"]]
-            assert shown == [
-                [{"grade": k, "words": [p.alphabet.render_word(w) for w in entry[1:]]}
-                 for k, entry in enumerate(sig)]
-                for sig in class_signatures(chain, l)], (p, l)
+        data = chain_to_json(chain)
+        assert data["signatures"] == [
+            [{"grade": k, "words": [p.alphabet.render_word(w) for w in entry[1:]]}
+             for k, entry in enumerate(sig)]
+            for sig in class_signatures(chain)], p
+        for l, level in enumerate(data["levels"]):
+            for cls, shown in zip(chain.levels[l].classes, level["classes"], strict=True):
+                rep = cls.contexts[0]
+                assert shown["representative"] == chain.levels[-1].class_of[rep]
+                ctx = p.contexts[rep]
+                assert data["signatures"][shown["representative"]][:l + 1] == [
+                    {"grade": k, "words": [p.alphabet.render_word(w)
+                                           for w in predecessor_set(p, ctx, k)]}
+                    for k in range(l + 1)], (p, l)
+
+
+def test_chain_ranks_no_grade_past_the_stable_level_unless_shown(corpus, monkeypatch):
+    # the refinement ranks grades 1..l0+1; the export ranks a later grade only
+    # for an elided signature entry, which needs every grade up to the length
+    calls = []
+    next_grade = partitions._next_grade
+    monkeypatch.setattr(partitions, "_next_grade",
+                        lambda steps, prev: calls.append(1) or next_grade(steps, prev))
+    for name, p in corpus.items():
+        calls.clear()
+        chain = build_chain(p, 40)
+        data = chain_to_json(chain)
+        elided = any("elided" in entry for sig in data["signatures"] for entry in sig)
+        assert len(calls) == (40 if elided else chain.stabilization.level + 1), name
+        assert elided == (name not in FINITE_MODEL_NAMES), name
 
 
 def test_level_bounds(golden_mean):
