@@ -24,9 +24,7 @@ from .model import FiniteModel, run_all_checks
 from .partitions import (
     PartitionChain,
     PartitionLevel,
-    action_matrices,
     action_sum,
-    bowen_franks_matrix,
     build_chain,
     inclusion_matrix,
     m_index_set,

@@ -205,9 +205,11 @@ def cmd_classes(args) -> int:
         return 0
     lines = ["m-sequence: " + " ".join(str(m) for m in payload["m_sequence"]),
              "stabilization: " + Stabilization(**payload["stabilization"]).render()]
-    for lv, m_set in zip(payload["levels"], payload["m_sets"]):
+    m_sets = payload["m_sets"]   # a level past the last entry has that entry's sets
+    for lv in payload["levels"]:
         lines.append(f"level {lv['level']}: m = {lv['m']}")
-        for ci, (cls, mark) in enumerate(zip(lv["classes"], m_set["persistence"])):
+        marks = m_sets[min(lv["level"], len(m_sets) - 1)]["persistence"]
+        for ci, (cls, mark) in enumerate(zip(lv["classes"], marks, strict=True)):
             members = ", ".join(cls["contexts"][:6])
             if len(cls["contexts"]) > 6:
                 members += f", ... ({len(cls['contexts'])} contexts)"
@@ -241,12 +243,11 @@ def cmd_matrices(args) -> int:
         return 0
     lines = []
     for lv in levels:
-        lines.append(f"level {lv['level']} -> {lv['level'] + 1}:")
-        blocks = [("inclusion", lv["inclusion"])]
-        blocks += [(f"action[{a}]", rows) for a, rows in lv["action"].items()]
-        blocks += [("action sum", lv["action_sum"]), ("difference", lv["bowen_franks"])]
-        for name, rows in blocks:
-            lines.extend("  " + s for s in _matrix_lines(name, rows))
+        lines.append(f"level {lv['level'] + 1} -> {lv['level']}: "
+                     f"{lv['m_next']} classes into {lv['m']}")
+        for i, cls in enumerate(lv["classes"]):
+            images = "".join(f" {a}->{j}" for a, j in cls["image"].items())
+            lines.append(f"  class {i} in {cls['parent']}:{images}")
     _emit("\n".join(lines))
     return 0
 

@@ -17,20 +17,22 @@ is always refined to it.  The chain stores the distinct levels 0..l0 and,
 for each l <= l0, two class maps from level l+1 to level l: the parent of
 each class, and a (symbol, class it lands in) pair per symbol that can be
 prepended.  The levels past l0 are level l0 itself.  The chain length
-(``lmax``) only bounds which levels, matrices, M-sets and reach sets are
+(``lmax``) only bounds which levels, maps, M-sets and reach sets are
 shown and checked; the stable level and the limit data never depend on it.
 Which contexts have predecessor words of each length, and of every length,
 is read off one trim of the prepend graph (``_live``): a context has words
-of length k when it starts an infinite path or a path of k steps.  The
-M-sets (the classes with a nonempty grade-k past) and the restricted maps
-are read off those sets and the class maps.
+of length k when it starts an infinite path or a path of k steps.  So the
+sets stop changing at grade K, the longest finite path plus one, and the
+chain holds grades 0..min(K, length) only.  The M-sets (the classes with a
+nonempty grade-k past) and the restricted maps are read off those sets and
+the class maps.
 
-The matrices are built from the class maps on demand and follow the
-source's indexing: entry (i, j) of the inclusion matrix is 1 when class i of
-level l+1 is contained in class j of level l, and entry (i, j) of the
-per-symbol action matrix is 1 when prepending that symbol maps class i of
-level l+1 into class j of level l (never into two classes; that would be a
-hard internal error).
+The dense matrices the invariants read are built from the class maps on
+demand and follow the source's indexing: entry (i, j) of the inclusion
+matrix is 1 when class i of level l+1 is contained in class j of level l,
+and entry (i, j) of the action sum counts the symbols whose prepending maps
+class i of level l+1 into class j of level l (never into two classes; that
+would be a hard internal error).
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class PartitionChain:
         self.maps: tuple[ClassMaps, ...] = maps             # level l+1 -> level l, l = 0..l0
         self.length = length
         self.levels: tuple[PartitionLevel, ...] = tuple(self.level(l) for l in range(length + 1))
-        self.reach: tuple[frozenset[int], ...] = reach
+        self.reach: tuple[frozenset[int], ...] = reach      # grades 0..min(K, length)
         self.reach_limit: frozenset[int] = reach_limit
         l0 = len(tower) - 1
         self.stabilization = Stabilization(True, l0, max(length, l0 + 1))
@@ -114,6 +116,10 @@ class PartitionChain:
 
     def m(self, level: int) -> int:
         return self.level(level).m
+
+    def reach_set(self, k: int) -> frozenset[int]:
+        """Contexts with a predecessor word of length k (past the last set held, that set)."""
+        return self.reach[min(k, len(self.reach) - 1)]
 
     @property
     def m_sequence(self) -> tuple[int, ...]:
@@ -201,20 +207,22 @@ def past_partition(p: Presentation, level: int) -> PartitionLevel:
 
 
 def _reach_sets(steps, upto: int):
-    """Contexts with a predecessor word of each length 0..upto, and of every
-    length: those that start an infinite path of steps.  One trim gives both:
-    a context has words of length k when it is live or its longest path has
-    k steps or more."""
+    """Contexts with a predecessor word of each length 0..min(K, upto), and of
+    every length: those that start an infinite path of steps.  One trim gives
+    both: a context has words of length k when it is live or its longest path
+    has k steps or more, so from grade K, the longest path plus one, every
+    set is the live set."""
     live, longest = _live({i: [t for _, t in row] for i, row in enumerate(steps)})
+    top = min(max(longest.values(), default=-1) + 1, upto)
     reach = tuple(frozenset(live.union(i for i, d in longest.items() if d >= k))
-                  for k in range(upto + 1))
+                  for k in range(top + 1))
     return reach, frozenset(live)
 
 
 def build_chain(p: Presentation, length: int) -> PartitionChain:
     """The tower refined to its stable level, its class maps, and the reach sets.
 
-    ``length`` bounds only what the chain shows (levels, matrices, M-sets,
+    ``length`` bounds only what the chain shows (levels, maps, M-sets,
     reach sets); the tower, its maps and grade ranks 0..l0+1 never depend on it.
     """
     if length < 1:
@@ -236,39 +244,26 @@ def _check_level(chain: PartitionChain, l: int) -> None:
         raise ValidationError(f"level {l} out of range; chain has matrices for 0..{chain.length - 1}")
 
 
-def _level_matrix(chain: PartitionChain, l: int, inclusion: int, action: int,
-                  images=None) -> IntMatrix:
-    """m(l+1) x m(l): ``inclusion`` at each parent, plus ``action`` at each
-    (class, image class) pair of ``images``, by default those of every symbol."""
+def _level_matrix(chain: PartitionChain, l: int, inclusion: int, action: int) -> IntMatrix:
+    """m(l+1) x m(l): ``inclusion`` at each parent, plus ``action`` at each symbol's image."""
     maps = chain.maps[min(l, len(chain.maps) - 1)]
-    if images is None:
-        images = ((i, j) for i, row in enumerate(maps.image) for _, j in row)
     out = [[0] * chain.m(l) for _ in maps.parent]
     for i, j in enumerate(maps.parent):
         out[i][j] += inclusion
-    for i, j in images:
-        out[i][j] += action
+    for i, row in enumerate(maps.image):
+        for _, j in row:
+            out[i][j] += action
     return IntMatrix._trusted(len(out), chain.m(l), tuple(map(tuple, out)))
 
 
 def inclusion_matrix(chain: PartitionChain, l: int) -> IntMatrix:
     """0/1 matrix with one 1 per row: class i of level l+1 inside class j of level l."""
     _check_level(chain, l)
-    return _level_matrix(chain, l, 1, 0, ())
-
-
-def action_matrices(chain: PartitionChain, l: int) -> dict[int, IntMatrix]:
-    """Per-symbol 0/1 matrices: prepending the symbol maps class i (level l+1) into class j (level l)."""
-    _check_level(chain, l)
-    by_symbol = {a: [] for a in chain.presentation.alphabet}
-    for i, row in enumerate(chain.maps[min(l, len(chain.maps) - 1)].image):
-        for a, j in row:
-            by_symbol[a].append((i, j))
-    return {a: _level_matrix(chain, l, 0, 1, images) for a, images in by_symbol.items()}
+    return _level_matrix(chain, l, 1, 0)
 
 
 def action_sum(chain: PartitionChain, l: int) -> IntMatrix:
-    """Sum of the per-symbol action matrices."""
+    """Entry (i, j): how many symbols map class i of level l+1 into class j of level l."""
     _check_level(chain, l)
     return _level_matrix(chain, l, 0, 1)
 
@@ -276,12 +271,6 @@ def action_sum(chain: PartitionChain, l: int) -> IntMatrix:
 def stable_step_map(chain: PartitionChain) -> IntMatrix:
     """The action sum at the stable level, a square matrix, whatever the chain length."""
     return _level_matrix(chain, chain.stabilization.level, 0, 1)
-
-
-def bowen_franks_matrix(chain: PartitionChain, l: int) -> IntMatrix:
-    """Inclusion minus summed action; its cokernel/kernel carry the K-data."""
-    _check_level(chain, l)
-    return _level_matrix(chain, l, 1, -1)
 
 
 def _membership(chain: PartitionChain, l: int, subset) -> tuple[str, ...]:
@@ -304,7 +293,7 @@ def m_index_set(chain: PartitionChain, k: int, l: int) -> tuple[int, ...]:
     """Classes of level l whose grade-k predecessor set is nonempty."""
     if not 0 <= k <= l <= chain.length:
         raise ValidationError("need 0 <= k <= l <= chain length")
-    return _classes_inside(chain, l, chain.reach[k], "grade-k reachability")
+    return _classes_inside(chain, l, chain.reach_set(k), "grade-k reachability")
 
 
 def restricted_maps(chain: PartitionChain, k: int, l: int) -> RestrictedMaps:
@@ -386,28 +375,30 @@ def _signature_json(p: Presentation, sig) -> list:
 
 
 def matrices_to_json(chain: PartitionChain) -> list[dict]:
-    """Per level l < length: inclusion, per-symbol action, action sum, difference."""
+    """Per level l < length, the class maps from level l+1 to level l: per class
+    its parent and, per symbol that can be prepended, the class it lands in,
+    the 1s of its row in the inclusion and in that symbol's action matrix."""
     symbols = chain.presentation.alphabet.symbols
-    return [
-        {
+    out = []
+    for l in range(chain.length):
+        maps = chain.maps[min(l, len(chain.maps) - 1)]
+        out.append({
             "level": l,
-            "inclusion": inclusion_matrix(chain, l).to_lists(),
-            "action": {
-                symbols[a]: mat.to_lists()
-                for a, mat in sorted(action_matrices(chain, l).items())
-            },
-            "action_sum": action_sum(chain, l).to_lists(),
-            "bowen_franks": bowen_franks_matrix(chain, l).to_lists(),
-        }
-        for l in range(chain.length)
-    ]
+            "m": chain.m(l),
+            "m_next": chain.m(l + 1),
+            "classes": [{"parent": j, "image": {symbols[a]: t for a, t in row}}
+                        for j, row in zip(maps.parent, maps.image)],
+        })
+    return out
 
 
 def chain_to_json(chain: PartitionChain) -> dict:
     """Chain export: class signatures, levels, M-sets, stabilization (the
-    matrices are ``matrices_to_json``).  ``signatures`` lists
+    class maps are ``matrices_to_json``).  ``signatures`` lists
     ``class_signatures`` once; a class of level l names in ``representative``
-    the entry of its first context, and its signature is that one's first l+1 grades."""
+    the entry of its first context, and its signature is that one's first l+1 grades.
+    ``m_sets`` stops at level max(l0, K), K the last grade in ``chain.reach``: a later
+    level is level l0, with the last entry's sets and its final grade repeated."""
     p = chain.presentation
     last = chain.levels[-1]
     levels = []
@@ -424,7 +415,7 @@ def chain_to_json(chain: PartitionChain) -> dict:
             ],
         })
     m_sets = []
-    for l in range(chain.length + 1):
+    for l in range(min(chain.length, max(chain.stabilization.level, len(chain.reach) - 1)) + 1):
         m_sets.append({
             "level": l,
             "by_grade": [list(m_index_set(chain, k, l)) for k in range(l + 1)],

@@ -464,11 +464,15 @@ def _mat_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class SoficShift(Presentation):
-    """Labels of infinite paths in a finite labeled graph.
+    """The label shift of the essential subgraph of a finite labeled graph.
 
-    The graph is trimmed so every state has an incoming and an outgoing edge
-    (states off bi-infinite paths never contribute and their removal is the
-    canonical form), which also makes the shift surjective.
+    The graph is trimmed to the states on bi-infinite paths, and the trimmed
+    graph is the canonical form.  The shift is the set of labels of infinite
+    paths in it, which is shift-surjective; a path that starts at a state off
+    every bi-infinite path is dropped.  So the graph of {0^inf, 1^inf,
+    01^inf, 001^inf}, one state per point with one edge to its shift, keeps
+    two states and does not contain 01^inf, which the finite shift of those
+    points does.
     """
 
     kind = "sofic"

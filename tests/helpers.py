@@ -82,6 +82,18 @@ def random_essential_adjacency(rng: random.Random, n: int) -> list:
             return m
 
 
+def sparse_adjacency(rng: random.Random, n: int, extra: int) -> list:
+    """0/1 matrix of a random permutation plus ``extra`` random entries per row."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    adjacency = [[0] * n for _ in range(n)]
+    for i in range(n):
+        adjacency[i][perm[i]] = 1
+        for _ in range(extra):
+            adjacency[i][rng.randrange(n)] = 1
+    return adjacency
+
+
 def random_sofic(rng: random.Random) -> dict:
     """A random labeled graph on 1-4 states over 1-3 letters, as JSON (maybe empty once trimmed)."""
     states = [f"s{i}" for i in range(rng.randint(1, 4))]
@@ -307,6 +319,23 @@ def dense_reach_sets(steps, n_letters: int, upto: int) -> tuple:
     while (nxt := shrink(limit)) != limit:
         limit = nxt
     return tuple(reach), limit
+
+
+def dense_level_matrices(level: dict, symbols) -> dict:
+    """The dense matrices of one level of ``matrices_to_json``, rebuilt from
+    its class maps, keyed as the dense export was: inclusion, per-symbol
+    action, action sum and difference (``bowen_franks``)."""
+    rows, cols = level["m_next"], level["m"]
+    inclusion = [[0] * cols for _ in range(rows)]
+    action = {a: [[0] * cols for _ in range(rows)] for a in symbols}
+    for i, cls in enumerate(level["classes"]):
+        inclusion[i][cls["parent"]] = 1
+        for a, j in cls["image"].items():
+            action[a][i][j] = 1
+    total = [[sum(action[a][i][j] for a in symbols) for j in range(cols)] for i in range(rows)]
+    return {"level": level["level"], "inclusion": inclusion, "action": action,
+            "action_sum": total,
+            "bowen_franks": [[x - y for x, y in zip(r, t)] for r, t in zip(inclusion, total)]}
 
 
 def dense_chain(p: Presentation, length: int) -> dict:

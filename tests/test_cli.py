@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    dense_level_matrices,
     periodic_orbit,
     random_essential_adjacency,
     random_memory_sft,
     random_presentation,
+    sparse_adjacency,
 )
 from shiftk import (
     ResourceCapError,
@@ -41,6 +43,12 @@ def files(tmp_path):
         paths[name] = str(path)
     paths["dir"] = tmp_path
     return paths
+
+
+# stable at level 1; every context has predecessor words of every length
+SIX_VERTEX_SFT = {"type": "sft_matrix", "adjacency": [
+    [1, 0, 0, 0, 0, 0], [1, 0, 0, 1, 1, 1], [0, 0, 0, 0, 0, 0],
+    [1, 1, 0, 0, 1, 0], [1, 0, 1, 0, 0, 0], [1, 1, 1, 1, 0, 0]]}
 
 
 def run(capsys, *args):
@@ -124,12 +132,10 @@ def test_classes_output(files, capsys):
 
 def test_classes_json_holds_each_signature_once(tmp_path, capsys, monkeypatch):
     # the six-vertex SFT is stable at level 1; past the grades whose words are
-    # listed, more levels add only elided ranks, class names and M-sets
+    # listed, more levels add only elided ranks and class names
     monkeypatch.setattr(partitions, "SIGNATURE_WORD_LIMIT", 4000)
     path = tmp_path / "six.json"
-    path.write_text(json.dumps({"type": "sft_matrix", "adjacency": [
-        [1, 0, 0, 0, 0, 0], [1, 0, 0, 1, 1, 1], [0, 0, 0, 0, 0, 0],
-        [1, 1, 0, 0, 1, 0], [1, 0, 1, 0, 0, 0], [1, 1, 1, 1, 0, 0]]}))
+    path.write_text(json.dumps(SIX_VERTEX_SFT))
     sizes = []
     for lmax in ("20", "40"):
         code, out, _ = run(capsys, "classes", str(path), "--format", "json", "--lmax", lmax)
@@ -138,10 +144,56 @@ def test_classes_json_holds_each_signature_once(tmp_path, capsys, monkeypatch):
     assert sizes[1] <= 1.1 * sizes[0]
 
 
+def test_classes_json_lists_the_m_sets_up_to_where_they_stop_changing(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the six-vertex SFT is stable at level 1 and every context has predecessor
+    # words of every length, so the M-sets are listed for levels 0 and 1 only
+    monkeypatch.setattr(partitions, "SIGNATURE_WORD_LIMIT", 50)   # words the M-sets never read
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(SIX_VERTEX_SFT))
+    m_sets = []
+    for lmax in ("40", "200"):
+        code, out, _ = run(capsys, "classes", str(path), "--format", "json", "--lmax", lmax)
+        assert code == 0
+        m_sets.append(json.dumps(json.loads(out)["m_sets"], indent=2))
+    assert m_sets[0] == m_sets[1] and len(json.loads(m_sets[0])) == 2
+
+
 def test_matrices_output(files, capsys):
+    # one line per class of level l+1: its parent, then each symbol and the
+    # class it lands in
     code, out, _ = run(capsys, "matrices", files["golden_mean"], "--lmax", "2")
     assert code == 0
-    assert "inclusion" in out and "action sum" in out and "difference" in out
+    assert out.splitlines()[:3] == ["level 1 -> 0: 2 classes into 1",
+                                    "  class 0 in 0: 0->0", "  class 1 in 0: 0->0 1->0"]
+    code, out, _ = run(capsys, "matrices", files["pair"], "--lmax", "2")
+    assert code == 0 and "  class 0 in 0:\n" in out     # no symbol prepends to 1(0)*
+
+
+def test_matrices_json_rebuilds_the_dense_matrices(tmp_path, capsys):
+    # the inclusion, per-symbol action, action sum and difference matrices
+    # rebuilt from the class maps equal the dense ones pinned for the corpus
+    pinned = json.loads((Path(__file__).parent / "data" / "matrices_dense_lmax3.json").read_text())
+    assert pinned.keys() == CORPUS_OBJECTS.keys()
+    for name, obj in CORPUS_OBJECTS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "matrices", str(path), "--format", "json", "--lmax", "3")
+        assert code == 0
+        data = json.loads(out)
+        symbols = parse_presentation(obj).alphabet.symbols
+        assert data["presentation"] == pinned[name]["presentation"], name
+        assert [dense_level_matrices(lv, symbols) for lv in data["matrices"]] == \
+            pinned[name]["matrices"], name
+
+
+def test_matrices_json_grows_with_the_edges(tmp_path, capsys):
+    # a sparse 64-vertex SFT, 5 edges per vertex: the dense export wrote 4.4 MB
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"type": "sft_matrix",
+                                "adjacency": sparse_adjacency(random.Random(3), 64, 4)}))
+    code, out, _ = run(capsys, "matrices", str(path), "--format", "json", "--lmax", "2")
+    assert code == 0 and len(out) < 200_000
 
 
 @pytest.mark.parametrize("command", ["classes", "matrices", "triple"])
@@ -359,14 +411,9 @@ def test_equivalent_compare_shows_b_the_same_rows(files, capsys):
 
 def test_compare_of_a_file_with_itself_computes_no_limit_rank(tmp_path, capsys, monkeypatch):
     # a sparse vertex SFT: a permutation plus one random edge per vertex
-    rng, n = random.Random(3), 256
-    perm = list(range(n))
-    rng.shuffle(perm)
-    adjacency = [[0] * n for _ in range(n)]
-    for i in range(n):
-        adjacency[i][perm[i]] = adjacency[i][rng.randrange(n)] = 1
     path = tmp_path / "sparse.json"
-    path.write_text(json.dumps({"type": "sft_matrix", "adjacency": adjacency}))
+    path.write_text(json.dumps({"type": "sft_matrix",
+                                "adjacency": sparse_adjacency(random.Random(3), 256, 1)}))
     calls = []
     real = invariants.eventual_rank
     monkeypatch.setattr(invariants, "eventual_rank", lambda m: calls.append(m) or real(m))

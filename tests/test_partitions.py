@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     dense_chain,
     dense_class_maps,
+    dense_level_matrices,
     dense_reach_sets,
     dense_steps,
     oracle_graded,
@@ -23,9 +24,7 @@ from shiftk import (
     SoficShift,
     StraddleError,
     ValidationError,
-    action_matrices,
     action_sum,
-    bowen_franks_matrix,
     build_chain,
     dimension_triple,
     higher_block,
@@ -51,6 +50,11 @@ from conftest import CORPUS_OBJECTS, FINITE_MODEL_NAMES, make
 
 def class_index_of_context(chain, level, ctx):
     return chain.levels[level].class_of[chain.presentation.context_index[ctx]]
+
+
+def bowen_franks(chain, l):
+    """The difference (Bowen-Franks) matrix of level l: inclusion minus summed action."""
+    return inclusion_matrix(chain, l).sub(action_sum(chain, l))
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +148,9 @@ def test_refinement_stops_at_its_fixed_point(corpus):
             common = chain.length + 1
             assert longest.m_sequence[:common] == chain.m_sequence, name
             assert longest.levels[:common] == chain.levels, name
+            assert matrices_to_json(longest)[:chain.length] == matrices_to_json(chain), name
             for l in range(chain.length):
                 assert inclusion_matrix(longest, l) == inclusion_matrix(chain, l), (name, l)
-                assert action_matrices(longest, l) == action_matrices(chain, l), (name, l)
 
 
 def test_stable_level_is_below_the_context_count(corpus):
@@ -196,10 +200,9 @@ def test_action_examples(full2, full3, golden_mean, pair):
     a = action_sum(chain, 1)
     assert a.entry(i0, i0) == 1 and a.entry(i0, i1) == 1
     assert a.entry(i1, i0) == 1 and a.entry(i1, i1) == 0
-    per_symbol = action_matrices(chain, 1)
-    assert per_symbol[0].entry(i0, i0) == 1     # 0 maps the 0-class into itself
-    assert per_symbol[1].entry(i0, i1) == 1     # 1 maps the 0-class into the 1-class
-    assert per_symbol[1].entries[i1] == (0, 0)  # nothing starts with 11
+    image = chain.maps[1].image
+    assert image[i0] == ((0, i0), (1, i1))      # 0 maps the 0-class into itself, 1 into the 1-class
+    assert image[i1] == ((0, i0),)              # nothing starts with 11
 
     chain = build_chain(pair, 3)
     p0 = context_of(pair, pair.points[0])       # (0)*
@@ -212,26 +215,27 @@ def test_action_examples(full2, full3, golden_mean, pair):
 
 
 def test_action_sum_is_the_sum_of_the_symbol_matrices(corpus):
+    # the dense builders against the matrices rebuilt from the exported class
+    # maps: the action sum is the sum of the per-symbol 0/1 matrices
     for name, p in corpus.items():
         chain = build_chain(p, 6)
-        for l in range(chain.length):
-            per_symbol = action_matrices(chain, l)
+        for l, level in enumerate(matrices_to_json(chain)):
+            dense = dense_level_matrices(level, p.alphabet.symbols)
             total = action_sum(chain, l)
             assert total.rows == chain.m(l + 1) and total.cols == chain.m(l), name
-            assert [
-                [sum(per_symbol[a].entry(i, j) for a in per_symbol) for j in range(total.cols)]
-                for i in range(total.rows)
-            ] == total.to_lists(), (name, l)
+            assert dense["inclusion"] == inclusion_matrix(chain, l).to_lists(), (name, l)
+            assert dense["action_sum"] == total.to_lists(), (name, l)
+            assert dense["bowen_franks"] == bowen_franks(chain, l).to_lists(), (name, l)
 
 
 def test_bowen_franks_examples(full2, golden_mean):
-    assert bowen_franks_matrix(build_chain(full2, 2), 1).to_lists() == [[-1]]
+    assert bowen_franks(build_chain(full2, 2), 1).to_lists() == [[-1]]
     single = make("single_point")
-    assert bowen_franks_matrix(build_chain(single, 2), 1).to_lists() == [[0]]
+    assert bowen_franks(build_chain(single, 2), 1).to_lists() == [[0]]
     chain = build_chain(golden_mean, 3)
     i0 = class_index_of_context(chain, 2, SuffixContext((0,)))
     i1 = class_index_of_context(chain, 2, SuffixContext((1,)))
-    b = bowen_franks_matrix(chain, 1)
+    b = bowen_franks(chain, 1)
     assert b.entry(i0, i0) == 0 and b.entry(i0, i1) == -1
     assert b.entry(i1, i0) == -1 and b.entry(i1, i1) == 1
 
@@ -372,7 +376,7 @@ def test_sparse_tower_matches_the_dense_oracle():
         for maps, (parent, image) in zip(chain.maps, want["maps"], strict=True):
             assert maps.parent == parent, p.to_json()
             assert _image_per_symbol(maps.image, len(p.alphabet)) == image, p.to_json()
-        assert chain.reach == want["reach"], p.to_json()
+        assert [chain.reach_set(k) for k in range(4)] == list(want["reach"]), p.to_json()
         assert chain.reach_limit == want["reach_limit"], p.to_json()
 
 
@@ -380,7 +384,9 @@ def test_reach_sets_are_the_round_based_shrink():
     # the reach sets and the reach limit, read off one trim, against shrinking
     # the whole context set pass by pass, at every length up to 250; the
     # vertex SFT whose vertices 199 -> 198 -> ... -> 1 run into a loop at 0
-    # has contexts whose longest paths take every length 0..198
+    # has contexts whose longest paths take every length 0..198.  Grade K,
+    # the first whose set is the limit, is the longest finite path plus one;
+    # the chain holds grades 0..min(K, length) and no more
     path = parse_presentation({"type": "sft_matrix", "adjacency": [
         [int(j == i - 1 or i == j == 0) for j in range(200)] for i in range(200)]})
     cases = _tower_cases(103, 200) + [path]
@@ -388,9 +394,13 @@ def test_reach_sets_are_the_round_based_shrink():
         want, limit = dense_reach_sets(dense_steps(p), len(p.alphabet), 250)
         for length in (1, 3, 250):
             chain = build_chain(p, length)
-            assert chain.reach == want[:length + 1], p.to_json()
+            assert [chain.reach_set(k) for k in range(length + 1)] == list(want[:length + 1]), \
+                p.to_json()
+            assert len(chain.reach) == min(want.index(limit), length) + 1, p.to_json()
             assert chain.reach_limit == limit, p.to_json()
-    assert [len(r) for r in build_chain(path, 250).reach] == [200 - k for k in range(200)] + [1] * 51
+    chain = build_chain(path, 250)
+    assert len(chain.reach) == 200      # K = 199: the longest finite path has 198 steps
+    assert [len(chain.reach_set(k)) for k in range(251)] == [200 - k for k in range(200)] + [1] * 51
 
 
 def test_class_maps_raise_as_the_dense_oracle_does():
@@ -501,8 +511,8 @@ def test_bowen_franks_diagram(corpus):
     for p in corpus.values():
         chain = build_chain(p, 4)
         for l in range(chain.length - 1):
-            lhs = bowen_franks_matrix(chain, l + 1).mul(inclusion_matrix(chain, l))
-            rhs = inclusion_matrix(chain, l + 1).mul(bowen_franks_matrix(chain, l))
+            lhs = bowen_franks(chain, l + 1).mul(inclusion_matrix(chain, l))
+            rhs = inclusion_matrix(chain, l + 1).mul(bowen_franks(chain, l))
             assert lhs.entries == rhs.entries
 
 

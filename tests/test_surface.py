@@ -8,11 +8,13 @@ tests read live in ``tests/helpers.py``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import shiftk
 
 SRC = Path(shiftk.__file__).parent
+README = Path(__file__).parent.parent / "README.md"
 
 API = {
     # README, Library section
@@ -78,3 +80,19 @@ def test_cli_reads_partitions_through_the_json_payloads_only():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):   # the module itself
             imported.update(alias.name for alias in node.names if alias.name.endswith("partitions"))
     assert sorted(imported - CLI_FROM_PARTITIONS) == []
+
+
+def test_readme_export_list_names_what_the_package_imports():
+    # "The package exports, by module": one bullet per module, naming every
+    # name the package imports from it; a dotted name is a module attribute
+    text = README.read_text(encoding="utf-8")
+    block = text.split("The package exports, by module:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for bullet in block.split("\n* "):
+        module, *names = re.findall(r"`([^`]+)`", bullet)
+        listed[module] = {name for name in names if "." not in name}
+    imported = {}
+    for node in ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    assert listed == imported
