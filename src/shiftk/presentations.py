@@ -3,11 +3,12 @@
 Three finitely-presentable kinds are supported:
 
 * ``finite`` -- an explicit shift-closed set of eventually periodic points;
-* ``sft``    -- a shift of finite type given by finitely many forbidden words
-  (or by a 0/1 adjacency matrix, which is parsed into the vertex SFT: it
-  holds the window graph read off the matrix, and its forbidden pairs, every
-  zero entry, are rendered only when something reads them, so its canonical
-  bytes and content hash are those of the SFT forbidding those pairs);
+* ``sft``    -- a shift of finite type given by finitely many forbidden words,
+  by a 0/1 adjacency matrix or by a list of allowed two-letter words (the
+  edges of its vertex graph).  An SFT of memory 1, however it was given, is
+  written as its edge list, so its canonical bytes and content hash grow
+  with its edges, and the matrix and edge forms are read straight into its
+  window graph; other SFTs are written as their forbidden words;
 * ``sofic``  -- a labeled graph; the shift is the set of label sequences of
   infinite paths.  Sofic presentations are trimmed so that every state lies
   on a bi-infinite path, which makes them shift-surjective.
@@ -303,32 +304,53 @@ class SftShift(Presentation):
         self.contexts  # force emptiness check
 
     @classmethod
-    def _vertex_shift(cls, alphabet: Alphabet, adjacency) -> "SftShift":
-        """The vertex shift of a checked 0/1 matrix with a zero entry, built
-        from its window graph: window (i,) has an edge to (j,) exactly when
-        A[i][j] == 1.  Its forbidden pairs are rendered from the untrimmed
-        matrix only when something reads them."""
+    def _vertex_shift(cls, alphabet: Alphabet, successors) -> "SftShift":
+        """The SFT of memory 1 whose allowed two-letter words are the edges
+        a -> b, b in ``successors[a]`` (one sorted tuple of distinct letters
+        per letter, dead letters included): the shift of an adjacency
+        matrix, of an edge list or of a block graph.  Its window graph is
+        read off the edges (window (a,) has an edge to (b,)), and the edges
+        are its canonical form; edges between every pair of letters give the
+        full shift, of memory 0."""
+        n = len(alphabet)
+        if sum(map(len, successors)) == n * n:
+            return cls(alphabet, ())
+        if n > MAX_CONTEXTS:
+            raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
         p = object.__new__(cls)
         p.alphabet = alphabet
         p.memory = 1
-        p._adjacency = adjacency
-        if len(adjacency) > MAX_CONTEXTS:
-            raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
-        windows = [(j,) for j in range(len(adjacency))]
-        successors = {w: list(compress(windows, row)) for w, row in zip(windows, adjacency)}
-        live = _live(successors)[0]
-        p.window_graph = {w: tuple((w2[0], w2) for w2 in successors[w] if w2 in live)
-                          for w in sorted(live)}
+        p._adjacency = successors
+        windows = [(b,) for b in range(n)]
+        live = _live(dict(enumerate(successors)))[0]
+        p.window_graph = {windows[a]: tuple((b, windows[b]) for b in successors[a] if b in live)
+                          for a in sorted(live)}
         p.contexts  # force emptiness check
         return p
 
     @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The successors of each letter of an SFT of memory 1, ascending: its
+        allowed two-letter words, dead letters included.  Set by
+        ``_vertex_shift``, else read off the forbidden words: a forbidden
+        letter has no successor and follows no letter."""
+        forbidden = self.forbidden
+        letters = [b for b in self.alphabet if (b,) not in forbidden]
+        return tuple(() if (a,) in forbidden else
+                     tuple(b for b in letters if (a, b) not in forbidden)
+                     for a in self.alphabet)
+
+    @cached_property
     def forbidden_sorted(self) -> tuple[Word, ...]:
         """The sorted forbidden words.  Set by the constructor, except on a
-        vertex shift, whose list holds every zero entry of its adjacency,
-        dead vertices included."""
-        return tuple((i, j) for i, row in enumerate(self._adjacency)
-                     for j, x in enumerate(row) if not x)
+        shift built by ``_vertex_shift``, whose list holds every pair that is
+        not an edge and is rendered only when a forbidden-word query reads it."""
+        letters = range(len(self.alphabet))
+        out = []
+        for a, row in enumerate(self._adjacency):
+            allowed = set(row)
+            out += [(a, b) for b in letters if b not in allowed]
+        return tuple(out)
 
     @cached_property
     def forbidden(self) -> frozenset[Word]:
@@ -422,9 +444,19 @@ class SftShift(Presentation):
         return self.alphabet.render_word(ctx.word) if ctx.word else "e"
 
     def to_json(self):
+        symbols = self.alphabet.symbols
+        if self.memory == 1:
+            # the edges, where the forbidden pairs of a sparse graph number
+            # nearly the square of its letters
+            return {
+                "type": "sft_edges",
+                "alphabet": list(symbols),
+                "edges": [[symbols[a], symbols[b]]
+                          for a, row in enumerate(self._adjacency) for b in row],
+            }
         return {
             "type": "sft",
-            "alphabet": list(self.alphabet.symbols),
+            "alphabet": list(symbols),
             "forbidden": [list(self.alphabet.word_symbols(w)) for w in self.forbidden_sorted],
         }
 
@@ -439,10 +471,9 @@ def vertex_sft_from_adjacency(adjacency) -> SftShift:
             raise ValidationError("adjacency matrix must be square")
         if not set(map(type, row)) <= {int} or not set(row) <= {0, 1}:
             raise ValidationError("adjacency entries must be 0 or 1")
-    alphabet = Alphabet(tuple(str(i) for i in range(n)))
-    if all(map(all, adjacency)):
-        return SftShift(alphabet, ())      # the full shift, of memory 0
-    return SftShift._vertex_shift(alphabet, tuple(map(tuple, adjacency)))
+    letters = range(n)
+    return SftShift._vertex_shift(Alphabet(tuple(map(str, letters))),
+                                  tuple(tuple(compress(letters, row)) for row in adjacency))
 
 
 # ---------------------------------------------------------------------------
@@ -728,6 +759,7 @@ def predecessor_set(p: Presentation, ctx: Context, k: int) -> list[Word]:
 _SCHEMAS = {
     "sft": {"type", "alphabet", "forbidden"},
     "sft_matrix": {"type", "adjacency"},
+    "sft_edges": {"type", "alphabet", "edges"},
     "sofic": {"type", "states", "edges"},
     "finite": {"type", "alphabet", "points"},
 }
@@ -778,6 +810,17 @@ def parse_presentation(obj) -> Presentation:
                 raise ValidationError(f"forbidden word {w!r} must be a list of symbols")
             forbidden.append(alphabet.word(w))
         return SftShift(alphabet, forbidden)
+
+    if kind == "sft_edges":
+        if not isinstance(obj["edges"], list):
+            raise ValidationError("edges must be a list of [from, to] pairs")
+        successors = [set() for _ in alphabet]
+        for e in obj["edges"]:
+            if not (isinstance(e, list) and len(e) == 2):
+                raise ValidationError(f"edge {e!r} must be a [from, to] pair of symbols")
+            a, b = alphabet.word(e)
+            successors[a].add(b)
+        return SftShift._vertex_shift(alphabet, tuple(tuple(sorted(s)) for s in successors))
 
     if not isinstance(obj["points"], list):
         raise ValidationError("points must be a list of points")

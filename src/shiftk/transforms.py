@@ -195,20 +195,28 @@ def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport
 
     if isinstance(p, SftShift):
         out_alphabet = Alphabet(tuple(names))
-        idx = {w: i for i, w in enumerate(blocks)}
-        forbidden = []
-        for iu, u in enumerate(blocks):
-            for iv, v in enumerate(blocks):
-                if u[1:] != v[:-1]:
-                    forbidden.append((iu, iv))
-        # a forbidden word longer than n needs memory n or more; skipping the
-        # scan below that spares a vertex shift rendering its forbidden pairs
-        for w in p.forbidden_sorted if p.memory >= n else ():
-            if len(w) >= n + 1:
-                parts = [w[j:j + n] for j in range(len(w) - n + 1)]
-                if all(part in idx for part in parts):
-                    forbidden.append(tuple(idx[part] for part in parts))
-        out = SftShift(out_alphabet, forbidden)
+        if p.memory < n:
+            # every forbidden word fits in a block, so the words of length
+            # n + 1 are the pairs of blocks that overlap: block u is followed
+            # by the blocks whose (n-1)-prefix is u's (n-1)-suffix
+            by_prefix = {}
+            for i, w in enumerate(blocks):
+                by_prefix.setdefault(w[:-1], []).append(i)
+            out = SftShift._vertex_shift(
+                out_alphabet, tuple(tuple(by_prefix.get(w[1:], ())) for w in blocks))
+        else:
+            idx = {w: i for i, w in enumerate(blocks)}
+            forbidden = []
+            for iu, u in enumerate(blocks):
+                for iv, v in enumerate(blocks):
+                    if u[1:] != v[:-1]:
+                        forbidden.append((iu, iv))
+            for w in p.forbidden_sorted:
+                if len(w) >= n + 1:
+                    parts = [w[j:j + n] for j in range(len(w) - n + 1)]
+                    if all(part in idx for part in parts):
+                        forbidden.append(tuple(idx[part] for part in parts))
+            out = SftShift(out_alphabet, forbidden)
         return out, TransformReport(p.content_hash(), move, {"blocks": symbol_map})
 
     # sofic: the graph whose states are paths of length n-1; grouping the

@@ -94,6 +94,21 @@ def sparse_adjacency(rng: random.Random, n: int, extra: int) -> list:
     return adjacency
 
 
+def memory1_forms(n: int, allowed, forbidden) -> list:
+    """One shift over letters "0".."n-1" as ``sft_matrix``, as ``sft`` with the
+    words ``forbidden`` and as ``sft_edges`` (in reverse order) with the pairs
+    ``allowed``, the two-letter words the forbidden words allow."""
+    symbols = [str(a) for a in range(n)]
+    return [
+        {"type": "sft_matrix",
+         "adjacency": [[int((a, b) in allowed) for b in range(n)] for a in range(n)]},
+        {"type": "sft", "alphabet": symbols,
+         "forbidden": [[symbols[a] for a in w] for w in forbidden]},
+        {"type": "sft_edges", "alphabet": symbols,
+         "edges": [[symbols[a], symbols[b]] for a, b in sorted(allowed, reverse=True)]},
+    ]
+
+
 def random_sofic(rng: random.Random) -> dict:
     """A random labeled graph on 1-4 states over 1-3 letters, as JSON (maybe empty once trimmed)."""
     states = [f"s{i}" for i in range(rng.randint(1, 4))]

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     dense_level_matrices,
+    memory1_forms,
     periodic_orbit,
     random_essential_adjacency,
     random_memory_sft,
@@ -268,7 +269,19 @@ def test_transform_higher_block(files, capsys, tmp_path):
                      '{"move":"higher_block","n":2}', str(out_path))
     assert code == 0
     data = json.loads(out_path.read_text())
-    assert data["type"] == "sft" and data["alphabet"] == ["00", "01", "10"]
+    assert data["type"] == "sft_edges" and data["alphabet"] == ["00", "01", "10"]
+    assert data["edges"] == [["00", "00"], ["00", "01"], ["01", "10"], ["10", "00"], ["10", "01"]]
+
+
+def test_higher_block_writes_the_block_graph_edges(files, capsys, tmp_path):
+    # the full 2-shift at n = 9: 512 blocks, each followed by two; written as
+    # forbidden pairs it took 261,120 of them
+    out_path = tmp_path / "full2_9.json"
+    assert run(capsys, "transform", files["full2"], '{"move":"higher_block","n":9}',
+               str(out_path))[0] == 0
+    data = json.loads(out_path.read_text())
+    assert data["type"] == "sft_edges" and len(data["alphabet"]) == 512
+    assert len(data["edges"]) == 1024
 
 
 def test_transform_into_a_missing_directory_is_bad_input(files, capsys, tmp_path):
@@ -504,9 +517,10 @@ _POINT_0 = {"pre": [], "per": ["0"]}
     ({"type": "finite", "alphabet": ["0"], "points": [{"pre": [], "per": [["0"]]}]},
      "not in alphabet"),
     ({"type": "sft", "alphabet": ["0"], "forbidden": [[["0"]]]}, "not in alphabet"),
+    ({"type": "sft_edges", "alphabet": ["0"], "edges": [["0", ["0"]]]}, "not in alphabet"),
 ], ids=["row-int", "entry-true", "entry-false", "entry-1.0", "entry-0.0", "state-int",
         "state-list", "per-string", "pre-string", "points-int", "symbol-list-point",
-        "symbol-list-forbidden"])
+        "symbol-list-forbidden", "symbol-list-edge"])
 def test_malformed_field_types_are_refused(tmp_path, capsys, obj, message):
     with pytest.raises(ValidationError, match=message):
         parse_presentation(obj)
@@ -631,6 +645,54 @@ def test_a_cache_hit_is_served_only_from_a_record_of_the_written_shape(
     path.write_text(json.dumps({**json.loads(fresh), field: value}))
     assert run(capsys, *args, "--format", fmt) == expected
     assert path.read_text() == fresh      # the fresh record overwrote the bad one
+
+
+def _write_forms(tmp_path, adjacency):
+    """The shift of ``adjacency`` as a matrix, as forbidden pairs and as edges."""
+    n = len(adjacency)
+    allowed = {(a, b) for a in range(n) for b in range(n) if adjacency[a][b]}
+    forbidden = [(a, b) for a in range(n) for b in range(n) if not adjacency[a][b]]
+    paths = []
+    for obj in memory1_forms(n, allowed, forbidden):
+        paths.append(tmp_path / f"{obj['type']}.json")
+        paths[-1].write_text(json.dumps(obj))
+    return paths
+
+
+def test_the_forms_of_one_shift_hit_one_cache_record(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    computed = []
+    record = cli._invariant_record
+    monkeypatch.setattr(cli, "_invariant_record", lambda *a: computed.append(1) or record(*a))
+    outputs = set()
+    for path in _write_forms(tmp_path, SIX_VERTEX_SFT["adjacency"]):
+        code, out, _ = run(capsys, "invariants", str(path), "--cache-dir", str(cache))
+        assert code == 0
+        outputs.add(out)
+    assert (len(outputs), len(computed), len(list(cache.iterdir()))) == (1, 1, 1)
+
+
+def test_a_record_under_the_forbidden_pair_key_is_never_served(capsys, tmp_path):
+    # the canonical bytes of a vertex SFT used to be its forbidden pairs: a
+    # whole record stored under that key, here one of another shift, is a miss
+    cache = tmp_path / "cache"
+    p = parse_presentation(SIX_VERTEX_SFT)
+    symbols = p.alphabet.symbols
+    old = json.dumps({"type": "sft", "alphabet": list(symbols),
+                      "forbidden": [[symbols[a] for a in w] for w in p.forbidden_sorted]},
+                     separators=(",", ":")).encode()
+    stale = cli._cache_path(cache, cli.DEFAULT_LMAX, old)
+    full2 = parse_presentation(CORPUS_OBJECTS["full2"])
+    stale.parent.mkdir()
+    stale.write_text(json.dumps(cli._invariant_record(full2, full2.canonical_bytes(),
+                                                      cli.DEFAULT_LMAX)))
+    for path in _write_forms(tmp_path, SIX_VERTEX_SFT["adjacency"]):
+        code, out, _ = run(capsys, "invariants", str(path), "--cache-dir", str(cache),
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out) == cli._invariant_record(p, p.canonical_bytes(), cli.DEFAULT_LMAX)
+    fresh = cli._cache_path(cache, cli.DEFAULT_LMAX, p.canonical_bytes())
+    assert sorted(cache.iterdir()) == sorted([stale, fresh])
 
 
 def test_a_failed_cache_write_leaves_no_temp_file(files, capsys, tmp_path, monkeypatch):

@@ -1,18 +1,21 @@
 import collections
 import itertools
 import random
+import re
 
 import pytest
 
 from helpers import (
     class_witnesses,
     in_cylinder,
+    memory1_forms,
     oracle_predecessors,
     oracle_state_set,
     random_finite_shift,
     random_memory_sft,
     random_presentation,
     random_sofic,
+    sparse_adjacency,
     window_ok,
 )
 from shiftk import (
@@ -24,15 +27,19 @@ from shiftk import (
     ResourceCapError,
     SftShift,
     ValidationError,
+    build_chain,
     contains,
     context_of,
+    dimension_triple,
     higher_block,
+    k_groups,
     language,
     parse_presentation,
     predecessor_set,
     presentations,
     realizable_contexts,
 )
+from shiftk.partitions import chain_to_json, matrices_to_json
 from shiftk.presentations import PointContext, StateSetContext, SuffixContext, _live
 
 from conftest import CORPUS_OBJECTS, make
@@ -87,7 +94,12 @@ def test_sft_matrix_matches_explicit_vertex_sft():
     from_matrix = make("golden_mean_matrix")
     explicit = parse_presentation({
         "type": "sft", "alphabet": ["0", "1"], "forbidden": [["1", "1"]]})
-    assert from_matrix.to_json() == explicit.to_json()
+    edges = {"type": "sft_edges", "alphabet": ["0", "1"],
+             "edges": [["0", "0"], ["0", "1"], ["1", "0"]]}
+    assert from_matrix.to_json() == explicit.to_json() == edges
+    # every pair allowed is the full shift, of memory 0, as the all-ones matrix
+    full = parse_presentation(dict(edges, edges=edges["edges"] + [["1", "1"]]))
+    assert full.memory == 0 and full.to_json() == CORPUS_OBJECTS["full2"]
 
 
 def test_sofic_trim_is_canonical():
@@ -485,6 +497,145 @@ def test_sft_matrix_parse_is_the_forbidden_pair_sft():
     assert empty >= 5 and zero_lines >= 50, (empty, zero_lines)
     with pytest.raises(ValidationError, match="^presentation describes the empty shift space$"):
         parse_presentation({"type": "sft_matrix", "adjacency": [[0] * 3] * 3})
+
+
+# ---------------------------------------------------------------------------
+# one canonical form for SFTs of memory 1: the edge list
+
+
+def _memory1_case(rng):
+    """(letter count, allowed two-letter words, forbidden words) of a random
+    shift given either by a 0/1 matrix (zero rows and columns, dead vertices
+    and the all-ones matrix all occur) or by forbidden letters and pairs."""
+    if rng.random() < 0.5:
+        adj = _random_adjacency(rng)
+        n = len(adj)
+        allowed = {(a, b) for a in range(n) for b in range(n) if adj[a][b]}
+        return n, allowed, sorted({(a, b) for a in range(n) for b in range(n)} - allowed)
+    n = rng.randint(2, 7)
+    letters = set(rng.sample(range(n), rng.randint(1, n - 1)))
+    pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, n * n // 2))}
+    allowed = {(a, b) for a in range(n) for b in range(n)
+               if a not in letters and b not in letters and (a, b) not in pairs}
+    return n, allowed, sorted((a,) for a in letters) + sorted(pairs)
+
+
+def _invariant_outputs(p):
+    """What the commands print of a shift besides its hash: K-groups, the
+    triple, and the ``classes`` and ``matrices`` payloads."""
+    limit, chain = build_chain(p, 1), build_chain(p, 3)
+    kg = k_groups(limit)
+    return (kg.k0.to_json(), kg.k1.to_json(), dimension_triple(limit).to_json(),
+            chain_to_json(chain), matrices_to_json(chain))
+
+
+def test_memory1_forms_share_one_canonical_form():
+    # a matrix, forbidden words (forbidden letters included) and an edge list
+    # of one shift give the same canonical bytes, hash, window graph and
+    # invariants, or the same refusal
+    rng = random.Random(2027)
+    seen = collections.Counter()
+    for _ in range(200):
+        n, allowed, forbidden = _memory1_case(rng)
+        forms = memory1_forms(n, allowed, forbidden)
+        try:
+            ps = [parse_presentation(obj) for obj in forms]
+        except ValidationError as exc:
+            for obj in forms:
+                with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+                    parse_presentation(obj)
+            seen["empty"] += 1
+            continue
+        first = ps[0]
+        for q in ps[1:]:
+            assert q.canonical_bytes() == first.canonical_bytes(), forms
+            assert q.content_hash() == first.content_hash() and q == first, forms
+            assert q.window_graph == first.window_graph, forms
+            assert _invariant_outputs(q) == _invariant_outputs(first), forms
+        canonical = first.to_json()
+        if first.memory == 1:
+            assert canonical == dict(forms[2], edges=forms[2]["edges"][::-1])
+        seen["memory 1" if first.memory else "full shift"] += 1
+        seen["dead letter"] += len(first.window_graph) < n
+        seen["forbidden letter"] += any(len(w) == 1 for w in forbidden)
+    assert min(seen.values()) >= 5 and seen["memory 1"] >= 120, seen
+
+
+def test_to_json_round_trips():
+    # the canonical form of every kind parses back to the same presentation
+    rng = random.Random(2028)
+    objs = list(CORPUS_OBJECTS.values())
+    while len(objs) < 250:
+        objs.append(random_presentation(rng) if len(objs) % 2 else _random_vertex_sft(rng))
+    kinds = collections.Counter()
+    for obj in objs:
+        try:
+            p = parse_presentation(obj)
+        except ValidationError:
+            continue
+        q = parse_presentation(p.to_json())
+        assert q.canonical_bytes() == p.canonical_bytes() and q.contexts == p.contexts, obj
+        assert q.steps == p.steps, obj
+        kinds[q.to_json()["type"]] += 1
+    assert set(kinds) == {"sft", "sft_edges", "sofic", "finite"}, kinds
+
+
+def test_a_duplicated_edge_is_one_edge():
+    once = {"type": "sft_edges", "alphabet": ["0", "1"],
+            "edges": [["0", "0"], ["0", "1"], ["1", "0"]]}
+    twice = dict(once, edges=once["edges"] + [["1", "0"], ["0", "0"]])
+    canonical = parse_presentation(once).canonical_bytes()
+    assert parse_presentation(twice).canonical_bytes() == canonical
+    # as a duplicated forbidden word is one forbidden word
+    forbidden = {"type": "sft", "alphabet": ["0", "1"], "forbidden": [["1", "1"], ["1", "1"]]}
+    assert parse_presentation(forbidden).canonical_bytes() == canonical
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": 5},
+     "edges must be a list of [from, to] pairs"),
+    ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": "01"},
+     "edges must be a list of [from, to] pairs"),
+    ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": ["01"]},
+     "edge '01' must be a [from, to] pair of symbols"),
+    ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": [["0"]]},
+     "edge ['0'] must be a [from, to] pair of symbols"),
+    ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": [["0", "1", "0"]]},
+     "edge ['0', '1', '0'] must be a [from, to] pair of symbols"),
+    ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": [["0", "2"]]},
+     "symbol '2' not in alphabet ['0', '1']"),
+    ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": [["0", ["1"]]]},
+     "symbol ['1'] not in alphabet ['0', '1']"),
+    ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": [[0, "1"]]},
+     "symbol 0 not in alphabet ['0', '1']"),
+    ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": []},
+     "presentation describes the empty shift space"),
+    ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": [["0", "1"]]},
+     "presentation describes the empty shift space"),
+    ({"type": "sft_edges", "alphabet": "01", "edges": [["0", "1"]]},
+     "alphabet must be a list of symbols"),
+    ({"type": "sft_edges", "alphabet": ["0", "0"], "edges": [["0", "0"]]},
+     "alphabet symbols must be distinct"),
+    ({"type": "sft_edges", "alphabet": ["0"]},
+     "missing fields for type 'sft_edges': ['edges']"),
+    ({"type": "sft_edges", "alphabet": ["0"], "edges": [], "forbidden": []},
+     "unknown fields for type 'sft_edges': ['forbidden']"),
+], ids=["edges-int", "edges-string", "edge-string", "edge-single", "edge-triple",
+        "unknown-symbol", "symbol-list", "symbol-int", "no-edge", "no-cycle",
+        "alphabet-string", "alphabet-repeated", "missing-edges", "extra-field"])
+def test_malformed_edge_lists_are_refused(obj, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_presentation(obj)
+
+
+def test_canonical_bytes_grow_with_the_edges():
+    # a sparse vertex SFT, 5 edges per vertex: as forbidden pairs its
+    # canonical bytes were 14.4 MB
+    n = 1024
+    adjacency = sparse_adjacency(random.Random(n), n, 4)
+    p = parse_presentation({"type": "sft_matrix", "adjacency": adjacency})
+    assert len(p.canonical_bytes()) < 32 * sum(map(sum, adjacency)) + 16 * n
+    assert "forbidden_sorted" not in p.__dict__
 
 
 def _round_based_trim(names, triples):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from shiftk import (
@@ -63,6 +65,29 @@ def test_higher_block_respects_longer_forbidden_words():
         assert len(language(out, k)) == len(language(p, k + 1))
 
 
+def test_higher_block_builds_the_block_graph_of_an_sft():
+    # on an SFT of memory below n, the block graph's edges (blocks grouped by
+    # prefix) give the shift that forbids every pair of blocks not overlapping
+    rng = random.Random(97)
+    cases = [make(name) for name in ("full2", "full3", "golden_mean", "golden_mean_matrix")]
+    while len(cases) < 60:
+        k = rng.randint(1, 4)
+        adjacency = [[int(rng.random() < 0.5) for _ in range(k)] for _ in range(k)]
+        try:
+            cases.append(parse_presentation({"type": "sft_matrix", "adjacency": adjacency}))
+        except ValidationError:
+            continue
+    for p in cases:
+        for n in (2, 3):
+            out, _ = higher_block(p, n)
+            blocks = language(p, n)
+            oracle = SftShift(out.alphabet, [(iu, iv) for iu, u in enumerate(blocks)
+                                             for iv, v in enumerate(blocks) if u[1:] != v[:-1]])
+            assert out.canonical_bytes() == oracle.canonical_bytes(), (p.to_json(), n)
+            assert out.memory == oracle.memory and out.window_graph == oracle.window_graph
+            assert out.steps == oracle.steps, (p.to_json(), n)
+
+
 def test_higher_block_refusals(monkeypatch):
     with pytest.raises(ValidationError):
         higher_block(make("pair"), 2)
@@ -84,6 +109,8 @@ def test_higher_block_refuses_more_blocks_than_contexts_before_building(monkeypa
         raise AssertionError("output presentation built")
     for cls in (SftShift, SoficShift):
         monkeypatch.setattr(cls, "__init__", built)
+    # an SFT of memory below n is recoded into its block graph's edges
+    monkeypatch.setattr(SftShift, "_vertex_shift", classmethod(built))
     for p, n in ((sft, 3), (sofic, 4)):
         assert len(language(p, n)) > 7 >= len(language(p, n - 1))
         with pytest.raises(ResourceCapError):
