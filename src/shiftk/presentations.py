@@ -6,9 +6,9 @@ Three finitely-presentable kinds are supported:
 * ``sft``    -- a shift of finite type given by finitely many forbidden words,
   by a 0/1 adjacency matrix or by a list of allowed two-letter words (the
   edges of its vertex graph).  An SFT of memory 1, however it was given, is
-  written as its edge list, so its canonical bytes and content hash grow
-  with its edges, and the matrix and edge forms are read straight into its
-  window graph; other SFTs are written as their forbidden words;
+  held as the successor lists of its letters and written as its edge list,
+  so its canonical bytes and content hash grow with its edges; other SFTs
+  are held and written as their forbidden words;
 * ``sofic``  -- a labeled graph; the shift is the set of label sequences of
   infinite paths.  Sofic presentations are trimmed so that every state lies
   on a bi-infinite path, which makes them shift-surjective.
@@ -285,7 +285,9 @@ class FiniteShift(Presentation):
 
 
 class SftShift(Presentation):
-    """Shift of finite type over ``alphabet`` avoiding the ``forbidden`` words."""
+    """Shift of finite type over ``alphabet`` avoiding the ``forbidden`` words.
+    One of memory 1, whatever form it was given in, holds only the successor
+    lists of its letters (``_adjacency``); any other, its forbidden words."""
 
     kind = "sft"
 
@@ -298,9 +300,16 @@ class SftShift(Presentation):
                 raise ValidationError("forbidden words must have length >= 1")
             alphabet.check_word(w)
             words.add(w)
-        self.forbidden = frozenset(words)
-        self.forbidden_sorted = tuple(sorted(words))
         self.memory = max((len(w) for w in words), default=1) - 1
+        if self.memory == 1:
+            # a forbidden letter has no successor and follows no letter
+            letters = [b for b in alphabet if (b,) not in words]
+            self._adjacency = tuple(() if (a,) in words else
+                                    tuple(b for b in letters if (a, b) not in words)
+                                    for a in alphabet)
+        else:
+            self.forbidden = frozenset(words)
+            self.forbidden_sorted = tuple(sorted(words))
         self.contexts  # force emptiness check
 
     @classmethod
@@ -308,53 +317,16 @@ class SftShift(Presentation):
         """The SFT of memory 1 whose allowed two-letter words are the edges
         a -> b, b in ``successors[a]`` (one sorted tuple of distinct letters
         per letter, dead letters included): the shift of an adjacency
-        matrix, of an edge list or of a block graph.  Its window graph is
-        read off the edges (window (a,) has an edge to (b,)), and the edges
-        are its canonical form; edges between every pair of letters give the
-        full shift, of memory 0."""
+        matrix, of an edge list or of a block graph, held as those lists.
+        Edges between every pair of letters give the full shift, of memory
+        0."""
         n = len(alphabet)
         if sum(map(len, successors)) == n * n:
             return cls(alphabet, ())
-        if n > MAX_CONTEXTS:
-            raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
         p = object.__new__(cls)
-        p.alphabet = alphabet
-        p.memory = 1
-        p._adjacency = successors
-        windows = [(b,) for b in range(n)]
-        live = _live(dict(enumerate(successors)))[0]
-        p.window_graph = {windows[a]: tuple((b, windows[b]) for b in successors[a] if b in live)
-                          for a in sorted(live)}
+        p.alphabet, p.memory, p._adjacency = alphabet, 1, successors
         p.contexts  # force emptiness check
         return p
-
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """The successors of each letter of an SFT of memory 1, ascending: its
-        allowed two-letter words, dead letters included.  Set by
-        ``_vertex_shift``, else read off the forbidden words: a forbidden
-        letter has no successor and follows no letter."""
-        forbidden = self.forbidden
-        letters = [b for b in self.alphabet if (b,) not in forbidden]
-        return tuple(() if (a,) in forbidden else
-                     tuple(b for b in letters if (a, b) not in forbidden)
-                     for a in self.alphabet)
-
-    @cached_property
-    def forbidden_sorted(self) -> tuple[Word, ...]:
-        """The sorted forbidden words.  Set by the constructor, except on a
-        shift built by ``_vertex_shift``, whose list holds every pair that is
-        not an edge and is rendered only when a forbidden-word query reads it."""
-        letters = range(len(self.alphabet))
-        out = []
-        for a, row in enumerate(self._adjacency):
-            allowed = set(row)
-            out += [(a, b) for b in letters if b not in allowed]
-        return tuple(out)
-
-    @cached_property
-    def forbidden(self) -> frozenset[Word]:
-        return frozenset(self.forbidden_sorted)
 
     @cached_property
     def _forb_lengths(self) -> tuple[int, ...]:
@@ -375,25 +347,33 @@ class SftShift(Presentation):
         edges in alphabet order: the forward graph whose label shift is the SFT's
         left-extendable part.
 
-        One pass over the admissible prefixes tests each (prefix, letter) once
-        and counts the admissible windows (memory-length words) against the
-        context cap as it finds them; the live windows are those that start an
-        infinite path.  The window after w on letter a is (w + a) minus its
-        first letter, the empty word when the memory is 0.  A vertex shift
-        is given its graph by ``_vertex_shift`` and never runs this search.
+        The admissible windows (memory-length words with no forbidden factor)
+        count against the context cap; the live ones start an infinite path.
+        At memory 1 they are the letters, all counted, and (a,) has an edge to
+        (b,) for each successor b of a.  Otherwise one pass over the admissible
+        prefixes tests each (prefix, letter) once and counts the windows as it
+        finds them; the window after w on letter a is (w + a) minus its first
+        letter, the empty word when the memory is 0.
         """
         m = self.memory
-        edges = {}   # admissible window -> [(letter, next admissible window)]
-        stack = [EPSILON]
-        while stack:
-            w = stack.pop()
-            if len(w) == m and len(edges) == MAX_CONTEXTS:
+        if m == 1:
+            if len(self.alphabet) > MAX_CONTEXTS:
                 raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
-            ok = [u for u in (w + (a,) for a in self.alphabet) if self._tail_ok(u)]
-            if len(w) < m:
-                stack.extend(ok)
-            else:
-                edges[w] = [(u[-1], u[1:]) for u in ok]
+            windows = [(b,) for b in self.alphabet]
+            edges = {windows[a]: [(b, windows[b]) for b in row]
+                     for a, row in enumerate(self._adjacency)}
+        else:
+            edges = {}   # admissible window -> [(letter, next admissible window)]
+            stack = [EPSILON]
+            while stack:
+                w = stack.pop()
+                if len(w) == m and len(edges) == MAX_CONTEXTS:
+                    raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
+                ok = [u for u in (w + (a,) for a in self.alphabet) if self._tail_ok(u)]
+                if len(w) < m:
+                    stack.extend(ok)
+                else:
+                    edges[w] = [(u[-1], u[1:]) for u in ok]
         live = _live({w: [w2 for _, w2 in out] for w, out in edges.items()})[0]
         return {w: tuple((a, w2) for a, w2 in edges[w] if w2 in live) for w in sorted(live)}
 

@@ -389,8 +389,20 @@ def in_cylinder(p: Presentation, u: Word, v: Word, x: Point) -> bool:
     return p.contains(x) and x.prefix(len(v)) == v and p.contains(x.shift_by(len(v)).prepend(u))
 
 
+def forbidden_words(p: SftShift) -> tuple:
+    """The sorted forbidden words of an SFT.  One of memory 1 holds only its
+    edge list: its words are the pairs that are not edges."""
+    if p.memory != 1:
+        return p.forbidden_sorted
+    letters = range(len(p.alphabet))
+    return tuple((a, b) for a, row in enumerate(p._adjacency) for b in letters if b not in row)
+
+
 def window_ok(p: SftShift, word: Word) -> bool:
-    """No factor of ``word`` is forbidden in ``p``: each factor ends some prefix."""
+    """No factor of ``word`` is forbidden in ``p``: each factor ends some
+    prefix, and at memory 1 each letter is a successor of the one before."""
+    if p.memory == 1:
+        return all(b in p._adjacency[a] for a, b in zip(word, word[1:]))
     return all(p._tail_ok(word[:i]) for i in range(1, len(word) + 1))
 
 

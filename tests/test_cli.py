@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import random
@@ -9,6 +10,7 @@ import pytest
 
 from helpers import (
     dense_level_matrices,
+    forbidden_words,
     memory1_forms,
     periodic_orbit,
     random_essential_adjacency,
@@ -18,6 +20,7 @@ from helpers import (
 )
 from shiftk import (
     ResourceCapError,
+    SftShift,
     ValidationError,
     build_chain,
     cli,
@@ -370,7 +373,7 @@ def test_compare_exit_codes(files, capsys, tmp_path):
 def test_each_stable_level_is_factored_once(files, capsys, monkeypatch):
     # one step map per presentation and one invariant-factor pass per
     # presentation and command, except that an equivalent compare reuses a's
-    # K-groups for b
+    # K-groups for b, and a compare of one path builds it once
     calls = {"invariant_factors": 0, "stable_step_map": 0}
 
     def counted(module, name):
@@ -386,7 +389,7 @@ def test_each_stable_level_is_factored_once(files, capsys, monkeypatch):
     relabelled = write_relabelled_pair(files["dir"])
     commands = [
         (("compare", files["full2"], files["golden_mean"]), 1, 2, 2),
-        (("compare", files["full3"], files["full3"], "--format", "json"), 0, 1, 2),
+        (("compare", files["full3"], files["full3"], "--format", "json"), 0, 1, 1),
         (("compare", *relabelled), 0, 1, 2),
         (("invariants", files["golden_mean"], "--no-cache"), 0, 1, 1),
         (("kgroups", files["pair"]), 0, 1, 1),
@@ -433,6 +436,28 @@ def test_compare_of_a_file_with_itself_computes_no_limit_rank(tmp_path, capsys, 
     code, out, _ = run(capsys, "compare", str(path), str(path))
     assert code == 0 and out.endswith("verdict: equivalent (identity intertwiner)\n")
     assert calls == []
+
+
+def test_compare_of_a_file_with_itself_loads_and_builds_it_once(tmp_path, capsys, monkeypatch):
+    # one path is loaded, built and hashed once, and prints what a copy
+    # of the file under a second path prints
+    path, copy = tmp_path / "sparse.json", tmp_path / "copy.json"
+    path.write_text(json.dumps({"type": "sft_matrix",
+                                "adjacency": sparse_adjacency(random.Random(5), 64, 2)}))
+    copy.write_text(path.read_text())
+    for fmt in ("table", "json"):
+        expected = run(capsys, "compare", str(path), str(copy), "--format", fmt)
+        calls = collections.Counter()
+        for module, name in ((cli, "load_presentation"), (cli, "build_chain"),
+                             (SftShift, "content_hash")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name:
+                                calls.update([name]) or real(*a))
+        got = run(capsys, "compare", str(path), str(path), "--format", fmt)
+        monkeypatch.undo()
+        assert got == expected and "identity intertwiner" in got[1]
+        assert calls == collections.Counter(load_presentation=1, build_chain=1,
+                                            content_hash=int(fmt == "json")), calls
 
 
 def test_other_exceptions_are_internal_errors(files, capsys, monkeypatch):
@@ -679,7 +704,7 @@ def test_a_record_under_the_forbidden_pair_key_is_never_served(capsys, tmp_path)
     p = parse_presentation(SIX_VERTEX_SFT)
     symbols = p.alphabet.symbols
     old = json.dumps({"type": "sft", "alphabet": list(symbols),
-                      "forbidden": [[symbols[a] for a in w] for w in p.forbidden_sorted]},
+                      "forbidden": [[symbols[a] for a in w] for w in forbidden_words(p)]},
                      separators=(",", ":")).encode()
     stale = cli._cache_path(cache, cli.DEFAULT_LMAX, old)
     full2 = parse_presentation(CORPUS_OBJECTS["full2"])

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     class_witnesses,
+    forbidden_words,
     in_cylinder,
     memory1_forms,
     oracle_predecessors,
@@ -290,8 +291,8 @@ def _sft_cases(seed, count=250):
         except ValidationError:
             continue
     assert {p.memory for p in cases} == {0, 1, 2, 3, 4}
-    assert any(not p.forbidden for p in cases) and any(p.memory == 0 and p.forbidden
-                                                      for p in cases)
+    assert any(not forbidden_words(p) for p in cases) and any(p.memory == 0 and p.forbidden
+                                                              for p in cases)
     return cases
 
 
@@ -315,9 +316,10 @@ def test_sft_steps_match_prepending_to_each_window():
 def test_window_ok_is_the_brute_force_factor_check():
     rng = random.Random(53)
     for p in _sft_cases(59, 200):
+        forbidden = set(forbidden_words(p))
         for _ in range(10):
             word = tuple(rng.randrange(len(p.alphabet)) for _ in range(rng.randint(0, 8)))
-            assert window_ok(p, word) == _factor_free(p.forbidden, word), (p.to_json(), word)
+            assert window_ok(p, word) == _factor_free(forbidden, word), (p.to_json(), word)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +432,10 @@ def _explicit_vertex_sft(adjacency):
 
 def test_sft_parse_tests_each_prefix_and_letter_once(monkeypatch):
     # the round-based trim retested every window and letter on every pass:
-    # a path into a dead vertex took one pass per vertex.  The matrix form
-    # reads its window graph off the matrix and tests no prefix at all.
+    # a path into a dead vertex took one pass per vertex.  The prefix search
+    # of memory 2 tests each once; memory 1, as a matrix or as forbidden
+    # pairs, reads its window graph off its successor lists and tests no
+    # prefix at all.
     calls = collections.Counter()
     tail_ok = SftShift._tail_ok
 
@@ -441,9 +445,15 @@ def test_sft_parse_tests_each_prefix_and_letter_once(monkeypatch):
     monkeypatch.setattr(SftShift, "_tail_ok", counting)
     dead = _dead_path(60)
     assert [c.word for c in parse_presentation(dead).contexts] == [(0,)]
+    assert [c.word for c in _explicit_vertex_sft(dead["adjacency"]).contexts] == [(0,)]
     assert not calls
-    p = _explicit_vertex_sft(dead["adjacency"])
-    assert [c.word for c in p.contexts] == [(0,)]
+    # the dead path written with its forbidden words of length 3
+    n = 20
+    adj = _dead_path(n)["adjacency"]
+    p = SftShift(Alphabet(tuple(str(i) for i in range(n))),
+                 [w for w in itertools.product(range(n), repeat=3)
+                  if not (adj[w[0]][w[1]] and adj[w[1]][w[2]])])
+    assert p.memory == 2 and [c.word for c in p.contexts] == [(0, 0)]
     assert max(calls.values()) == 1
     assert all(window_ok(p, word[:-1]) for word in calls)
 
@@ -458,8 +468,8 @@ def _random_adjacency(rng):
 
 def test_sft_matrix_parse_is_the_forbidden_pair_sft():
     # the window graph read off the matrix against the prefix search over its
-    # zero entries: the same shift, contexts and bytes, and the forbidden
-    # list rendered only when something reads it
+    # zero entries: the same shift, contexts and bytes, and no forbidden
+    # list held at memory 1
     rng = random.Random(73)
     adjacencies = [obj["adjacency"] for obj in CORPUS_OBJECTS.values()
                    if obj["type"] == "sft_matrix"] + [_dead_path(n)["adjacency"] for n in (1, 5)]
@@ -488,12 +498,13 @@ def test_sft_matrix_parse_is_the_forbidden_pair_sft():
         for _ in range(20):
             points.append(Point(tuple(rng.randrange(n) for _ in range(rng.randint(0, 3))),
                                 tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))))
+        forbidden = set(forbidden_words(q))
         for x in points:
-            assert p.contains(x) == q.contains(x) == _factor_free(q.forbidden, x.pre + x.per * 3)
+            assert p.contains(x) == q.contains(x) == _factor_free(forbidden, x.pre + x.per * 3)
             if q.contains(x):
                 assert p.context_of(x) == q.context_of(x)
         assert p.canonical_bytes() == q.canonical_bytes()
-        assert p.content_hash() == q.content_hash() and p.forbidden == q.forbidden
+        assert p.content_hash() == q.content_hash() and forbidden_words(p) == forbidden_words(q)
     assert empty >= 5 and zero_lines >= 50, (empty, zero_lines)
     with pytest.raises(ValidationError, match="^presentation describes the empty shift space$"):
         parse_presentation({"type": "sft_matrix", "adjacency": [[0] * 3] * 3})
@@ -559,6 +570,47 @@ def test_memory1_forms_share_one_canonical_form():
         seen["dead letter"] += len(first.window_graph) < n
         seen["forbidden letter"] += any(len(w) == 1 for w in forbidden)
     assert min(seen.values()) >= 5 and seen["memory 1"] >= 120, seen
+
+
+def test_memory1_forms_hold_only_their_successor_lists(monkeypatch):
+    # every form of an SFT of memory 1 is held as its successor lists, with
+    # no forbidden set, and the forbidden-word form runs no prefix search
+    calls = []
+    tail_ok = SftShift._tail_ok
+    monkeypatch.setattr(SftShift, "_tail_ok", lambda self, w: calls.append(w) or tail_ok(self, w))
+    rng = random.Random(2029)
+    seen = collections.Counter()
+    while seen["memory 1"] < 100:
+        n, allowed, forbidden = _memory1_case(rng)
+        forms = memory1_forms(n, allowed, forbidden)
+        try:
+            if parse_presentation(forms[0]).memory != 1:
+                continue
+        except ValidationError:
+            continue
+        calls.clear()
+        for p in map(parse_presentation, forms):
+            assert "_adjacency" in p.__dict__, p.to_json()
+            assert not {"forbidden", "forbidden_sorted"} & set(p.__dict__), p.to_json()
+        assert not calls, forms[1]
+        seen["memory 1"] += 1
+        seen["dead letter"] += len(p.window_graph) < n
+        seen["forbidden letter"] += any(len(w) == 1 for w in forbidden)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_memory1_forms_meet_one_cap_rule(monkeypatch):
+    # every letter of an SFT of memory 1 counts against the context cap, in
+    # each form: three forbidden letters do not bring five letters under 3
+    allowed = {(0, 0), (0, 1), (1, 0)}
+    forms = memory1_forms(5, allowed, [(2,), (3,), (4,), (1, 1)])
+    monkeypatch.setattr(presentations, "MAX_CONTEXTS", 3)
+    for obj in forms:
+        with pytest.raises(ResourceCapError,
+                           match="^number of suffix windows exceeds cap 3$"):
+            parse_presentation(obj)
+    monkeypatch.setattr(presentations, "MAX_CONTEXTS", 5)
+    assert len({parse_presentation(obj).canonical_bytes() for obj in forms}) == 1
 
 
 def test_to_json_round_trips():
