@@ -325,12 +325,10 @@ def cmd_transform(args) -> int:
 
 def cmd_compare(args) -> int:
     fmt = _fmt(args)
-    # one path is read, hashed and built once
-    same = args.file_b == args.file_a
     pa = load_presentation(args.file_a)
-    pb = pa if same else load_presentation(args.file_b)
+    pb = pa if args.file_b == args.file_a else load_presentation(args.file_b)
     ta = dimension_triple(build_chain(pa, 1))   # as in kgroups
-    tb = ta if same else dimension_triple(build_chain(pb, 1))
+    tb = ta if pb is pa else dimension_triple(build_chain(pb, 1))
     outcome = compare_triples(ta, tb)
     verdict, witness = outcome.verdict, outcome.witness
     # an equivalent verdict carries an intertwiner, which keeps the K-groups,
@@ -341,10 +339,9 @@ def cmd_compare(args) -> int:
             ("triple rank", str(ta.rank), str(tb.rank))]
 
     if fmt == "json":
-        ha = pa.content_hash()
         _emit_json({
-            "a": ha,
-            "b": ha if same else pb.content_hash(),
+            "a": pa.content_hash(),
+            "b": pb.content_hash(),
             "rows": [{"name": n, "a": a, "b": b} for (n, a, b) in rows],
             "verdict": verdict,
             "witness": witness,

@@ -349,31 +349,31 @@ class SftShift(Presentation):
 
         The admissible windows (memory-length words with no forbidden factor)
         count against the context cap; the live ones start an infinite path.
-        At memory 1 they are the letters, all counted, and (a,) has an edge to
-        (b,) for each successor b of a.  Otherwise one pass over the admissible
-        prefixes tests each (prefix, letter) once and counts the windows as it
-        finds them; the window after w on letter a is (w + a) minus its first
+        At memory 1 they are the letters, all counted, the trim reads the
+        successor lists as they are, and (a,) has an edge to (b,) for each live
+        successor b of a.  Otherwise one pass over the admissible prefixes
+        tests each (prefix, letter) once and counts the windows as it finds
+        them; the window after w on letter a is (w + a) minus its first
         letter, the empty word when the memory is 0.
         """
         m = self.memory
         if m == 1:
             if len(self.alphabet) > MAX_CONTEXTS:
                 raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
-            windows = [(b,) for b in self.alphabet]
-            edges = {windows[a]: [(b, windows[b]) for b in row]
-                     for a, row in enumerate(self._adjacency)}
-        else:
-            edges = {}   # admissible window -> [(letter, next admissible window)]
-            stack = [EPSILON]
-            while stack:
-                w = stack.pop()
-                if len(w) == m and len(edges) == MAX_CONTEXTS:
-                    raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
-                ok = [u for u in (w + (a,) for a in self.alphabet) if self._tail_ok(u)]
-                if len(w) < m:
-                    stack.extend(ok)
-                else:
-                    edges[w] = [(u[-1], u[1:]) for u in ok]
+            live = _live(dict(enumerate(self._adjacency)))[0]
+            return {(a,): tuple((b, (b,)) for b in self._adjacency[a] if b in live)
+                    for a in sorted(live)}
+        edges = {}   # admissible window -> [(letter, next admissible window)]
+        stack = [EPSILON]
+        while stack:
+            w = stack.pop()
+            if len(w) == m and len(edges) == MAX_CONTEXTS:
+                raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
+            ok = [u for u in (w + (a,) for a in self.alphabet) if self._tail_ok(u)]
+            if len(w) < m:
+                stack.extend(ok)
+            else:
+                edges[w] = [(u[-1], u[1:]) for u in ok]
         live = _live({w: [w2 for _, w2 in out] for w, out in edges.items()})[0]
         return {w: tuple((a, w2) for a, w2 in edges[w] if w2 in live) for w in sorted(live)}
 

@@ -398,11 +398,14 @@ def forbidden_words(p: SftShift) -> tuple:
     return tuple((a, b) for a, row in enumerate(p._adjacency) for b in letters if b not in row)
 
 
-def window_ok(p: SftShift, word: Word) -> bool:
+def window_ok(p: SftShift, word: Word, forbidden=frozenset()) -> bool:
     """No factor of ``word`` is forbidden in ``p``: each factor ends some
-    prefix, and at memory 1 each letter is a successor of the one before."""
+    prefix.  At memory 1 each letter is a successor of the one before and no
+    letter is one that ``forbidden``, the words ``p`` was given, forbids (its
+    successor lists keep such a letter only as one without edges)."""
     if p.memory == 1:
-        return all(b in p._adjacency[a] for a, b in zip(word, word[1:]))
+        return (not any((a,) in forbidden for a in word)
+                and all(b in p._adjacency[a] for a, b in zip(word, word[1:])))
     return all(p._tail_ok(word[:i]) for i in range(1, len(word) + 1))
 
 

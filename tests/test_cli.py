@@ -20,7 +20,6 @@ from helpers import (
 )
 from shiftk import (
     ResourceCapError,
-    SftShift,
     ValidationError,
     build_chain,
     cli,
@@ -439,8 +438,8 @@ def test_compare_of_a_file_with_itself_computes_no_limit_rank(tmp_path, capsys, 
 
 
 def test_compare_of_a_file_with_itself_loads_and_builds_it_once(tmp_path, capsys, monkeypatch):
-    # one path is loaded, built and hashed once, and prints what a copy
-    # of the file under a second path prints
+    # one path is loaded and built once, and prints what a copy of the
+    # file under a second path prints
     path, copy = tmp_path / "sparse.json", tmp_path / "copy.json"
     path.write_text(json.dumps({"type": "sft_matrix",
                                 "adjacency": sparse_adjacency(random.Random(5), 64, 2)}))
@@ -448,16 +447,14 @@ def test_compare_of_a_file_with_itself_loads_and_builds_it_once(tmp_path, capsys
     for fmt in ("table", "json"):
         expected = run(capsys, "compare", str(path), str(copy), "--format", fmt)
         calls = collections.Counter()
-        for module, name in ((cli, "load_presentation"), (cli, "build_chain"),
-                             (SftShift, "content_hash")):
+        for module, name in ((cli, "load_presentation"), (cli, "build_chain")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, real=real, name=name:
                                 calls.update([name]) or real(*a))
         got = run(capsys, "compare", str(path), str(path), "--format", fmt)
         monkeypatch.undo()
         assert got == expected and "identity intertwiner" in got[1]
-        assert calls == collections.Counter(load_presentation=1, build_chain=1,
-                                            content_hash=int(fmt == "json")), calls
+        assert calls == collections.Counter(load_presentation=1, build_chain=1), calls
 
 
 def test_other_exceptions_are_internal_errors(files, capsys, monkeypatch):

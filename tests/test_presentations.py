@@ -280,19 +280,33 @@ def _random_sft(rng, m):
             "forbidden": [[alphabet[a] for a in w] for w in sorted(forbidden)]}
 
 
+def _input_words(obj):
+    """The forbidden words an SFT object gives, as letter indices: its words,
+    or the zero entries of its matrix."""
+    if obj["type"] == "sft_matrix":
+        return {(a, b) for a, row in enumerate(obj["adjacency"]) for b, e in enumerate(row)
+                if not e}
+    index = {s: i for i, s in enumerate(obj["alphabet"])}
+    return {tuple(index[s] for s in w) for w in obj["forbidden"]}
+
+
 def _sft_cases(seed, count=250):
-    """The corpus SFTs, then ``count`` nonempty random SFTs of memory 0-4."""
+    """The corpus SFTs, then ``count`` nonempty random SFTs of memory 0-4, each
+    with the forbidden words it was given."""
     rng = random.Random(seed)
-    cases = [p for p in map(make, CORPUS_OBJECTS) if isinstance(p, SftShift)]
+    objs = [obj for obj in CORPUS_OBJECTS.values() if obj["type"].startswith("sft")]
+    cases = [(parse_presentation(obj), _input_words(obj)) for obj in objs]
     end = len(cases) + count
     while len(cases) < end:
+        obj = _random_sft(rng, rng.randint(0, 4))
         try:
-            cases.append(parse_presentation(_random_sft(rng, rng.randint(0, 4))))
+            cases.append((parse_presentation(obj), _input_words(obj)))
         except ValidationError:
             continue
-    assert {p.memory for p in cases} == {0, 1, 2, 3, 4}
-    assert any(not forbidden_words(p) for p in cases) and any(p.memory == 0 and p.forbidden
-                                                              for p in cases)
+    assert {p.memory for p, _ in cases} == {0, 1, 2, 3, 4}
+    assert any(not forbidden for _, forbidden in cases) and any(p.memory == 0 and p.forbidden
+                                                                for p, _ in cases)
+    assert any(p.memory == 1 and (a,) in forbidden for p, forbidden in cases for a in p.alphabet)
     return cases
 
 
@@ -304,22 +318,22 @@ def _factor_free(forbidden, word):
 def test_sft_steps_match_prepending_to_each_window():
     # the table read off the window graph against prepending a to each live
     # window w: context (a.w)[:memory] when a.w has no forbidden factor
-    for p in _sft_cases(47):
+    for p, forbidden in _sft_cases(47):
         idx = p.context_index
         expected = tuple(
             tuple((a, idx[SuffixContext(((a,) + c.word)[:p.memory])])
-                  for a in p.alphabet if window_ok(p, (a,) + c.word))
+                  for a in p.alphabet if window_ok(p, (a,) + c.word, forbidden))
             for c in p.contexts)
         assert p.steps == expected, p.to_json()
 
 
 def test_window_ok_is_the_brute_force_factor_check():
     rng = random.Random(53)
-    for p in _sft_cases(59, 200):
-        forbidden = set(forbidden_words(p))
+    for p, forbidden in _sft_cases(59, 200):
         for _ in range(10):
             word = tuple(rng.randrange(len(p.alphabet)) for _ in range(rng.randint(0, 8)))
-            assert window_ok(p, word) == _factor_free(forbidden, word), (p.to_json(), word)
+            assert window_ok(p, word, forbidden) == _factor_free(forbidden, word), (p.to_json(),
+                                                                                  word)
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +512,14 @@ def test_sft_matrix_parse_is_the_forbidden_pair_sft():
         for _ in range(20):
             points.append(Point(tuple(rng.randrange(n) for _ in range(rng.randint(0, 3))),
                                 tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))))
-        forbidden = set(forbidden_words(q))
+        forbidden = _input_words(obj)
         for x in points:
             assert p.contains(x) == q.contains(x) == _factor_free(forbidden, x.pre + x.per * 3)
             if q.contains(x):
                 assert p.context_of(x) == q.context_of(x)
         assert p.canonical_bytes() == q.canonical_bytes()
-        assert p.content_hash() == q.content_hash() and forbidden_words(p) == forbidden_words(q)
+        assert p.content_hash() == q.content_hash()
+        assert forbidden_words(p) == forbidden_words(q) == tuple(sorted(forbidden)), adj
     assert empty >= 5 and zero_lines >= 50, (empty, zero_lines)
     with pytest.raises(ValidationError, match="^presentation describes the empty shift space$"):
         parse_presentation({"type": "sft_matrix", "adjacency": [[0] * 3] * 3})
