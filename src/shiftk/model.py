@@ -10,26 +10,40 @@ supposed to satisfy becomes an exact matrix identity here, checked in
 rational arithmetic with no floating point anywhere.
 
 Matrices are sparse and exact: a ``Matrix`` stores only its nonzero
-Fraction entries, keyed by (row, col), and never stores a zero, so two
-matrices of one size are equal exactly when their stored nonzero entries
-are equal.  A word operator is a partial injection with at most n entries, and a product
+entries, keyed by (row, col), and never stores a zero, so two matrices of
+one size are equal exactly when their stored nonzero entries are equal.
+An entry is an int or a Fraction.  Word operators, their transposes and
+supports, cylinder indicators and preimage counts hold ints (0/1 for all
+but the counts), so their products are int products; the seeded test
+functions are Fractions, and every division (``diag_inverse``,
+``fn_transfer``) goes through ``Fraction``, so no float can appear.  A
+word operator is a partial injection with at most n entries, and a product
 costs time in the stored entries it joins, not n^3.
 
 ``run_all_checks`` builds each object once per model: one word operator
 per word and per distinct concatenation, one transpose per word, one
 cylinder indicator per word pair, one diagonal per test function and per
-shifted test function.  They are built through the module's functions and
-kept for one call only.  The model itself keeps the data below those
-functions: the basis index of w.x per word w (shared by ``op_word`` and
-``fn_prepend``), and per k the basis index of the k-fold shift (k = 1 is
-the shift map that ``fn_compose_shift`` reads), the k-step preimage groups,
-the k-prefix of each point and the k-prefixes of each point's k-fold
-preimages.  Cylinder indicators read only the shift map and the prefixes
-(x is in C(u, v) when its |v|-prefix is v and u is the |u|-prefix of a
-|u|-fold preimage of its |v|-fold shift), never the prepend index, so they
-check the word operators independently.  Words come in the alphabet's
-order (``Alphabet.words_of_length``, shorter first), and every sum of
-matrices goes through ``_sum``.
+shifted test function, and one product T_w phi(f) per word and test
+function.  They are built through the module's functions and kept for one
+call only.  The word operators are built for every word of length up to
+twice the checked length, so a length whose words would number more than
+``presentations.MAX_LANGUAGE_WORDS`` is refused before anything is built.
+The model itself keeps the data below those functions: the basis index of
+w.x per word w (shared by ``op_word`` and ``fn_prepend``), and per k the
+basis index of the k-fold shift (k = 1 is the shift map that
+``fn_compose_shift`` reads), the k-step preimage groups, the k-prefix of
+each point and the k-prefixes of each point's k-fold preimages.  The
+basis is keyed by each point's normal form (pre, per), and w.x is looked
+up by the normal form ``words.prepend_normal_form`` gives it (the rule
+``Point`` itself normalises with), so no ``Point`` is built per word and
+point.  Each w.x is found from w and x alone, never by composing letter
+maps, so ``T_u T_v == T_uv`` is a real check.  Cylinder indicators read
+only the shift map and the prefixes (x is in C(u, v) when its |v|-prefix
+is v and u is the |u|-prefix of a |u|-fold preimage of its |v|-fold
+shift), never the prepend index, so they check the word operators
+independently.  Words come in the alphabet's order
+(``Alphabet.words_of_length``, shorter first), and every sum of matrices
+goes through ``_sum``.
 
 The graded transfer operator appearing in the composition formula averages
 over n-step preimages in a single step (it is not the n-fold composite of
@@ -42,14 +56,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConsistencyError, ValidationError
+from . import presentations
+from .errors import ConsistencyError, ResourceCapError, ValidationError
 from .presentations import FiniteShift
-from .words import EPSILON, Word
+from .words import EPSILON, Word, prepend_normal_form
 
-Func = tuple[Fraction, ...]
+Func = tuple[int | Fraction, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ONE = 1   # the one int 1 object of CPython, which ``mat_mul`` tests by identity
 
 
 @dataclass(frozen=True)
@@ -57,13 +71,13 @@ class FiniteModel:
     """The shift's points in canonical order as an orthonormal basis."""
 
     shift: FiniteShift
-    _index: dict = field(default=None, compare=False, repr=False)
+    _index: dict = field(default=None, init=False, compare=False, repr=False)
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.shift, FiniteShift):
             raise ValidationError("model verification needs a finite presentation")
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.shift.points)})
+        object.__setattr__(self, "_index", {(p.pre, p.per): i for i, p in enumerate(self.shift.points)})
 
     @property
     def basis(self):
@@ -75,8 +89,8 @@ class FiniteModel:
 
     def index(self, point) -> int:
         try:
-            return self._index[point]
-        except KeyError:
+            return self._index[point.pre, point.per]
+        except (KeyError, AttributeError):   # AttributeError: not a Point
             raise ValidationError("point is not in the model's shift space") from None
 
     def _cached(self, key, build):
@@ -97,7 +111,7 @@ class FiniteModel:
     def prepend_index(self, w: Word) -> tuple:
         """Basis index of w.x for each basis point x, None where w.x leaves the shift."""
         return self._cached(("prepend", w), lambda: tuple(
-            self._index.get(x.prepend(w)) for x in self.basis))
+            self._index.get(prepend_normal_form(w, x.pre, x.per)) for x in self.basis))
 
     def preimage_groups(self, steps: int) -> tuple[tuple[int, ...], ...]:
         """For each basis point, the basis indices of its steps-fold shift preimages."""
@@ -133,11 +147,12 @@ class FiniteModel:
 class Matrix:
     """Square n x n rational matrix stored as its nonzero entries.
 
-    ``entries`` maps ``(row, col)`` to a nonzero Fraction and a missing key
-    is a zero entry.  The constructor drops zeros, so no matrix ever stores
-    one and ``==`` (same size, same stored entries) is exact matrix equality.
-    A matrix is never changed after it is built, so ``rows`` groups the
-    entries by row once, on first use; ``==`` ignores that grouping.
+    ``entries`` maps ``(row, col)`` to a nonzero int or Fraction and a
+    missing key is a zero entry.  The constructor drops zeros, so no matrix
+    ever stores one and ``==`` (same size, same stored entries) is exact
+    matrix equality: an int and a Fraction of one value are equal.  A matrix
+    is never changed after it is built, so ``rows`` groups the entries by row
+    once, on first use; ``==`` ignores that grouping.
     """
 
     __slots__ = ("n", "entries", "_rows")
@@ -176,7 +191,7 @@ def _trusted(n: int, entries: dict) -> Matrix:
 
 
 def mat_identity(n: int) -> Matrix:
-    return _trusted(n, {(i, i): _ONE for i in range(n)})
+    return _trusted(n, {(i, i): 1 for i in range(n)})
 
 
 def mat_zero(n: int) -> Matrix:
@@ -191,23 +206,23 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Sparse join: each stored a[i, k] meets the stored entries of row k of b
     (``b.rows``, grouped once per matrix).
 
-    A factor that is the shared ``_ONE`` gives the other factor itself, and
-    only entries that summed two products can cancel to zero:
+    A factor that is the int 1 gives the other factor itself, and only
+    entries that summed two products can cancel to zero:
 
-    >>> t = Matrix(2, {(1, 0): _ONE})
-    >>> mat_mul(t, mat_transpose(t)).entries[1, 1] is _ONE
-    True
+    >>> t = Matrix(2, {(1, 0): 1})
+    >>> mat_mul(t, mat_transpose(t)).entries
+    {(1, 1): 1}
     >>> mat_mul(t, t) == mat_zero(2)
     True
     >>> a = Matrix(2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
-    >>> b = Matrix(2, {(0, 0): Fraction(3), (1, 0): Fraction(-3)})
+    >>> b = Matrix(2, {(0, 0): 3, (1, 0): -3})
     >>> mat_mul(a, b) == mat_zero(2)
     True
     >>> mat_mul(b, a).entries[1, 1]
     Fraction(-3, 2)
     """
     b_rows = b.rows
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict = {}
     summed = False
     for (i, k), x in a.entries.items():
         for j, y in b_rows.get(k, ()):
@@ -222,7 +237,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def _sum(n: int, terms) -> Matrix:
     """The sum of the n x n matrices ``terms``, accumulated in one dict."""
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict = {}
     for t in terms:
         for key, y in t.entries.items():
             out[key] = out[key] + y if key in out else y
@@ -234,7 +249,7 @@ def diag_inverse(m: Matrix) -> Matrix:
         raise ConsistencyError("matrix expected to be diagonal is not")
     if len(m.entries) != m.n:
         raise ConsistencyError("diagonal operator expected invertible has a zero entry")
-    return Matrix(m.n, {key: _ONE / v for key, v in m.entries.items()})
+    return _trusted(m.n, {key: Fraction(1, v) for key, v in m.entries.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +260,16 @@ def op_word(model: FiniteModel, u: Word) -> Matrix:
     """Matrix of e_x -> e_{u.x} (zero column when u.x leaves the shift)."""
     u = tuple(u)
     model.shift.alphabet.check_word(u)
-    return _trusted(model.n, {(i, j): _ONE for j, i in enumerate(model.prepend_index(u))
+    return _trusted(model.n, {(i, j): 1 for j, i in enumerate(model.prepend_index(u))
                               if i is not None})
 
 
 def op_diagonal(model: FiniteModel, f: Func) -> Matrix:
+    """phi(f): ints and Fractions are stored as given, any other number as its Fraction."""
     if len(f) != model.n:
         raise ValidationError("function length does not match the basis")
-    return _trusted(model.n, {(i, i): x for i, v in enumerate(f)
-                              if (x := v if isinstance(v, Fraction) else Fraction(v))})
+    return _trusted(model.n, {(i, i): v if isinstance(v, (int, Fraction)) else Fraction(v)
+                              for i, v in enumerate(f) if v})
 
 
 def indicator_cylinder(model: FiniteModel, u: Word, v: Word) -> Func:
@@ -263,7 +279,7 @@ def indicator_cylinder(model: FiniteModel, u: Word, v: Word) -> Func:
     model.shift.alphabet.check_word(u)
     model.shift.alphabet.check_word(v)
     extends = model.preimage_prefixes(len(u))
-    return tuple(_ONE if p == v and u in extends[y] else _ZERO
+    return tuple(1 if p == v and u in extends[y] else 0
                  for p, y in zip(model.prefixes(len(v)), model.shift_image(len(v))))
 
 
@@ -274,12 +290,12 @@ def fn_compose_shift(model: FiniteModel, f: Func) -> Func:
 
 def fn_prepend(model: FiniteModel, w: Word, f: Func) -> Func:
     """x -> f(w.x) when w.x stays in the shift, else 0."""
-    return tuple(_ZERO if i is None else f[i] for i in model.prepend_index(tuple(w)))
+    return tuple(0 if i is None else f[i] for i in model.prepend_index(tuple(w)))
 
 
 def fn_transfer(model: FiniteModel, f: Func, steps: int = 1) -> Func:
     """Average of f over the n-step preimages; 0 outside the n-step image."""
-    return tuple(sum(f[i] for i in pre) / len(pre) if pre else _ZERO
+    return tuple(Fraction(sum(f[i] for i in pre), len(pre)) if pre else 0
                  for pre in model.preimage_groups(steps))
 
 
@@ -288,7 +304,7 @@ def preimage_count_function(model: FiniteModel, steps: int) -> Func:
     counts = [None] * model.n
     for pre in model.preimage_groups(steps):
         for i in pre:
-            counts[i] = Fraction(len(pre))
+            counts[i] = len(pre)
     return tuple(counts)
 
 
@@ -412,23 +428,25 @@ def verify_composition_rules(ops: _Operators) -> CheckReport:
             row.append(op_diagonal(model, g))
         composed.append(row)
 
+    # T_w phi(f) per word and test function, read again by the compose expansion
+    tw_phi: dict[tuple[Word, int], Matrix] = {}
     for w in ops.words:
         tw, tw_t = ops.word[w], ops.t[w]
         lbl = ops.labels[w]
-        for f, phi_f, row in zip(funcs, phis, composed):
+        for k, (f, phi_f, row) in enumerate(zip(funcs, phis, composed)):
             lam = op_diagonal(model, fn_prepend(model, w, f))
             tw_t_phi = mat_mul(tw_t, phi_f)
             rep.record(lam == mat_mul(tw_t_phi, tw), f"prepend rule fails at w={lbl}")
             rep.record(tw_t_phi == mat_mul(lam, tw_t),
                        f"prepend commutation fails at w={lbl}")
-            rep.record(mat_mul(tw, phi_f) == mat_mul(row[len(w)], tw),
+            tw_phi[w, k] = mat_mul(tw, phi_f)
+            rep.record(tw_phi[w, k] == mat_mul(row[len(w)], tw),
                        f"compose commutation fails at w={lbl}")
 
     for n in range(1, max_len + 1):
         level = [u for u in ops.words if len(u) == n]
-        for phi_f, row in zip(phis, composed):
-            total = _sum(model.n, (mat_mul(ops.word[u], mat_mul(phi_f, ops.t[u]))
-                                   for u in level))
+        for k, row in enumerate(composed):
+            total = _sum(model.n, (mat_mul(tw_phi[u, k], ops.t[u]) for u in level))
             rep.record(row[n] == total, f"compose expansion fails at n={n}")
 
         # sum over u, v of T_u T_v^t T_v T_u^t, with the sum over v taken first
@@ -453,6 +471,16 @@ def run_all_checks(model: FiniteModel, max_len: int) -> list[CheckReport]:
     """The three check families over the words of length up to ``max_len``."""
     if max_len < 0:
         raise ValidationError("maximum word length must be >= 0")
+    # T_w is built for every word of length up to 2 * max_len (the concatenations):
+    # count them length by length and refuse at the first length past the cap
+    cap, letters, count = presentations.MAX_LANGUAGE_WORDS, len(model.shift.alphabet), 0
+    for k in range(2 * max_len + 1):
+        count += letters ** k
+        if count > cap:
+            raise ResourceCapError(
+                f"model verification at L = {max_len} needs an operator per word of length up"
+                f" to {2 * max_len}; the words up to length {k} already number {count},"
+                f" which exceeds cap {cap}")
     ops = _Operators(model, max_len)
     return [verify_representation(ops), verify_structure(ops), verify_composition_rules(ops)]
 

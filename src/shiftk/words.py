@@ -94,6 +94,28 @@ def _primitive_root(per: Word) -> Word:
     return per
 
 
+def prepend_normal_form(w: Word, pre: Word, per: Word) -> tuple[Word, Word]:
+    """The normal form (pre, per) of the point w + pre + per^inf, given that
+    of pre + per^inf.
+
+    A nonempty ``pre`` already ends in a letter other than the one the period
+    would supply there, so only an empty one lets letters of w fold into the
+    period:
+
+    >>> prepend_normal_form((0, 1, 1), (), (0, 1)), prepend_normal_form((1,), (0,), (1,))
+    (((0, 1), (1, 0)), ((1, 0), (1,)))
+    """
+    if pre:
+        return w + pre, per
+    # the last len(w) - k letters of w fold into the period, which turns right by as many
+    n, p = len(w), len(per)
+    k = n
+    while k and w[k - 1] == per[(k - 1 - n) % p]:
+        k -= 1
+    r = (n - k) % p
+    return w[:k], per[p - r:] + per[:p - r]
+
+
 @dataclass(frozen=True)
 class Point:
     """Eventually periodic point ``pre + per^inf`` in normal form.
@@ -114,12 +136,8 @@ class Point:
             raise ValidationError("pre and per must be tuples of letter indices")
         if len(self.per) < 1:
             raise ValidationError("period must be nonempty")
-        per = _primitive_root(self.per)
-        pre = list(self.pre)
-        while pre and pre[-1] == per[-1]:
-            per = (per[-1],) + per[:-1]
-            pre.pop()
-        object.__setattr__(self, "pre", tuple(pre))
+        pre, per = prepend_normal_form(self.pre, (), _primitive_root(self.per))
+        object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "per", per)
 
     @classmethod

@@ -38,6 +38,11 @@ def test_one_traced_pass_has_no_failure_and_no_wrong_answer(name, tmp_path):
         tracer.uninstall()
     assert session.ops and all(op.ok for op in session.ops)
     assert (session.failures, session.wrong) == ([], [])
+    names = {span[4] for span in tracer.spans}
     if name == "cli-session":
-        names = {span[4] for span in tracer.spans}
         assert {"main", "parse", "build_chain", "higher_block", "compare"} <= names
+    if name == "operator-model":
+        # the three check families are traced by their module-global names, and
+        # their summed check counts are the benchmark oracle's
+        assert {"verify_representation", "verify_structure", "verify_composition"} <= names
+        assert tracer.counters["model.checks_n"] == workload.checks_per_pass() > 0

@@ -28,6 +28,7 @@ from shiftk import (
     intlinalg,
     invariants,
     k_groups,
+    model,
     parse_presentation,
     partitions,
     presentations,
@@ -515,6 +516,17 @@ def test_model_verify_json_lists_each_family(files, capsys):
 def test_model_verify_refuses_a_negative_word_length(files, capsys):
     code, out, err = run(capsys, "model", "verify", files["pair"], "--L", "-1")
     assert (code, out, err) == (2, "", "error: maximum word length must be >= 0\n")
+
+
+def test_model_verify_refuses_a_word_length_past_the_cap_at_once(files, capsys, monkeypatch):
+    # --L 40 would build T_w for the 2^81 - 1 words up to length 80: no word
+    # operator is built before the refusal
+    monkeypatch.setattr(model, "op_word", lambda m, u: pytest.fail("a word operator was built"))
+    code, out, err = run(capsys, "model", "verify", files["pair"], "--L", "40")
+    assert (code, out) == (2, "")
+    assert err == ("error: model verification at L = 40 needs an operator per word of length "
+                   "up to 80; the words up to length 17 already number 262143, which exceeds "
+                   "cap 200000\n")
 
 
 _POINT_0 = {"pre": [], "per": ["0"]}

@@ -8,8 +8,10 @@ import pytest
 from shiftk import (
     FiniteModel,
     Point,
+    ResourceCapError,
     ValidationError,
     parse_presentation,
+    presentations,
     run_all_checks,
 )
 from shiftk import model as model_module
@@ -81,10 +83,14 @@ def test_diagonal_operator_examples():
     assert as_int_lists(op_diagonal(pair, z1)) == [[0, 0], [0, 1]]
     c1 = indicator_cylinder(pair, (1,), ())
     assert as_int_lists(op_diagonal(pair, c1)) == [[1, 0], [0, 0]]
-    # zeros are not stored and other numbers become Fractions
+    # zeros are not stored, ints and Fractions are stored as given, and other
+    # numbers become Fractions
     d = op_diagonal(pair, (0, 2))
-    assert d.entries == {(1, 1): F(2)} and type(d.entries[1, 1]) is F
+    assert d.entries == {(1, 1): 2} and type(d.entries[1, 1]) is int
     assert d == Matrix(2, {(0, 0): F(0), (1, 1): F(2)})
+    h = op_diagonal(pair, (0.5, F(1, 3)))
+    assert h.entries == {(0, 0): F(1, 2), (1, 1): F(1, 3)}
+    assert {type(v) for v in h.entries.values()} == {F}
 
 
 def test_words_upto_is_in_length_then_lexicographic_order():
@@ -233,23 +239,25 @@ def test_each_indicator_and_prepend_is_computed_once(monkeypatch):
     m = model("two_cycle_fixed")
     max_len = 3
     cylinder, prepends = Counter(), Counter()
-    real_indicator, real_prepend = model_module.indicator_cylinder, Point.prepend
+    real_indicator = model_module.indicator_cylinder
+    real_normal_form = model_module.prepend_normal_form
 
     def counting_indicator(md, u, v):
         cylinder[u, v] += 1
         return real_indicator(md, u, v)
 
-    def counting_prepend(x, w):
-        prepends[tuple(w), x] += 1
-        return real_prepend(x, w)
+    def counting_normal_form(w, pre, per):
+        # the model prepends w to the basis point x = pre + per^inf
+        prepends[w, Point(pre, per)] += 1
+        return real_normal_form(w, pre, per)
 
     monkeypatch.setattr(model_module, "indicator_cylinder", counting_indicator)
-    monkeypatch.setattr(Point, "prepend", counting_prepend)
+    monkeypatch.setattr(model_module, "prepend_normal_form", counting_normal_form)
     assert all(rep.ok for rep in run_all_checks(m, max_len))
     words = m.words_upto(max_len)
     assert set(cylinder) == {(u, v) for u in words for v in words}
     assert max(cylinder.values()) == 1
-    # T_uv is built for every word up to length 2L, each from one prepend per point
+    # T_uv is built for every word up to length 2L, each from one normal form per point
     assert set(prepends) == {(w, x) for w in m.words_upto(2 * max_len) for x in m.basis}
     assert max(prepends.values()) == 1
 
@@ -279,17 +287,22 @@ def test_indicators_take_neither_prepend_nor_the_prepend_index(monkeypatch):
     # the indicators are the independent oracle of op_word and fn_prepend, which
     # share the prepend index: they read only the shift map and point prefixes
     prepends = []
-    real_prepend = Point.prepend
+    real_prepend, real_normal_form = Point.prepend, model_module.prepend_normal_form
 
     def counting_prepend(x, w):
         prepends.append((x, w))
         return real_prepend(x, w)
+
+    def counting_normal_form(w, pre, per):
+        prepends.append((w, pre, per))
+        return real_normal_form(w, pre, per)
 
     def no_prepend_index(m, w):
         raise AssertionError("indicator built from the prepend index")
 
     models = _indicator_models()
     monkeypatch.setattr(Point, "prepend", counting_prepend)
+    monkeypatch.setattr(model_module, "prepend_normal_form", counting_normal_form)
     monkeypatch.setattr(FiniteModel, "prepend_index", no_prepend_index)
     for m in models:
         words = m.words_upto(2)
@@ -345,10 +358,69 @@ def test_run_all_checks_refuses_a_negative_word_length():
         n_words=1, n_letters=2, n_funcs=4, max_len=0)
 
 
+def test_word_lengths_past_the_language_cap_are_refused_before_anything_is_built(monkeypatch):
+    # T_w is built for every word of length up to 2L: over two letters at L = 2,
+    # the 1 + 2 + 4 + 8 + 16 = 31 words up to length 4
+    pair = model("pair")
+    built = []
+    real = model_module.op_word
+    monkeypatch.setattr(model_module, "op_word", lambda m, u: built.append(u) or real(m, u))
+    monkeypatch.setattr(presentations, "MAX_LANGUAGE_WORDS", 31)
+    reports = run_all_checks(pair, 2)
+    assert all(rep.ok for rep in reports) and len(built) == 31
+    assert {rep.name: rep.checks for rep in reports} == {
+        "representation": 98, "structure": 44, "composition rules": 177}
+    built.clear()
+    monkeypatch.setattr(presentations, "MAX_LANGUAGE_WORDS", 30)
+    with pytest.raises(ResourceCapError, match=(
+            "^model verification at L = 2 needs an operator per word of length up to 4; "
+            "the words up to length 4 already number 31, which exceeds cap 30$")):
+        run_all_checks(pair, 2)
+    assert built == []
+    # at the real cap the count stops at the first length past it, however long
+    # the words asked for: one letter has one word per length
+    monkeypatch.undo()
+    with pytest.raises(ResourceCapError, match=(
+            "^model verification at L = 1000000000 needs an operator per word of length up "
+            "to 2000000000; the words up to length 200000 already number 200001, "
+            "which exceeds cap 200000$")):
+        run_all_checks(model("single_point"), 10 ** 9)
+
+
+_MATRIX_BUILDERS = ("op_word", "op_diagonal", "mat_identity", "mat_zero", "mat_transpose",
+                    "mat_mul", "_sum", "diag_inverse")
+
+
+def test_every_matrix_the_checks_build_stores_nonzero_ints_and_fractions(monkeypatch):
+    # no float and no stored zero in any matrix of run_all_checks, on the corpus
+    # models and 50 seeded random finite shifts at L = 2 and 3
+    built = Counter()
+
+    def checked(name, real):
+        def build(*args):
+            m = real(*args)
+            for v in m.entries.values():
+                assert type(v) in (int, F) and v != 0, (name, v)
+            built[name] += 1
+            return m
+        return build
+
+    rng = random.Random(53)
+    models = ([model(name) for name in FINITE_MODEL_NAMES]
+              + [FiniteModel(parse_presentation(random_finite_shift(rng))) for _ in range(50)])
+    for name in _MATRIX_BUILDERS:
+        monkeypatch.setattr(model_module, name, checked(name, getattr(model_module, name)))
+    for m in models:
+        for max_len in (2, 3):
+            assert all(rep.ok for rep in run_all_checks(m, max_len))
+    assert set(built) == set(_MATRIX_BUILDERS)
+
+
 def test_model_rejects_foreign_points():
     pair = model("pair")
-    with pytest.raises(ValidationError):
-        pair.index(Point((), (1, 0)))
+    for foreign in (Point((), (1, 0)), "(0)*"):
+        with pytest.raises(ValidationError):
+            pair.index(foreign)
 
 
 # ---------------------------------------------------------------------------

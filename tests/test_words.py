@@ -4,6 +4,7 @@ import pytest
 
 from shiftk import Alphabet, Point, ValidationError
 from shiftk.errors import AlphabetMismatchError
+from shiftk.words import prepend_normal_form
 
 
 def test_alphabet_validation():
@@ -54,6 +55,30 @@ def test_point_equality_is_sequence_equality():
         assert x == pumped
         assert x == rolled
         assert x.prefix(8) == pumped.prefix(8) == rolled.prefix(8)
+
+
+def test_prepend_normal_form_is_the_normal_form_of_the_prepended_sequence():
+    # checked against the letters and the normal-form conditions, not against Point
+    rng = random.Random(11)
+    for _ in range(300):
+        x = Point(tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 3))),
+                  tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 3))))
+        w = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 4)))
+        pre, per = prepend_normal_form(w, x.pre, x.per)
+        letters = w + x.prefix(12)
+        assert tuple((pre + per * 20)[:len(letters)]) == letters, (w, x)
+        assert not pre or pre[-1] != per[-1]
+        # a rotation of x's primitive period is primitive
+        assert per in {x.per[k:] + x.per[:k] for k in range(len(x.per))}
+        assert Point(w + x.pre, x.per) == x.prepend(w) == Point(pre, per)
+
+
+def test_prepend_normal_form_folds_a_long_run_in_linear_time():
+    # a point parsed with 50k letters of its period in front normalises in one pass
+    pre = (0, 1) * 25_000 + (0,)
+    assert prepend_normal_form(pre, (), (1, 0)) == ((), (0, 1))
+    assert prepend_normal_form((0,) + pre, (), (1, 0)) == ((0,), (0, 1))
+    assert Point((0,) * 50_000, (0,)) == Point((), (0,))
 
 
 def test_render():
