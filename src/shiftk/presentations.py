@@ -4,11 +4,11 @@ Three finitely-presentable kinds are supported:
 
 * ``finite`` -- an explicit shift-closed set of eventually periodic points;
 * ``sft``    -- a shift of finite type given by finitely many forbidden words,
-  by a 0/1 adjacency matrix or by a list of allowed two-letter words (the
-  edges of its vertex graph).  An SFT of memory 1, however it was given, is
-  held as the successor lists of its letters and written as its edge list,
-  so its canonical bytes and content hash grow with its edges; other SFTs
-  are held and written as their forbidden words;
+  by a 0/1 adjacency matrix or by its allowed words of one length (the
+  edges of its window graph).  However it was given, it is held as its live
+  window graph at its own memory M and written as its words of length M + 1
+  (at memory 0, its forbidden letters), so one shift has one canonical form
+  and its bytes grow with its edges;
 * ``sofic``  -- a labeled graph; the shift is the set of label sequences of
   infinite paths.  Sofic presentations are trimmed so that every state lies
   on a bi-infinite path, which makes them shift-surjective.
@@ -285,14 +285,21 @@ class FiniteShift(Presentation):
 
 
 class SftShift(Presentation):
-    """Shift of finite type over ``alphabet`` avoiding the ``forbidden`` words.
-    One of memory 1, whatever form it was given in, holds only the successor
-    lists of its letters (``_adjacency``); any other, its forbidden words."""
+    """A shift of finite type, held as its live window graph at its own memory.
+
+    ``memory`` is the least M for which the shift is M-step: a sequence is a
+    point when its factors of length M + 1 are words of the shift.
+    ``window_graph`` maps each live window (a word of length M that starts a
+    point), sorted, to its (letter, next window) edges in letter order, the
+    words of length M + 1; the window after w on a is (w + a) less its first
+    letter.  Every form of one shift, at any memory, holds the same graph.
+    """
 
     kind = "sft"
 
     def __init__(self, alphabet: Alphabet, forbidden):
-        self.alphabet = alphabet
+        """The SFT avoiding the ``forbidden`` words, given at the memory one less
+        than the longest."""
         words = set()
         for w in forbidden:
             w = tuple(w)
@@ -300,82 +307,29 @@ class SftShift(Presentation):
                 raise ValidationError("forbidden words must have length >= 1")
             alphabet.check_word(w)
             words.add(w)
-        self.memory = max((len(w) for w in words), default=1) - 1
-        if self.memory == 1:
-            # a forbidden letter has no successor and follows no letter
-            letters = [b for b in alphabet if (b,) not in words]
-            self._adjacency = tuple(() if (a,) in words else
-                                    tuple(b for b in letters if (a, b) not in words)
-                                    for a in alphabet)
-        else:
-            self.forbidden = frozenset(words)
-            self.forbidden_sorted = tuple(sorted(words))
-        self.contexts  # force emptiness check
+        m = max((len(w) for w in words), default=1) - 1
+        self.alphabet = alphabet
+        self.memory, self.window_graph = _own_memory(m, _forbidden_word_graph(alphabet, words, m))
 
     @classmethod
-    def _vertex_shift(cls, alphabet: Alphabet, successors) -> "SftShift":
-        """The SFT of memory 1 whose allowed two-letter words are the edges
-        a -> b, b in ``successors[a]`` (one sorted tuple of distinct letters
-        per letter, dead letters included): the shift of an adjacency
-        matrix, of an edge list or of a block graph, held as those lists.
-        Edges between every pair of letters give the full shift, of memory
-        0."""
-        n = len(alphabet)
-        if sum(map(len, successors)) == n * n:
-            return cls(alphabet, ())
+    def _from_words(cls, alphabet: Alphabet, words, length: int) -> "SftShift":
+        """The SFT whose factors of ``length`` (>= 2) are among ``words``, the
+        edges of its window graph at memory length - 1, read straight off
+        them.  At memory 1 every letter is a window, as in a matrix."""
+        graph = {(a,): [] for a in alphabet} if length == 2 else {}
+        for w in sorted(words):
+            graph.setdefault(w[:-1], []).append((w[-1], w[1:]))
+        for w in {w[1:] for w in words} - graph.keys():
+            graph[w] = []
+        return cls._from_graph(alphabet, length - 1, graph)
+
+    @classmethod
+    def _from_graph(cls, alphabet: Alphabet, m: int, graph: dict) -> "SftShift":
+        """The SFT whose window graph at memory m is ``graph`` (``_own_memory``)."""
         p = object.__new__(cls)
-        p.alphabet, p.memory, p._adjacency = alphabet, 1, successors
-        p.contexts  # force emptiness check
+        p.alphabet = alphabet
+        p.memory, p.window_graph = _own_memory(m, graph)
         return p
-
-    @cached_property
-    def _forb_lengths(self) -> tuple[int, ...]:
-        return tuple(sorted({len(w) for w in self.forbidden}))
-
-    def _tail_ok(self, word: Word) -> bool:
-        """No forbidden factor of ``word`` ends at its last position."""
-        for L in self._forb_lengths:
-            if L <= len(word) and word[-L:] in self.forbidden:
-                return False
-        return True
-
-    # forward automaton on suffix windows ------------------------------------
-
-    @cached_property
-    def window_graph(self) -> dict[Word, tuple[tuple[int, Word], ...]]:
-        """Each live window, in sorted order, with its (letter, next live window)
-        edges in alphabet order: the forward graph whose label shift is the SFT's
-        left-extendable part.
-
-        The admissible windows (memory-length words with no forbidden factor)
-        count against the context cap; the live ones start an infinite path.
-        At memory 1 they are the letters, all counted, the trim reads the
-        successor lists as they are, and (a,) has an edge to (b,) for each live
-        successor b of a.  Otherwise one pass over the admissible prefixes
-        tests each (prefix, letter) once and counts the windows as it finds
-        them; the window after w on letter a is (w + a) minus its first
-        letter, the empty word when the memory is 0.
-        """
-        m = self.memory
-        if m == 1:
-            if len(self.alphabet) > MAX_CONTEXTS:
-                raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
-            live = _live(dict(enumerate(self._adjacency)))[0]
-            return {(a,): tuple((b, (b,)) for b in self._adjacency[a] if b in live)
-                    for a in sorted(live)}
-        edges = {}   # admissible window -> [(letter, next admissible window)]
-        stack = [EPSILON]
-        while stack:
-            w = stack.pop()
-            if len(w) == m and len(edges) == MAX_CONTEXTS:
-                raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
-            ok = [u for u in (w + (a,) for a in self.alphabet) if self._tail_ok(u)]
-            if len(w) < m:
-                stack.extend(ok)
-            else:
-                edges[w] = [(u[-1], u[1:]) for u in ok]
-        live = _live({w: [w2 for _, w2 in out] for w, out in edges.items()})[0]
-        return {w: tuple((a, w2) for a, w2 in edges[w] if w2 in live) for w in sorted(live)}
 
     def _realizable_contexts(self):
         return [SuffixContext(w) for w in self.window_graph]
@@ -424,21 +378,69 @@ class SftShift(Presentation):
         return self.alphabet.render_word(ctx.word) if ctx.word else "e"
 
     def to_json(self):
+        """At memory 0 the forbidden letters, otherwise the edges of the window
+        graph in sorted order: the bytes grow with the edges."""
         symbols = self.alphabet.symbols
-        if self.memory == 1:
-            # the edges, where the forbidden pairs of a sparse graph number
-            # nearly the square of its letters
-            return {
-                "type": "sft_edges",
-                "alphabet": list(symbols),
-                "edges": [[symbols[a], symbols[b]]
-                          for a, row in enumerate(self._adjacency) for b in row],
-            }
-        return {
-            "type": "sft",
-            "alphabet": list(symbols),
-            "forbidden": [list(self.alphabet.word_symbols(w)) for w in self.forbidden_sorted],
-        }
+        if not self.memory:
+            live = {a for a, _ in self.window_graph[EPSILON]}
+            return {"type": "sft", "alphabet": list(symbols),
+                    "forbidden": [[s] for a, s in enumerate(symbols) if a not in live]}
+        heads = {w: [symbols[a] for a in w] for w in self.window_graph}
+        return {"type": "sft_edges", "alphabet": list(symbols),
+                "edges": [[*heads[w], symbols[b]]
+                          for w, out in self.window_graph.items() for b, _ in out]}
+
+
+def _forbidden_word_graph(alphabet: Alphabet, words: set, m: int) -> dict:
+    """The admissible windows of length m (no factor in ``words``), each with
+    its (letter, next admissible window) edges, by one depth-first pass over
+    the admissible prefixes that tests each (prefix, letter) once (only the
+    last letter of a word can complete a forbidden factor its prefix lacks),
+    stopped once the windows pass the cap.  At memory 1 every letter is a
+    window, a forbidden one with no edges, as in the matrix and edge forms."""
+    lengths = sorted({len(w) for w in words})
+    graph = {(a,): [] for a in alphabet} if m == 1 else {}
+    stack = [EPSILON]
+    while stack and len(graph) <= MAX_CONTEXTS:
+        w = stack.pop()
+        ok = [u for u in (w + (a,) for a in alphabet)
+              if not any(u[-k:] in words for k in lengths if k <= len(u))]
+        if len(w) < m:
+            stack.extend(ok)
+        else:
+            graph[w] = [(u[-1], u[1:]) for u in ok]
+    return graph
+
+
+def _own_memory(m: int, graph: dict) -> tuple[int, dict]:
+    """The memory and live window graph of the SFT whose window graph at
+    memory m is ``graph``: every window, each counted against the cap, with
+    its (letter, next window) edges in letter order.
+
+    The live windows start an infinite path (``_live``); none is the empty
+    shift.  The memory then drops while the shift is (m-1)-step, that is,
+    while every live window av has a c-edge for each letter c with vc a live
+    window: the (m-1)-step shift with the same words of length m reads
+    avc.  (That av and bv have the same successor letters is not enough
+    one-sided: [[1,0],[1,0]] = {0^inf, 10^inf} passes it and is not
+    0-step.)  One step down, the windows are the (m-1)-prefixes and the
+    edges the old windows, both still sorted.
+    """
+    if len(graph) > MAX_CONTEXTS:
+        raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
+    live = _live({w: [w2 for _, w2 in out] for w, out in graph.items()})[0]
+    if not live:
+        raise ValidationError("presentation describes the empty shift space")
+    graph = {w: tuple((a, w2) for a, w2 in graph[w] if w2 in live) for w in sorted(live)}
+    while m:
+        follow = {}   # (m-1)-word v -> the letters c with vc a live window
+        for w in graph:
+            follow.setdefault(w[:-1], []).append(w[-1])
+        if any(len(out) != len(follow[w[1:]]) for w, out in graph.items()):
+            break
+        graph = {v: tuple((c, (v + (c,))[1:]) for c in cs) for v, cs in follow.items()}
+        m -= 1
+    return m, graph
 
 
 def vertex_sft_from_adjacency(adjacency) -> SftShift:
@@ -451,9 +453,10 @@ def vertex_sft_from_adjacency(adjacency) -> SftShift:
             raise ValidationError("adjacency matrix must be square")
         if not set(map(type, row)) <= {int} or not set(row) <= {0, 1}:
             raise ValidationError("adjacency entries must be 0 or 1")
-    letters = range(n)
-    return SftShift._vertex_shift(Alphabet(tuple(map(str, letters))),
-                                  tuple(tuple(compress(letters, row)) for row in adjacency))
+    windows = [(a,) for a in range(n)]
+    return SftShift._from_graph(Alphabet(tuple(map(str, range(n)))), 1, {
+        (a,): [(b, windows[b]) for b in compress(range(n), row)]
+        for a, row in enumerate(adjacency)})
 
 
 # ---------------------------------------------------------------------------
@@ -793,14 +796,16 @@ def parse_presentation(obj) -> Presentation:
 
     if kind == "sft_edges":
         if not isinstance(obj["edges"], list):
-            raise ValidationError("edges must be a list of [from, to] pairs")
-        successors = [set() for _ in alphabet]
+            raise ValidationError("edges must be a list of words")
+        words = set()
         for e in obj["edges"]:
-            if not (isinstance(e, list) and len(e) == 2):
-                raise ValidationError(f"edge {e!r} must be a [from, to] pair of symbols")
-            a, b = alphabet.word(e)
-            successors[a].add(b)
-        return SftShift._vertex_shift(alphabet, tuple(tuple(sorted(s)) for s in successors))
+            if not (isinstance(e, list) and len(e) >= 2):
+                raise ValidationError(f"edge {e!r} must be a list of two or more symbols")
+            words.add(alphabet.word(e))
+        lengths = sorted({len(w) for w in words})
+        if len(lengths) > 1:
+            raise ValidationError(f"edges must have one length, not {lengths}")
+        return SftShift._from_words(alphabet, words, lengths[0] if lengths else 2)
 
     if not isinstance(obj["points"], list):
         raise ValidationError("points must be a list of points")

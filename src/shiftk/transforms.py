@@ -194,29 +194,23 @@ def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport
     move = {"move": "higher_block", "n": n}
 
     if isinstance(p, SftShift):
-        out_alphabet = Alphabet(tuple(names))
-        if p.memory < n:
-            # every forbidden word fits in a block, so the words of length
-            # n + 1 are the pairs of blocks that overlap: block u is followed
-            # by the blocks whose (n-1)-prefix is u's (n-1)-suffix
-            by_prefix = {}
-            for i, w in enumerate(blocks):
-                by_prefix.setdefault(w[:-1], []).append(i)
-            out = SftShift._vertex_shift(
-                out_alphabet, tuple(tuple(by_prefix.get(w[1:], ())) for w in blocks))
-        else:
-            idx = {w: i for i, w in enumerate(blocks)}
-            forbidden = []
-            for iu, u in enumerate(blocks):
-                for iv, v in enumerate(blocks):
-                    if u[1:] != v[:-1]:
-                        forbidden.append((iu, iv))
-            for w in p.forbidden_sorted:
-                if len(w) >= n + 1:
-                    parts = [w[j:j + n] for j in range(len(w) - n + 1)]
-                    if all(part in idx for part in parts):
-                        forbidden.append(tuple(idx[part] for part in parts))
-            out = SftShift(out_alphabet, forbidden)
+        # the recoding's windows are the words of length h = max(n, memory)
+        # (the windows, or their paths when n is larger) read as their blocks,
+        # with the edges of their last window, each adding one more block
+        graph, idx = p.window_graph, {w: i for i, w in enumerate(blocks)}
+        after = {}   # (n-1)-word -> {letter: the block it starts, that letter appended}
+        for i, w in enumerate(blocks):
+            after.setdefault(w[:-1], {})[w[-1]] = i
+        h = max(n, p.memory)
+        heads = [(w, w) for w in graph]     # (word of length h, its last window)
+        for _ in range(h - p.memory):
+            heads = [(u + (a,), w2) for u, w in heads for a, w2 in graph[w]]
+        out_graph = {}
+        for u, w in heads:
+            seq = tuple(idx[u[j:j + n]] for j in range(h - n + 1))
+            rest, tail = seq[1:], after[u[h - n + 1:]]
+            out_graph[seq] = [(j, rest + (j,)) for j in [tail[a] for a, _ in graph[w]]]
+        out = SftShift._from_graph(Alphabet(tuple(names)), h - n + 1, out_graph)
         return out, TransformReport(p.content_hash(), move, {"blocks": symbol_map})
 
     # sofic: the graph whose states are paths of length n-1; grouping the

@@ -2,12 +2,11 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from shiftk import (
     ConsistencyError,
     Point,
-    SftShift,
     SoficShift,
     StraddleError,
     ValidationError,
@@ -389,24 +388,123 @@ def in_cylinder(p: Presentation, u: Word, v: Word, x: Point) -> bool:
     return p.contains(x) and x.prefix(len(v)) == v and p.contains(x.shift_by(len(v)).prepend(u))
 
 
-def forbidden_words(p: SftShift) -> tuple:
-    """The sorted forbidden words of an SFT.  One of memory 1 holds only its
-    edge list: its words are the pairs that are not edges."""
-    if p.memory != 1:
-        return p.forbidden_sorted
-    letters = range(len(p.alphabet))
-    return tuple((a, b) for a, row in enumerate(p._adjacency) for b in letters if b not in row)
+def forbidden_words(obj) -> frozenset:
+    """The forbidden words an SFT object gives, as letter indices: the words of
+    an ``sft`` object, the zero entries of a matrix, or the words of the edge
+    length that an edge list leaves out."""
+    if obj["type"] == "sft_matrix":
+        return frozenset((a, b) for a, row in enumerate(obj["adjacency"])
+                         for b, e in enumerate(row) if not e)
+    index = {s: i for i, s in enumerate(obj["alphabet"])}
+    if obj["type"] == "sft":
+        return frozenset(tuple(index[s] for s in w) for w in obj["forbidden"])
+    edges = {tuple(index[s] for s in e) for e in obj["edges"]}
+    length = len(next(iter(edges))) if edges else 2
+    return frozenset(product(range(len(index)), repeat=length)) - edges
 
 
-def window_ok(p: SftShift, word: Word, forbidden=frozenset()) -> bool:
-    """No factor of ``word`` is forbidden in ``p``: each factor ends some
-    prefix.  At memory 1 each letter is a successor of the one before and no
-    letter is one that ``forbidden``, the words ``p`` was given, forbids (its
-    successor lists keep such a letter only as one without edges)."""
-    if p.memory == 1:
-        return (not any((a,) in forbidden for a in word)
-                and all(b in p._adjacency[a] for a, b in zip(word, word[1:])))
-    return all(p._tail_ok(word[:i]) for i in range(1, len(word) + 1))
+def window_ok(forbidden, word: Word) -> bool:
+    """No factor of ``word`` is one of the ``forbidden`` words."""
+    return not any(word[i:j] in forbidden
+                   for i in range(len(word)) for j in range(i + 1, len(word) + 1))
+
+
+def sft_contains(forbidden, x: Point) -> bool:
+    """x has no forbidden factor: every factor as long as the longest
+    forbidden word occurs in the head and that many periods."""
+    longest = max(map(len, forbidden), default=0)
+    return window_ok(forbidden, x.pre + x.per * (longest + 1))
+
+
+def oracle_words(n: int, forbidden, k: int) -> frozenset:
+    """The words of length k of the SFT over n letters avoiding ``forbidden``,
+    k at least its longest forbidden word: those with no forbidden factor
+    that start an infinite chain of such words, each the one before less its
+    first letter plus one more, by whole passes that drop the words with no
+    successor left until a pass drops nothing."""
+    words = {w for w in product(range(n), repeat=k) if window_ok(forbidden, w)}
+    while True:
+        kept = {w for w in words if any(w[1:] + (a,) in words for a in range(n))}
+        if kept == words:
+            return frozenset(words)
+        words = kept
+
+
+def oracle_memory(n: int, words) -> int:
+    """The least M such that the M-step shift over n letters whose words of
+    length M + 1 are those of the shift has the same words of length k as the
+    shift, ``words`` being all of them: the shift is then M-step."""
+    k = len(next(iter(words)))
+    for m in range(k):
+        short = {w[:m + 1] for w in words}
+        if {w for w in product(range(n), repeat=k)
+                if all(w[i:i + m + 1] in short for i in range(k - m))} == words:
+            return m
+
+
+def oracle_window_graph(words, m: int) -> dict:
+    """The window graph at memory m of the shift whose words of one length
+    past m are ``words``: its words of length m + 1 are their prefixes."""
+    graph = {}
+    for e in sorted({w[:m + 1] for w in words}):
+        graph.setdefault(e[:-1], []).append((e[-1], e[1:]))
+    return {w: tuple(out) for w, out in graph.items()}
+
+
+def block_forbidden_words(blocks, forbidden, n: int) -> list:
+    """The forbidden words of the n-block recoding of the SFT avoiding
+    ``forbidden``, over the indices of ``blocks``, its sorted words of length
+    n: every pair of blocks that do not overlap, and every forbidden word
+    longer than n as the sequence of its blocks (one with a factor outside
+    the blocks never occurs)."""
+    idx = {w: i for i, w in enumerate(blocks)}
+    out = [(iu, iv) for iu, u in enumerate(blocks) for iv, v in enumerate(blocks)
+           if u[1:] != v[:-1]]
+    for w in sorted(forbidden):
+        parts = [w[j:j + n] for j in range(len(w) - n + 1)]
+        if len(w) > n and all(part in idx for part in parts):
+            out.append(tuple(idx[part] for part in parts))
+    return out
+
+
+# forms of one shift each: the golden mean with its letters swapped, with a
+# redundant word and given at memory 2; the full 2-shift with a dead letter
+# 2, as a matrix with and without the edge into it and as a forbidden letter
+GOLDEN_FORMS = [{"type": "sft", "alphabet": ["0", "1"], "forbidden": f}
+                for f in ([["0", "0"]], [["0", "0"], ["0", "0", "0"]],
+                          [["0", "0", "0"], ["0", "0", "1"], ["1", "0", "0"]])]
+DEAD_LETTER_FORMS = [{"type": "sft_matrix", "adjacency": [[1, 1, 1], [1, 1, 0], [0, 0, 0]]},
+                     {"type": "sft_matrix", "adjacency": [[1, 1, 0], [1, 1, 0], [0, 0, 0]]},
+                     {"type": "sft", "alphabet": ["0", "1", "2"], "forbidden": [["2"]]}]
+
+
+def inflated_forms(obj, rng: random.Random, extra: int) -> list:
+    """The shift of the SFT object ``obj`` given at ``extra`` (>= 1) more than
+    its given memory: as the words of that length with no forbidden factor
+    (an edge list, untrimmed) and, unless it forbids nothing, as the words
+    with one and as its own forbidden words plus random longer words that
+    contain one."""
+    forbidden = forbidden_words(obj)
+    symbols = obj.get("alphabet") or [str(a) for a in range(len(obj["adjacency"]))]
+    n, length = len(symbols), max(map(len, forbidden), default=1) + extra
+    words = list(product(range(n), repeat=length))
+
+    def render(ws):
+        return [[symbols[a] for a in w] for w in sorted(ws)]
+    forms = [{"type": "sft_edges", "alphabet": symbols,
+              "edges": render(w for w in words if window_ok(forbidden, w))}]
+    if not forbidden:
+        return forms
+    longer = set(forbidden)
+    for w in rng.sample(sorted(forbidden), min(len(forbidden), 3)):
+        i = rng.randint(0, length - len(w))
+        longer.add(tuple(rng.randrange(n) for _ in range(i)) + w
+                   + tuple(rng.randrange(n) for _ in range(length - len(w) - i)))
+    return forms + [
+        {"type": "sft", "alphabet": symbols,
+         "forbidden": render(w for w in words if not window_ok(forbidden, w))},
+        {"type": "sft", "alphabet": symbols, "forbidden": render(longer)},
+    ]
 
 
 # ---------------------------------------------------------------------------

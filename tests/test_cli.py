@@ -9,8 +9,11 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    DEAD_LETTER_FORMS,
+    GOLDEN_FORMS,
     dense_level_matrices,
     forbidden_words,
+    inflated_forms,
     memory1_forms,
     periodic_orbit,
     random_essential_adjacency,
@@ -694,16 +697,24 @@ def _write_forms(tmp_path, adjacency):
 
 
 def test_the_forms_of_one_shift_hit_one_cache_record(capsys, tmp_path, monkeypatch):
+    # a matrix, forbidden pairs, an edge list and random rewrites at memories
+    # 2 and 3; the golden mean at memories 1 and 2; a dead letter three ways
     cache = tmp_path / "cache"
     computed = []
     record = cli._invariant_record
     monkeypatch.setattr(cli, "_invariant_record", lambda *a: computed.append(1) or record(*a))
-    outputs = set()
-    for path in _write_forms(tmp_path, SIX_VERTEX_SFT["adjacency"]):
-        code, out, _ = run(capsys, "invariants", str(path), "--cache-dir", str(cache))
-        assert code == 0
-        outputs.add(out)
-    assert (len(outputs), len(computed), len(list(cache.iterdir()))) == (1, 1, 1)
+    rng = random.Random(2035)
+    six = [json.loads(path.read_text()) for path in _write_forms(tmp_path, SIX_VERTEX_SFT["adjacency"])]
+    six += inflated_forms(SIX_VERTEX_SFT, rng, 1) + inflated_forms(SIX_VERTEX_SFT, rng, 2)
+    for i, forms in enumerate((six, GOLDEN_FORMS, DEAD_LETTER_FORMS)):
+        outputs = set()
+        for j, obj in enumerate(forms):
+            path = tmp_path / f"shift{i}-form{j}.json"
+            path.write_text(json.dumps(obj))
+            code, out, _ = run(capsys, "invariants", str(path), "--cache-dir", str(cache))
+            assert code == 0
+            outputs.add(out)
+        assert (len(outputs), len(computed), len(list(cache.iterdir()))) == (1, i + 1, i + 1)
 
 
 def test_a_record_under_the_forbidden_pair_key_is_never_served(capsys, tmp_path):
@@ -713,7 +724,8 @@ def test_a_record_under_the_forbidden_pair_key_is_never_served(capsys, tmp_path)
     p = parse_presentation(SIX_VERTEX_SFT)
     symbols = p.alphabet.symbols
     old = json.dumps({"type": "sft", "alphabet": list(symbols),
-                      "forbidden": [[symbols[a] for a in w] for w in forbidden_words(p)]},
+                      "forbidden": [[symbols[a] for a in w]
+                                    for w in sorted(forbidden_words(SIX_VERTEX_SFT))]},
                      separators=(",", ":")).encode()
     stale = cli._cache_path(cache, cli.DEFAULT_LMAX, old)
     full2 = parse_presentation(CORPUS_OBJECTS["full2"])

@@ -366,7 +366,7 @@ def _image_per_symbol(image, n_letters: int) -> tuple:
 def test_sparse_tower_matches_the_dense_oracle():
     cases = _tower_cases(89, 400)
     assert {p.kind for p in cases} == {"sft", "sofic", "finite"}
-    assert sum(isinstance(p, SftShift) and "_adjacency" in p.__dict__ for p in cases) > 50
+    assert sum(isinstance(p, SftShift) and p.memory == 1 for p in cases) > 50
     for p in cases:
         chain, want = build_chain(p, 3), dense_chain(p, 3)
         # grades 0..l0+1; later ones are ranked only where a signature shows them

@@ -6,16 +6,23 @@ import re
 import pytest
 
 from helpers import (
+    DEAD_LETTER_FORMS,
+    GOLDEN_FORMS,
     class_witnesses,
     forbidden_words,
     in_cylinder,
+    inflated_forms,
     memory1_forms,
+    oracle_memory,
     oracle_predecessors,
     oracle_state_set,
+    oracle_window_graph,
+    oracle_words,
     random_finite_shift,
     random_memory_sft,
     random_presentation,
     random_sofic,
+    sft_contains,
     sparse_adjacency,
     window_ok,
 )
@@ -44,6 +51,10 @@ from shiftk.partitions import chain_to_json, matrices_to_json
 from shiftk.presentations import PointContext, StateSetContext, SuffixContext, _live
 
 from conftest import CORPUS_OBJECTS, make
+
+
+# what an SFT holds once parsed: its live window graph at its own memory
+HELD = {"alphabet", "memory", "window_graph"}
 
 
 def words(p, k):
@@ -280,60 +291,52 @@ def _random_sft(rng, m):
             "forbidden": [[alphabet[a] for a in w] for w in sorted(forbidden)]}
 
 
-def _input_words(obj):
-    """The forbidden words an SFT object gives, as letter indices: its words,
-    or the zero entries of its matrix."""
-    if obj["type"] == "sft_matrix":
-        return {(a, b) for a, row in enumerate(obj["adjacency"]) for b, e in enumerate(row)
-                if not e}
-    index = {s: i for i, s in enumerate(obj["alphabet"])}
-    return {tuple(index[s] for s in w) for w in obj["forbidden"]}
-
-
 def _sft_cases(seed, count=250):
     """The corpus SFTs, then ``count`` nonempty random SFTs of memory 0-4, each
     with the forbidden words it was given."""
     rng = random.Random(seed)
     objs = [obj for obj in CORPUS_OBJECTS.values() if obj["type"].startswith("sft")]
-    cases = [(parse_presentation(obj), _input_words(obj)) for obj in objs]
+    cases = [(parse_presentation(obj), forbidden_words(obj)) for obj in objs]
     end = len(cases) + count
     while len(cases) < end:
         obj = _random_sft(rng, rng.randint(0, 4))
         try:
-            cases.append((parse_presentation(obj), _input_words(obj)))
+            cases.append((parse_presentation(obj), forbidden_words(obj)))
         except ValidationError:
             continue
     assert {p.memory for p, _ in cases} == {0, 1, 2, 3, 4}
-    assert any(not forbidden for _, forbidden in cases) and any(p.memory == 0 and p.forbidden
-                                                                for p, _ in cases)
+    assert any(not forbidden for _, forbidden in cases) and any(p.memory == 0 and forbidden
+                                                                for p, forbidden in cases)
     assert any(p.memory == 1 and (a,) in forbidden for p, forbidden in cases for a in p.alphabet)
     return cases
 
 
-def _factor_free(forbidden, word):
-    return not any(word[i:j] in forbidden
-                   for i in range(len(word)) for j in range(i + 1, len(word) + 1))
-
-
 def test_sft_steps_match_prepending_to_each_window():
-    # the table read off the window graph against prepending a to each live
-    # window w: context (a.w)[:memory] when a.w has no forbidden factor
+    # the table read off the window graph against prepending a to a point x
+    # of each live window w: context (a.w)[:memory] when a.x has no factor
+    # among the words the input forbids
     for p, forbidden in _sft_cases(47):
         idx = p.context_index
-        expected = tuple(
-            tuple((a, idx[SuffixContext(((a,) + c.word)[:p.memory])])
-                  for a in p.alphabet if window_ok(p, (a,) + c.word, forbidden))
-            for c in p.contexts)
-        assert p.steps == expected, p.to_json()
+        expected = []
+        for c in p.contexts:
+            x = p.witness(c)
+            assert sft_contains(forbidden, x) and x.prefix(p.memory) == c.word, p.to_json()
+            expected.append(tuple((a, idx[SuffixContext(((a,) + c.word)[:p.memory])])
+                                  for a in p.alphabet if sft_contains(forbidden, x.prepend((a,)))))
+        assert p.steps == tuple(expected), p.to_json()
 
 
 def test_window_ok_is_the_brute_force_factor_check():
+    # a point is in the shift exactly when no factor is a word the input
+    # forbids, and no word of the language has one
     rng = random.Random(53)
     for p, forbidden in _sft_cases(59, 200):
+        n = len(p.alphabet)
         for _ in range(10):
-            word = tuple(rng.randrange(len(p.alphabet)) for _ in range(rng.randint(0, 8)))
-            assert window_ok(p, word, forbidden) == _factor_free(forbidden, word), (p.to_json(),
-                                                                                  word)
+            x = Point(tuple(rng.randrange(n) for _ in range(rng.randint(0, 4))),
+                      tuple(rng.randrange(n) for _ in range(rng.randint(1, 4))))
+            assert p.contains(x) == sft_contains(forbidden, x), (p.to_json(), x)
+        assert all(window_ok(forbidden, w) for k in range(6) for w in language(p, k)), p.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +406,7 @@ def _round_based_window_graph(obj, cap):
         idx = {s: i for i, s in enumerate(obj["alphabet"])}
         forbidden = {tuple(idx[s] for s in w) for w in obj["forbidden"]}
     m = max(map(len, forbidden), default=1) - 1
-    windows = [w for w in itertools.product(range(n), repeat=m) if _factor_free(forbidden, w)]
+    windows = [w for w in itertools.product(range(n), repeat=m) if window_ok(forbidden, w)]
     if len(windows) > cap:
         return "cap"
 
@@ -412,12 +415,14 @@ def _round_based_window_graph(obj, cap):
 
     def edges(w, alive):
         return tuple((a, after(w, a)) for a in range(n)
-                     if _factor_free(forbidden, w + (a,)) and after(w, a) in alive)
+                     if window_ok(forbidden, w + (a,)) and after(w, a) in alive)
     live = _round_based_live({w: [w2 for _, w2 in edges(w, windows)] for w in windows})
     return {w: edges(w, live) for w in sorted(live)}
 
 
 def test_sft_window_graph_is_the_round_based_trim(monkeypatch):
+    # the trim at the given memory, then lowered to the least memory at which
+    # the words of length given memory + 1 are those of its edges
     rng = random.Random(71)
     objs = [obj for obj in CORPUS_OBJECTS.values() if obj["type"] in ("sft", "sft_matrix")]
     objs += [_dead_path(n) for n in (1, 2, 3, 7)]
@@ -434,7 +439,10 @@ def test_sft_window_graph_is_the_round_based_trim(monkeypatch):
                 with pytest.raises(ValidationError, match="empty shift space"):
                     parse_presentation(obj)
             else:
-                assert parse_presentation(obj).window_graph == expected, obj
+                p = parse_presentation(obj)
+                edges = {w + (a,) for w, out in expected.items() for a, _ in out}
+                assert p.memory == oracle_memory(len(p.alphabet), edges), obj
+                assert p.window_graph == oracle_window_graph(edges, p.memory), obj
 
 
 def _explicit_vertex_sft(adjacency):
@@ -447,29 +455,34 @@ def _explicit_vertex_sft(adjacency):
 def test_sft_parse_tests_each_prefix_and_letter_once(monkeypatch):
     # the round-based trim retested every window and letter on every pass:
     # a path into a dead vertex took one pass per vertex.  The prefix search
-    # of memory 2 tests each once; memory 1, as a matrix or as forbidden
-    # pairs, reads its window graph off its successor lists and tests no
-    # prefix at all.
-    calls = collections.Counter()
-    tail_ok = SftShift._tail_ok
+    # tests each (prefix, letter) once, at parse; a matrix reads its window
+    # graph off its rows and tests no prefix at all.
+    calls = collections.Counter()   # lookups in the forbidden words, by word
 
-    def counting(self, word):
-        calls[word] += 1
-        return tail_ok(self, word)
-    monkeypatch.setattr(SftShift, "_tail_ok", counting)
+    class Counting(frozenset):
+        def __contains__(self, word):
+            calls[word] += 1
+            return frozenset.__contains__(self, word)
+    search = presentations._forbidden_word_graph
+    monkeypatch.setattr(presentations, "_forbidden_word_graph",
+                        lambda alphabet, words, m: search(alphabet, Counting(words), m))
     dead = _dead_path(60)
-    assert [c.word for c in parse_presentation(dead).contexts] == [(0,)]
-    assert [c.word for c in _explicit_vertex_sft(dead["adjacency"]).contexts] == [(0,)]
+    # 0^inf alone, of memory 0
+    assert [c.word for c in parse_presentation(dead).contexts] == [()]
     assert not calls
-    # the dead path written with its forbidden words of length 3
+    assert [c.word for c in _explicit_vertex_sft(dead["adjacency"]).contexts] == [()]
+    assert max(calls.values()) == 1 and {len(w) for w in calls} == {2}
+    # the dead path written with its forbidden words of length 3, given at
+    # memory 2
+    calls.clear()
     n = 20
     adj = _dead_path(n)["adjacency"]
-    p = SftShift(Alphabet(tuple(str(i) for i in range(n))),
-                 [w for w in itertools.product(range(n), repeat=3)
-                  if not (adj[w[0]][w[1]] and adj[w[1]][w[2]])])
-    assert p.memory == 2 and [c.word for c in p.contexts] == [(0, 0)]
-    assert max(calls.values()) == 1
-    assert all(window_ok(p, word[:-1]) for word in calls)
+    forbidden = {w for w in itertools.product(range(n), repeat=3)
+                 if not (adj[w[0]][w[1]] and adj[w[1]][w[2]])}
+    p = SftShift(Alphabet(tuple(str(i) for i in range(n))), forbidden)
+    assert p.memory == 0 and [c.word for c in p.contexts] == [()]
+    assert max(calls.values()) == 1 and {len(w) for w in calls} == {3}
+    assert all(window_ok(forbidden, word[:-1]) for word in calls)
 
 
 def _random_adjacency(rng):
@@ -482,8 +495,8 @@ def _random_adjacency(rng):
 
 def test_sft_matrix_parse_is_the_forbidden_pair_sft():
     # the window graph read off the matrix against the prefix search over its
-    # zero entries: the same shift, contexts and bytes, and no forbidden
-    # list held at memory 1
+    # zero entries: the same shift, memory, contexts and bytes, and each
+    # holds its window graph alone
     rng = random.Random(73)
     adjacencies = [obj["adjacency"] for obj in CORPUS_OBJECTS.values()
                    if obj["type"] == "sft_matrix"] + [_dead_path(n)["adjacency"] for n in (1, 5)]
@@ -495,6 +508,7 @@ def test_sft_matrix_parse_is_the_forbidden_pair_sft():
         obj = {"type": "sft_matrix", "adjacency": adj}
         try:
             q = _explicit_vertex_sft(adj)
+            assert set(vars(q)) == HELD, adj
         except ValidationError as exc:
             with pytest.raises(ValidationError) as info:
                 parse_presentation(obj)
@@ -502,8 +516,7 @@ def test_sft_matrix_parse_is_the_forbidden_pair_sft():
             empty += 1
             continue
         p = parse_presentation(obj)
-        # the all-ones matrix is the full shift, whose empty list is given
-        assert ("forbidden_sorted" in p.__dict__) == all(map(all, adj)), adj
+        assert set(vars(p)) == HELD, adj
         zero_lines += any(not any(row) for row in adj) or any(not any(col) for col in zip(*adj))
         assert p.memory == q.memory and p.window_graph == q.window_graph, adj
         assert p.contexts == q.contexts and p.steps == q.steps, adj
@@ -512,14 +525,17 @@ def test_sft_matrix_parse_is_the_forbidden_pair_sft():
         for _ in range(20):
             points.append(Point(tuple(rng.randrange(n) for _ in range(rng.randint(0, 3))),
                                 tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))))
-        forbidden = _input_words(obj)
+        forbidden = forbidden_words(obj)
         for x in points:
-            assert p.contains(x) == q.contains(x) == _factor_free(forbidden, x.pre + x.per * 3)
+            assert p.contains(x) == q.contains(x) == sft_contains(forbidden, x)
             if q.contains(x):
                 assert p.context_of(x) == q.context_of(x)
         assert p.canonical_bytes() == q.canonical_bytes()
         assert p.content_hash() == q.content_hash()
-        assert forbidden_words(p) == forbidden_words(q) == tuple(sorted(forbidden)), adj
+        # the graph of the words of length 2, at the least memory they give
+        words = oracle_words(n, forbidden, 2)
+        assert p.memory == oracle_memory(n, words), adj
+        assert p.window_graph == oracle_window_graph(words, p.memory), adj
     assert empty >= 5 and zero_lines >= 50, (empty, zero_lines)
     with pytest.raises(ValidationError, match="^presentation describes the empty shift space$"):
         parse_presentation({"type": "sft_matrix", "adjacency": [[0] * 3] * 3})
@@ -555,44 +571,113 @@ def _invariant_outputs(p):
             chain_to_json(chain), matrices_to_json(chain))
 
 
+def _assert_one_form(forms):
+    """The SFT objects ``forms`` of one shift give one canonical form, hash,
+    window graph and invariants, or, among the forms given at one memory,
+    one refusal.  The cap counts the windows at the given memory, so forms
+    given at different memories are not held to one refusal; at the default
+    cap these small shifts meet none, and the empty shift refuses in every
+    form.  Returns the first parse, or None when every form is refused."""
+    parsed, refused = [], {}
+    for obj in forms:
+        try:
+            parsed.append(parse_presentation(obj))
+        except ValidationError as exc:
+            memory = max(map(len, forbidden_words(obj)), default=1) - 1
+            refused.setdefault(memory, set()).add(str(exc))
+    assert all(len(messages) == 1 for messages in refused.values()), (forms, refused)
+    assert not (parsed and refused), (forms, refused)
+    if not parsed:
+        return None
+    first = parsed[0]
+    for q in parsed[1:]:
+        assert q.canonical_bytes() == first.canonical_bytes(), forms
+        assert q.content_hash() == first.content_hash() and q == first, forms
+        assert q.memory == first.memory and q.window_graph == first.window_graph, forms
+        assert _invariant_outputs(q) == _invariant_outputs(first), forms
+    return first
+
+
 def test_memory1_forms_share_one_canonical_form():
     # a matrix, forbidden words (forbidden letters included) and an edge list
     # of one shift give the same canonical bytes, hash, window graph and
-    # invariants, or the same refusal
+    # invariants, or the same refusal; so do its forms given at a higher
+    # memory, and the canonical form is the edge list of the words of length
+    # 2 that occur, or at memory 0 the letters that do not.  Then redundant
+    # forbidden words, a dead letter three ways, and a memory-2 shift
+    # against its forms at memories 3 and 4.
+    memory2 = {"type": "sft", "alphabet": ["0", "1"], "forbidden": [["1", "0", "1"]]}
+    rng = random.Random(2031)
+    for forms, memory, canonical in (
+            (GOLDEN_FORMS, 1, {"type": "sft_edges", "alphabet": ["0", "1"],
+                               "edges": [["0", "1"], ["1", "0"], ["1", "1"]]}),
+            (DEAD_LETTER_FORMS, 0, DEAD_LETTER_FORMS[2]),
+            ([memory2] + inflated_forms(memory2, rng, 1) + inflated_forms(memory2, rng, 2), 2,
+             {"type": "sft_edges", "alphabet": ["0", "1"],
+              "edges": [list(w) for w in ("000", "001", "010", "011", "100", "110", "111")]})):
+        first = _assert_one_form(forms)
+        assert first.memory == memory and first.to_json() == canonical, forms
     rng = random.Random(2027)
     seen = collections.Counter()
-    for _ in range(200):
+    for _ in range(320):
         n, allowed, forbidden = _memory1_case(rng)
         forms = memory1_forms(n, allowed, forbidden)
-        try:
-            ps = [parse_presentation(obj) for obj in forms]
-        except ValidationError as exc:
-            for obj in forms:
-                with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
-                    parse_presentation(obj)
+        forms += inflated_forms(forms[0], rng, rng.randint(1, 2))
+        first = _assert_one_form(forms)
+        if first is None:
             seen["empty"] += 1
             continue
-        first = ps[0]
-        for q in ps[1:]:
-            assert q.canonical_bytes() == first.canonical_bytes(), forms
-            assert q.content_hash() == first.content_hash() and q == first, forms
-            assert q.window_graph == first.window_graph, forms
-            assert _invariant_outputs(q) == _invariant_outputs(first), forms
-        canonical = first.to_json()
-        if first.memory == 1:
-            assert canonical == dict(forms[2], edges=forms[2]["edges"][::-1])
-        seen["memory 1" if first.memory else "full shift"] += 1
-        seen["dead letter"] += len(first.window_graph) < n
+        words = oracle_words(n, set(forbidden), 2)
+        assert first.memory == oracle_memory(n, words), forms
+        symbols = forms[1]["alphabet"]
+        if first.memory:
+            assert first.to_json() == dict(forms[2], edges=[[symbols[a] for a in w]
+                                                            for w in sorted(words)]), forms
+        else:
+            live = {w[0] for w in words}
+            assert first.to_json() == dict(forms[1], forbidden=[
+                [s] for a, s in enumerate(symbols) if a not in live]), forms
+        seen["memory 1" if first.memory else "memory 0"] += 1
+        seen["dead edge"] += len(words) < len(allowed)
         seen["forbidden letter"] += any(len(w) == 1 for w in forbidden)
     assert min(seen.values()) >= 5 and seen["memory 1"] >= 120, seen
 
 
+def test_the_memory_is_the_least_step_of_the_shift():
+    # the memory of a parse against the least M whose words of length M + 1
+    # give the shift's words of length given memory + 1, on random SFTs of
+    # given memory 0-4 and random matrices
+    rng = random.Random(2033)
+    lowered = collections.Counter()
+    cases = 0
+    while cases < 700:
+        obj = _random_sft(rng, rng.randint(0, 4)) if cases % 7 else _random_vertex_sft(rng)
+        forbidden = forbidden_words(obj)
+        m = max(map(len, forbidden), default=1) - 1
+        try:
+            p = parse_presentation(obj)
+        except ValidationError:
+            continue
+        cases += 1
+        words = oracle_words(len(p.alphabet), forbidden, m + 1)
+        assert p.memory == oracle_memory(len(p.alphabet), words), obj
+        assert p.window_graph == oracle_window_graph(words, p.memory), obj
+        lowered[m - p.memory] += 1
+    assert lowered[0] >= 300 and sum(lowered.values()) - lowered[0] >= 100, lowered
+    # {0^inf, 10^inf}: both letters are followed by 0 alone, but 11 never
+    # occurs, so it is not 0-step, one-sided
+    pair = parse_presentation({"type": "sft_matrix", "adjacency": [[1, 0], [1, 0]]})
+    assert pair.memory == 1 and pair.window_graph == {(0,): ((0, (0,)),), (1,): ((0, (0,)),)}
+
+
 def test_memory1_forms_hold_only_their_successor_lists(monkeypatch):
-    # every form of an SFT of memory 1 is held as its successor lists, with
-    # no forbidden set, and the forbidden-word form runs no prefix search
-    calls = []
-    tail_ok = SftShift._tail_ok
-    monkeypatch.setattr(SftShift, "_tail_ok", lambda self, w: calls.append(w) or tail_ok(self, w))
+    # every form of an SFT of memory 1 is held as the successor lists of its
+    # live windows alone, with no forbidden set; the forbidden words run the
+    # prefix search once, at parse, and a matrix or an edge list runs none
+    runs = []
+    search = presentations._forbidden_word_graph
+    monkeypatch.setattr(presentations, "_forbidden_word_graph",
+                        lambda *args: runs.append(args) or search(*args))
     rng = random.Random(2029)
     seen = collections.Counter()
     while seen["memory 1"] < 100:
@@ -603,13 +688,15 @@ def test_memory1_forms_hold_only_their_successor_lists(monkeypatch):
                 continue
         except ValidationError:
             continue
-        calls.clear()
-        for p in map(parse_presentation, forms):
-            assert "_adjacency" in p.__dict__, p.to_json()
-            assert not {"forbidden", "forbidden_sorted"} & set(p.__dict__), p.to_json()
-        assert not calls, forms[1]
+        ps = []
+        for obj in forms:
+            runs.clear()
+            ps.append(parse_presentation(obj))
+            assert len(runs) == (obj["type"] == "sft"), obj
+            assert set(vars(ps[-1])) == HELD, obj
+            assert ps[-1].window_graph == ps[0].window_graph, forms
         seen["memory 1"] += 1
-        seen["dead letter"] += len(p.window_graph) < n
+        seen["dead letter"] += len(ps[0].window_graph) < n
         seen["forbidden letter"] += any(len(w) == 1 for w in forbidden)
     assert min(seen.values()) >= 20, seen
 
@@ -660,15 +747,18 @@ def test_a_duplicated_edge_is_one_edge():
 
 @pytest.mark.parametrize("obj, message", [
     ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": 5},
-     "edges must be a list of [from, to] pairs"),
+     "edges must be a list of words"),
     ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": "01"},
-     "edges must be a list of [from, to] pairs"),
+     "edges must be a list of words"),
     ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": ["01"]},
-     "edge '01' must be a [from, to] pair of symbols"),
+     "edge '01' must be a list of two or more symbols"),
     ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": [["0"]]},
-     "edge ['0'] must be a [from, to] pair of symbols"),
+     "edge ['0'] must be a list of two or more symbols"),
+    # a lone word of length 3 is a memory-2 edge list with no cycle
     ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": [["0", "1", "0"]]},
-     "edge ['0', '1', '0'] must be a [from, to] pair of symbols"),
+     "presentation describes the empty shift space"),
+    ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": [["0", "0"], ["0", "1", "0"]]},
+     "edges must have one length, not [2, 3]"),
     ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": [["0", "2"]]},
      "symbol '2' not in alphabet ['0', '1']"),
     ({"type": "sft_edges", "alphabet": ["0", "1"], "edges": [["0", ["1"]]]},
@@ -688,7 +778,7 @@ def test_a_duplicated_edge_is_one_edge():
     ({"type": "sft_edges", "alphabet": ["0"], "edges": [], "forbidden": []},
      "unknown fields for type 'sft_edges': ['forbidden']"),
 ], ids=["edges-int", "edges-string", "edge-string", "edge-single", "edge-triple",
-        "unknown-symbol", "symbol-list", "symbol-int", "no-edge", "no-cycle",
+        "mixed-length", "unknown-symbol", "symbol-list", "symbol-int", "no-edge", "no-cycle",
         "alphabet-string", "alphabet-repeated", "missing-edges", "extra-field"])
 def test_malformed_edge_lists_are_refused(obj, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -701,8 +791,22 @@ def test_canonical_bytes_grow_with_the_edges():
     n = 1024
     adjacency = sparse_adjacency(random.Random(n), n, 4)
     p = parse_presentation({"type": "sft_matrix", "adjacency": adjacency})
+    assert set(vars(p)) == HELD
     assert len(p.canonical_bytes()) < 32 * sum(map(sum, adjacency)) + 16 * n
-    assert "forbidden_sorted" not in p.__dict__
+    # memory 2 over 64 letters: the paths of two steps of a sparse graph, one
+    # in three dropped unless it follows the permutation; as forbidden
+    # triples the bytes would grow with 64^3
+    rng = random.Random(64)
+    adjacency = sparse_adjacency(rng, 64, 2)
+    succ = [[b for b in range(64) if row[b]] for row in adjacency]
+    first = [row.index(1) for row in adjacency]
+    triples = [(a, b, c) for a in range(64) for b in succ[a] for c in succ[b]
+               if c == first[b] or rng.random() < 2 / 3]
+    p = SftShift._from_words(Alphabet(tuple(map(str, range(64)))), triples, 3)
+    q = parse_presentation(p.to_json())
+    edges = sum(map(len, p.window_graph.values()))
+    assert p.memory == 2 and set(vars(q)) == HELD and q.window_graph == p.window_graph
+    assert len(p.canonical_bytes()) < 16 * edges + 16 * 64 < len(triples) * 20
 
 
 def _round_based_trim(names, triples):

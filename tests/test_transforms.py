@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import block_forbidden_words, forbidden_words, random_memory_sft
 from shiftk import (
     BipartiteExpression,
     Point,
@@ -65,27 +66,45 @@ def test_higher_block_respects_longer_forbidden_words():
         assert len(language(out, k)) == len(language(p, k + 1))
 
 
+def _found_case():
+    """24 letters, memory 2, 5 random forbidden words of length 3: recoded at
+    n = 2 into 576 blocks and 13,819 edges."""
+    rng = random.Random(7)
+    symbols = [str(a) for a in range(24)]
+    return {"type": "sft", "alphabet": symbols,
+            "forbidden": [[rng.choice(symbols) for _ in range(3)] for _ in range(5)]}
+
+
 def test_higher_block_builds_the_block_graph_of_an_sft():
-    # on an SFT of memory below n, the block graph's edges (blocks grouped by
-    # prefix) give the shift that forbids every pair of blocks not overlapping
+    # the recoding is the shift that forbids every pair of blocks not
+    # overlapping and each forbidden word longer than n as its blocks, on
+    # SFTs of memory below n, equal to it and above it
     rng = random.Random(97)
-    cases = [make(name) for name in ("full2", "full3", "golden_mean", "golden_mean_matrix")]
-    while len(cases) < 60:
+    objs = [CORPUS_OBJECTS[name] for name in ("full2", "full3", "golden_mean",
+                                              "golden_mean_matrix")]
+    while len(objs) < 60:
         k = rng.randint(1, 4)
-        adjacency = [[int(rng.random() < 0.5) for _ in range(k)] for _ in range(k)]
+        objs.append({"type": "sft_matrix",
+                     "adjacency": [[int(rng.random() < 0.5) for _ in range(k)] for _ in range(k)]})
+    while len(objs) < 90:
+        objs.append(random_memory_sft(rng, len(objs) % 3 + 2))
+    cases = []
+    for obj in objs:
         try:
-            cases.append(parse_presentation({"type": "sft_matrix", "adjacency": adjacency}))
+            cases += [(obj, n) for n in (2, 3)]
+            parse_presentation(obj)
         except ValidationError:
-            continue
-    for p in cases:
-        for n in (2, 3):
-            out, _ = higher_block(p, n)
-            blocks = language(p, n)
-            oracle = SftShift(out.alphabet, [(iu, iv) for iu, u in enumerate(blocks)
-                                             for iv, v in enumerate(blocks) if u[1:] != v[:-1]])
-            assert out.canonical_bytes() == oracle.canonical_bytes(), (p.to_json(), n)
-            assert out.memory == oracle.memory and out.window_graph == oracle.window_graph
-            assert out.steps == oracle.steps, (p.to_json(), n)
+            del cases[-2:]
+    assert {parse_presentation(obj).memory for obj, _ in cases} >= {0, 1, 2, 3, 4}
+    for obj, n in cases + [(_found_case(), 2)]:
+        p = parse_presentation(obj)
+        out, _ = higher_block(p, n)
+        blocks = language(p, n)
+        oracle = SftShift(out.alphabet, block_forbidden_words(blocks, forbidden_words(obj), n))
+        assert out.canonical_bytes() == oracle.canonical_bytes(), (obj, n)
+        assert out.memory == oracle.memory and out.window_graph == oracle.window_graph
+        assert out.steps == oracle.steps, (obj, n)
+        assert out.memory == max(p.memory - n + 1, 1) or not out.memory, (obj, n)
 
 
 def test_higher_block_refusals(monkeypatch):
@@ -109,8 +128,8 @@ def test_higher_block_refuses_more_blocks_than_contexts_before_building(monkeypa
         raise AssertionError("output presentation built")
     for cls in (SftShift, SoficShift):
         monkeypatch.setattr(cls, "__init__", built)
-    # an SFT of memory below n is recoded into its block graph's edges
-    monkeypatch.setattr(SftShift, "_vertex_shift", classmethod(built))
+    # an SFT is recoded into its block graph
+    monkeypatch.setattr(SftShift, "_from_graph", classmethod(built))
     for p, n in ((sft, 3), (sofic, 4)):
         assert len(language(p, n)) > 7 >= len(language(p, n - 1))
         with pytest.raises(ResourceCapError):
