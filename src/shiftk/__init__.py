@@ -36,14 +36,11 @@ from .presentations import (
     Presentation,
     SftShift,
     SoficShift,
-    contains,
-    context_of,
     dump_presentation,
     language,
     load_presentation,
     parse_presentation,
     predecessor_set,
-    realizable_contexts,
     vertex_sft_from_adjacency,
 )
 from .transforms import (

@@ -118,6 +118,12 @@ def _invariant_record(p, canonical: bytes, lmax: int) -> dict:
 
 
 def _cache_path(cache_dir, lmax: int, canonical: bytes) -> Path:
+    if cache_dir is None:   # the default, ~/.cache/shiftk: only now is the home looked up
+        try:
+            cache_dir = Path.home() / ".cache" / "shiftk"
+        except RuntimeError:
+            raise ValidationError("cannot determine the home directory for the cache; "
+                                  "give --cache-dir or --no-cache") from None
     if cache_dir == "":   # Path("") is the working directory
         raise ValidationError("cache dir must not be empty")
     fingerprint = json.dumps({"lmax": lmax, "source": _source_hash()}, sort_keys=True)
@@ -185,8 +191,7 @@ def cmd_invariants(args) -> int:
     canonical = p.canonical_bytes()   # rendered once: the cache key and the record's hash
     cache_file = None
     if not (args.no_cache or os.environ.get(ENV_PREFIX + "NO_CACHE") == "1"):
-        cache_file = _cache_path(_option(args, "cache_dir", Path.home() / ".cache" / "shiftk"),
-                                 lmax, canonical)
+        cache_file = _cache_path(_option(args, "cache_dir", None), lmax, canonical)
     record = _cache_read(cache_file) if cache_file else None
     if record is None:
         record = _invariant_record(p, canonical, lmax)

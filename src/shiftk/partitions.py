@@ -48,14 +48,9 @@ SIGNATURE_WORD_LIMIT = 20000
 
 
 @dataclass(frozen=True)
-class PartitionClass:
-    contexts: tuple[int, ...]          # context indices, sorted
-
-
-@dataclass(frozen=True)
 class PartitionLevel:
-    classes: tuple[PartitionClass, ...]
-    class_of: tuple[int, ...]          # context index -> class index
+    classes: tuple[tuple[int, ...], ...]   # each class's context indices, sorted
+    class_of: tuple[int, ...]              # context index -> class index
 
     @property
     def m(self) -> int:
@@ -138,7 +133,7 @@ def _level(level_id) -> PartitionLevel:
     members: list[list[int]] = [[] for _ in range(max(level_id) + 1)]
     for i, cid in enumerate(level_id):
         members[cid].append(i)
-    return PartitionLevel(tuple(PartitionClass(tuple(ms)) for ms in members), tuple(level_id))
+    return PartitionLevel(tuple(map(tuple, members)), tuple(level_id))
 
 
 def _refine(steps):
@@ -277,7 +272,7 @@ def _membership(chain: PartitionChain, l: int, subset) -> tuple[str, ...]:
     """Per class of level l: '+' all its contexts lie in ``subset``, '-' none, '~' mixed."""
     out = []
     for cls in chain.level(l).classes:
-        inside = [i in subset for i in cls.contexts]
+        inside = [i in subset for i in cls]
         out.append("+" if all(inside) else "-" if not any(inside) else "~")
     return tuple(out)
 
@@ -353,7 +348,7 @@ def class_signatures(chain: PartitionChain) -> tuple[tuple, ...]:
     grade = list(chain.grade_ranks)
     out = []
     for cls in chain.levels[-1].classes:
-        rep = cls.contexts[0]
+        rep = cls[0]
         frontiers = predecessor_frontiers((rep,), steps, chain.length, SIGNATURE_WORD_LIMIT)
         sig = [("w",) + tuple(sorted(f)) for f in frontiers]
         for k in range(len(frontiers), chain.length + 1):
@@ -408,8 +403,8 @@ def chain_to_json(chain: PartitionChain) -> dict:
             "m": lv.m,
             "classes": [
                 {
-                    "contexts": [p.render_context(p.contexts[i]) for i in cls.contexts],
-                    "representative": last.class_of[cls.contexts[0]],
+                    "contexts": [p.render_context(p.contexts[i]) for i in cls],
+                    "representative": last.class_of[cls[0]],
                 }
                 for cls in lv.classes
             ],

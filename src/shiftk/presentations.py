@@ -18,7 +18,10 @@ finite datum context(x) through which every predecessor set
 
     P_k(x) = { u of length k : u . x lies in the shift }
 
-factors.  Prepending a letter acts on contexts; its table on context indices
+factors.  A context is that datum itself: the point x (finite), its first M
+letters, a window of the graph below (SFT of memory M; ``()`` at memory 0),
+or the frozenset of indices of the states reading x (sofic).  Prepending a
+letter acts on contexts; its table on context indices
 (``Presentation.steps``) is the one transition every word query reads.  A
 finite shift reads it off its shift map, a sofic shift off the preimages of
 its state masks, and an SFT off its window graph (``SftShift.window_graph``,
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
@@ -59,42 +61,6 @@ MAX_CONTEXTS = 4096
 MAX_LANGUAGE_WORDS = 200000
 
 
-@dataclass(frozen=True)
-class PointContext:
-    """Context of a point of a finite shift: the point itself."""
-
-    point: Point
-
-    @property
-    def sort_key(self):
-        return self.point.sort_key
-
-
-@dataclass(frozen=True)
-class SuffixContext:
-    """Context for an SFT: the first ``memory`` letters of the point."""
-
-    word: Word
-
-    @property
-    def sort_key(self):
-        return self.word
-
-
-@dataclass(frozen=True)
-class StateSetContext:
-    """Context for a sofic shift: the set of states the point is readable from."""
-
-    states: frozenset[int]
-
-    @property
-    def sort_key(self):
-        return tuple(sorted(self.states))
-
-
-Context = PointContext | SuffixContext | StateSetContext
-
-
 class Presentation:
     """Common interface of the three presentation kinds."""
 
@@ -104,12 +70,14 @@ class Presentation:
     # -- core context interface -------------------------------------------
 
     @cached_property
-    def contexts(self) -> tuple[Context, ...]:
-        """All realizable contexts, in canonical order."""
+    def contexts(self) -> tuple:
+        """All realizable contexts, in canonical order: a finite shift's points
+        by (pre, per), an SFT's windows sorted, a sofic shift's state sets by
+        their sorted states."""
         ctxs = self._realizable_contexts()
         if not ctxs:
             raise ValidationError("presentation describes the empty shift space")
-        return tuple(sorted(ctxs, key=lambda c: c.sort_key))
+        return ctxs
 
     @cached_property
     def context_index(self) -> dict:
@@ -121,7 +89,7 @@ class Presentation:
     # context j.  A letter with no pair takes a.x out of the shift.
     steps: tuple[tuple[tuple[int, int], ...], ...]
 
-    def _context(self, point: Point) -> Context | None:
+    def _context(self, point: Point):
         """The context of a point with letters in the alphabet, None when the
         point is not in the shift."""
         raise NotImplementedError
@@ -130,18 +98,20 @@ class Presentation:
         self.check_point(point)
         return self._context(point) is not None
 
-    def context_of(self, point: Point) -> Context:
+    def context_of(self, point: Point):
+        """The context of a point of the shift: itself (finite), its first
+        ``memory`` letters (SFT) or the frozenset of states reading it (sofic)."""
         self.check_point(point)
         ctx = self._context(point)
         if ctx is None:
             raise ValidationError("point is not in the shift space")
         return ctx
 
-    def witness(self, ctx: Context) -> Point:
+    def witness(self, ctx) -> Point:
         """Some point of the shift whose context is ``ctx``."""
         raise NotImplementedError
 
-    def _realizable_contexts(self) -> list[Context]:
+    def _realizable_contexts(self) -> tuple:
         raise NotImplementedError
 
     # -- shared derived operations -----------------------------------------
@@ -156,7 +126,7 @@ class Presentation:
         if min(letters) < 0 or max(letters) >= len(self.alphabet):
             raise AlphabetMismatchError("point uses letters outside the alphabet")
 
-    def render_context(self, ctx: Context) -> str:
+    def render_context(self, ctx) -> str:
         raise NotImplementedError
 
     # -- canonical JSON ------------------------------------------------------
@@ -247,7 +217,7 @@ class FiniteShift(Presentation):
                     f"finite presentation not shift-invariant: shift of {p} is missing")
 
     def _realizable_contexts(self):
-        return [PointContext(p) for p in self.points]
+        return self.points
 
     @cached_property
     def steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -260,13 +230,13 @@ class FiniteShift(Presentation):
         return tuple(tuple(sorted(row)) for row in rows)
 
     def _context(self, point):
-        return PointContext(point) if point in self._point_set else None
+        return point if point in self._point_set else None
 
     def witness(self, ctx):
-        return ctx.point
+        return ctx
 
     def render_context(self, ctx):
-        return ctx.point.render(self.alphabet)
+        return ctx.render(self.alphabet)
 
     def to_json(self):
         return {
@@ -332,7 +302,7 @@ class SftShift(Presentation):
         return p
 
     def _realizable_contexts(self):
-        return [SuffixContext(w) for w in self.window_graph]
+        return tuple(self.window_graph)
 
     @cached_property
     def steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -363,7 +333,7 @@ class SftShift(Presentation):
             w = next((w2 for b, w2 in graph.get(w, ()) if b == a), None)
             if w is None:
                 return None
-        return SuffixContext(word[:m])
+        return word[:m]
 
     def witness(self, ctx):
         graph = self.window_graph
@@ -372,10 +342,10 @@ class SftShift(Presentation):
             if not graph.get(w):
                 raise ValidationError("context is not realizable")
             return graph[w][0]
-        return _lasso(ctx.word, step, ctx.word)
+        return _lasso(ctx, step, ctx)
 
     def render_context(self, ctx):
-        return self.alphabet.render_word(ctx.word) if ctx.word else "e"
+        return self.alphabet.render_word(ctx) if ctx else "e"
 
     def to_json(self):
         """At memory 0 the forbidden letters, otherwise the edges of the window
@@ -510,11 +480,12 @@ class SoficShift(Presentation):
     def build(cls, state_names, edge_triples) -> "SoficShift":
         """Trim and canonicalize a labeled graph given by names."""
         names = list(state_names)
-        if len(set(names)) != len(names):
+        known = set(names)
+        if len(known) != len(names):
             raise ValidationError("duplicate state names")
         triples = set()
         for (src, dst, sym) in edge_triples:
-            if src not in names or dst not in names:
+            if src not in known or dst not in known:
                 raise ValidationError(f"edge ({src!r},{dst!r},{sym!r}) references unknown state")
             if not isinstance(sym, str) or not sym:
                 raise ValidationError("edge symbols must be nonempty strings")
@@ -591,12 +562,12 @@ class SoficShift(Presentation):
         return reps
 
     def _realizable_contexts(self):
-        return [StateSetContext(self._states_of(mask)) for mask in self._context_reps]
+        return tuple(sorted(map(self._states_of, self._context_reps), key=sorted))
 
     # core interface --------------------------------------------------------------
 
-    def _mask_of(self, ctx: StateSetContext) -> int:
-        return sum(1 << q for q in ctx.states)
+    def _mask_of(self, ctx: frozenset[int]) -> int:
+        return sum(1 << q for q in ctx)
 
     def _states_of(self, mask: int) -> frozenset[int]:
         return frozenset(q for q in range(len(self.states)) if mask >> q & 1)
@@ -633,7 +604,7 @@ class SoficShift(Presentation):
             seen.add(i)
             for a in point.per:
                 i = succ[i][a]
-        return StateSetContext(self._states_of(masks[i])) if masks[i] else None
+        return self._states_of(masks[i]) if masks[i] else None
 
     def witness(self, ctx):
         mask = self._mask_of(ctx)
@@ -651,7 +622,7 @@ class SoficShift(Presentation):
         return _lasso(start, step, words[start])
 
     def render_context(self, ctx):
-        names = sorted(self.states[q] for q in ctx.states)
+        names = sorted(self.states[q] for q in ctx)
         return "{" + ",".join(names) + "}"
 
     def to_json(self):
@@ -684,18 +655,6 @@ def language(p: Presentation, k: int) -> list[Word]:
     return sorted(frontiers[k])
 
 
-def contains(p: Presentation, x: Point) -> bool:
-    return p.contains(x)
-
-
-def context_of(p: Presentation, x: Point) -> Context:
-    return p.context_of(x)
-
-
-def realizable_contexts(p: Presentation) -> tuple[Context, ...]:
-    return p.contexts
-
-
 def predecessor_frontiers(starts, steps, upto: int, cap: int) -> list[dict]:
     """Predecessor words of the contexts ``starts``, grades 0..upto.
 
@@ -724,7 +683,7 @@ def predecessor_frontiers(starts, steps, upto: int, cap: int) -> list[dict]:
     return out
 
 
-def predecessor_set(p: Presentation, ctx: Context, k: int) -> list[Word]:
+def predecessor_set(p: Presentation, ctx, k: int) -> list[Word]:
     """P_k for any point with context ``ctx``: length-k words u with u.x in the shift."""
     if k < 0:
         raise ValidationError("predecessor length must be >= 0")
@@ -829,6 +788,8 @@ def load_presentation(path) -> Presentation:
                     f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     return parse_presentation(obj)
 
 

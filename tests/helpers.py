@@ -70,7 +70,7 @@ def oracle_partition(p: Presentation, level: int):
 
 def partition_as_context_groups(p: Presentation, level) -> frozenset:
     return frozenset(
-        frozenset(p.contexts[i] for i in cls.contexts) for cls in level.classes)
+        frozenset(p.contexts[i] for i in cls) for cls in level.classes)
 
 
 def random_essential_adjacency(rng: random.Random, n: int) -> list:

@@ -31,7 +31,6 @@ from shiftk import (
     kernel,
     past_partition,
     predecessor_set,
-    realizable_contexts,
     smith_normal_form,
     split_letters,
     symbolic_expansion,
@@ -203,7 +202,7 @@ def test_criterion_6_union_shift_structure():
             sides = []
             for cls in chain.levels[level].classes:
                 starts = {union.witness(union.contexts[i]).letter(0) in first
-                          for i in cls.contexts}
+                          for i in cls}
                 if len(starts) != 1:
                     failures.append(f"{name}: level-{level} class straddles the sides")
                     sides.append(None)
@@ -263,7 +262,7 @@ def test_criterion_8_oracle_equivalence():
             got = partition_as_context_groups(p, past_partition(p, level))
             if got != oracle_partition(p, level):
                 failures.append(f"{name}: partition mismatch at level {level}")
-        for ctx in realizable_contexts(p):
+        for ctx in p.contexts:
             x = p.witness(ctx)
             for k in range(5):
                 if predecessor_set(p, ctx, k) != oracle_predecessors(p, x, k):

@@ -119,6 +119,15 @@ def test_invariants_malformed_json(tmp_path, capsys):
     assert "line" in err
 
 
+def test_a_file_that_is_not_utf8_is_bad_input(files, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    message = f"error: {bad}: not UTF-8: invalid start byte at byte 0\n"
+    assert run(capsys, "kgroups", str(bad)) == (2, "", message)
+    assert run(capsys, "invariants", str(bad), "--no-cache") == (2, "", message)
+    assert run(capsys, "compare", files["full2"], str(bad)) == (3, "", message)
+
+
 def test_invariants_at_short_lmax_read_the_stable_level(files, capsys, monkeypatch):
     # golden_mean stabilizes at level 1: lmax 1 shows levels 0..1 only, and
     # the limit invariants are still read at the stable level
@@ -761,6 +770,25 @@ def test_an_empty_cache_dir_is_refused(files, capsys, tmp_path, monkeypatch):
     assert run(capsys, "invariants", files["golden_mean"]) == refused
     assert run(capsys, "invariants", files["golden_mean"], "--no-cache")[0] == 0
     assert list(work.iterdir()) == []
+
+
+def test_the_home_directory_is_read_only_for_the_default_cache_dir(
+        files, capsys, tmp_path, monkeypatch):
+    def no_home():
+        raise RuntimeError("Could not determine home directory.")
+    monkeypatch.setattr(cli.Path, "home", no_home)
+    monkeypatch.delenv("SHIFTK_CACHE_DIR", raising=False)
+    expected = run(capsys, "invariants", files["golden_mean"], "--no-cache")
+    assert expected[0] == 0
+    cache = tmp_path / "cache"
+    assert run(capsys, "invariants", files["golden_mean"], "--cache-dir", str(cache)) == expected
+    assert len(list(cache.iterdir())) == 1
+    monkeypatch.setenv("SHIFTK_CACHE_DIR", str(cache))
+    assert run(capsys, "invariants", files["golden_mean"]) == expected
+    monkeypatch.delenv("SHIFTK_CACHE_DIR")
+    assert run(capsys, "invariants", files["golden_mean"]) == (
+        2, "", "error: cannot determine the home directory for the cache; "
+               "give --cache-dir or --no-cache\n")
 
 
 def _random_sofic(rng, n_states):

@@ -9,6 +9,7 @@ from helpers import (
     random_presentation,
 )
 from shiftk import (
+    Point,
     ResourceCapError,
     ValidationError,
     build_chain,
@@ -21,6 +22,10 @@ from shiftk import (
 )
 from shiftk.model import FiniteModel, run_all_checks
 from shiftk.partitions import restricted_maps
+
+# a context is the datum itself: the point, the first ``memory`` letters, the
+# set of state indices reading the point
+CONTEXT_TYPES = {"finite": Point, "sft": tuple, "sofic": frozenset}
 
 
 def test_random_presentations_agree_with_oracles():
@@ -38,7 +43,11 @@ def test_random_presentations_agree_with_oracles():
             assert partition_as_context_groups(p, chain.levels[level]) == \
                 oracle_partition(p, level), obj
         for ctx in p.contexts:
+            assert type(ctx) is CONTEXT_TYPES[p.kind], obj
+            assert p.kind != "sft" or len(ctx) == p.memory and set(ctx) <= set(p.alphabet), obj
+            assert p.kind != "sofic" or ctx and ctx <= set(range(len(p.states))), obj
             x = p.witness(ctx)
+            assert p.context_of(x) == ctx, obj
             for k in range(4):
                 assert predecessor_set(p, ctx, k) == oracle_predecessors(p, x, k), obj
         for l in range(3):

@@ -15,7 +15,7 @@ from shiftk import (
 from shiftk.intlinalg import matrix_rank
 from shiftk import invariants
 from shiftk.invariants import StationarySystem, _Search, eventual_rank
-from shiftk.presentations import context_of, parse_presentation
+from shiftk.presentations import parse_presentation
 
 from conftest import make
 from helpers import intertwines, permutation_compare, random_essential_adjacency, triple_invariants
@@ -58,7 +58,7 @@ def test_dimension_triple_examples():
     pair = make("pair")
     chain = build_chain(pair, 4)
     t = dimension_triple(chain)
-    keep = chain.levels[1].class_of[pair.context_index[context_of(pair, pair.points[0])]]
+    keep = chain.levels[1].class_of[pair.context_index[pair.context_of(pair.points[0])]]
     assert t.rank == 2 and t.delta_mask == (keep,)
     assert t.step_map.to_lists()[keep] == [1, 1]
     other = 1 - keep

@@ -43,7 +43,6 @@ from shiftk.partitions import (
     matrices_to_json,
     persistent_classes,
 )
-from shiftk.presentations import SuffixContext, context_of
 
 from conftest import CORPUS_OBJECTS, FINITE_MODEL_NAMES, make
 
@@ -71,8 +70,8 @@ def test_golden_mean_level_one(golden_mean):
     assert lv.m == 2
     groups = partition_as_context_groups(golden_mean, lv)
     assert groups == frozenset({
-        frozenset({SuffixContext((0,))}),
-        frozenset({SuffixContext((1,))}),
+        frozenset({(0,)}),
+        frozenset({(1,)}),
     })
 
 
@@ -100,7 +99,7 @@ def test_signatures_elide_to_grade_rank(full2, golden_mean, monkeypatch):
         for cls, sig in zip(chain.levels[-1].classes, class_signatures(chain)):
             assert sig[-1][0] == "e"
             for k, entry in enumerate(sig):
-                assert entry[0] == "w" or entry == ("e", want[k][cls.contexts[0]]), (p, k)
+                assert entry[0] == "w" or entry == ("e", want[k][cls[0]]), (p, k)
 
 
 def test_chain_stabilization(corpus):
@@ -195,8 +194,8 @@ def test_action_examples(full2, full3, golden_mean, pair):
     chain = build_chain(golden_mean, 3)
     # in the ordering (class "0", class "1") the summed action is
     # [[1,1],[1,0]]; locate the classes and check entry-wise
-    i0 = class_index_of_context(chain, 2, SuffixContext((0,)))
-    i1 = class_index_of_context(chain, 2, SuffixContext((1,)))
+    i0 = class_index_of_context(chain, 2, (0,))
+    i1 = class_index_of_context(chain, 2, (1,))
     a = action_sum(chain, 1)
     assert a.entry(i0, i0) == 1 and a.entry(i0, i1) == 1
     assert a.entry(i1, i0) == 1 and a.entry(i1, i1) == 0
@@ -205,8 +204,8 @@ def test_action_examples(full2, full3, golden_mean, pair):
     assert image[i1] == ((0, i0),)              # nothing starts with 11
 
     chain = build_chain(pair, 3)
-    p0 = context_of(pair, pair.points[0])       # (0)*
-    p1 = context_of(pair, pair.points[1])       # 1(0)*
+    p0 = pair.context_of(pair.points[0])        # (0)*
+    p1 = pair.context_of(pair.points[1])        # 1(0)*
     i0 = class_index_of_context(chain, 2, p0)
     i1 = class_index_of_context(chain, 2, p1)
     a = action_sum(chain, 1)
@@ -233,8 +232,8 @@ def test_bowen_franks_examples(full2, golden_mean):
     single = make("single_point")
     assert bowen_franks(build_chain(single, 2), 1).to_lists() == [[0]]
     chain = build_chain(golden_mean, 3)
-    i0 = class_index_of_context(chain, 2, SuffixContext((0,)))
-    i1 = class_index_of_context(chain, 2, SuffixContext((1,)))
+    i0 = class_index_of_context(chain, 2, (0,))
+    i1 = class_index_of_context(chain, 2, (1,))
     b = bowen_franks(chain, 1)
     assert b.entry(i0, i0) == 0 and b.entry(i0, i1) == -1
     assert b.entry(i1, i0) == -1 and b.entry(i1, i1) == 1
@@ -251,7 +250,7 @@ def test_m_index_sets(golden_mean, pair):
 
     chain = build_chain(pair, 3)
     assert m_index_set(chain, 0, 1) == (0, 1)
-    keep = class_index_of_context(chain, 1, context_of(pair, pair.points[0]))
+    keep = class_index_of_context(chain, 1, pair.context_of(pair.points[0]))
     assert m_index_set(chain, 1, 1) == (keep,)
     assert m_index_set(chain, 2, 2) == (keep,)
 
@@ -301,7 +300,7 @@ def test_restricted_maps_refuse_maps_that_leave_the_coordinates(pair):
 
 def test_persistent_classes(pair, golden_mean):
     chain = build_chain(pair, 3)
-    keep = class_index_of_context(chain, 1, context_of(pair, pair.points[0]))
+    keep = class_index_of_context(chain, 1, pair.context_of(pair.points[0]))
     assert persistent_classes(chain, 1) == (keep,)
     chain = build_chain(golden_mean, 3)
     assert persistent_classes(chain, 1) == (0, 1)
@@ -537,7 +536,7 @@ def test_no_straddling_oracle_recheck(corpus):
                 for a in p.alphabet:
                     images = []
                     defined = []
-                    for i in cls.contexts:
+                    for i in cls:
                         x = p.witness(p.contexts[i]).prepend((a,))
                         if p.contains(x):
                             defined.append(True)
@@ -599,7 +598,7 @@ def test_chain_json_renders_each_class_signature(corpus):
             for sig in class_signatures(chain)], p
         for l, level in enumerate(data["levels"]):
             for cls, shown in zip(chain.levels[l].classes, level["classes"], strict=True):
-                rep = cls.contexts[0]
+                rep = cls[0]
                 assert shown["representative"] == chain.levels[-1].class_of[rep]
                 ctx = p.contexts[rep]
                 assert data["signatures"][shown["representative"]][:l + 1] == [

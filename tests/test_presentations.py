@@ -36,8 +36,6 @@ from shiftk import (
     SftShift,
     ValidationError,
     build_chain,
-    contains,
-    context_of,
     dimension_triple,
     higher_block,
     k_groups,
@@ -45,10 +43,9 @@ from shiftk import (
     parse_presentation,
     predecessor_set,
     presentations,
-    realizable_contexts,
 )
 from shiftk.partitions import chain_to_json, matrices_to_json
-from shiftk.presentations import PointContext, StateSetContext, SuffixContext, _live
+from shiftk.presentations import _live
 
 from conftest import CORPUS_OBJECTS, make
 
@@ -259,7 +256,7 @@ def test_language_matches_the_union_of_oracle_predecessor_sets():
     for p in cases:
         witnesses = class_witnesses(p)
         for ctx, x in witnesses:
-            assert context_of(p, x) == ctx
+            assert p.context_of(x) == ctx
         for k in range(6):
             oracle = sorted({u for _, x in witnesses for u in oracle_predecessors(p, x, k)})
             assert language(p, k) == oracle, (p.to_json(), k)
@@ -272,7 +269,7 @@ def test_window_graph_edges_are_the_words_of_length_memory_plus_one():
         if not isinstance(p, SftShift):
             continue
         graph = p.window_graph
-        assert list(graph) == sorted(c.word for c in p.contexts)
+        assert list(graph) == sorted(p.contexts)
         edges = [w + (a,) for w, out in graph.items() for a, w2 in out if w2 == (w + (a,))[1:]]
         assert edges == language(p, p.memory + 1), p.to_json()
 
@@ -320,8 +317,8 @@ def test_sft_steps_match_prepending_to_each_window():
         expected = []
         for c in p.contexts:
             x = p.witness(c)
-            assert sft_contains(forbidden, x) and x.prefix(p.memory) == c.word, p.to_json()
-            expected.append(tuple((a, idx[SuffixContext(((a,) + c.word)[:p.memory])])
+            assert sft_contains(forbidden, x) and x.prefix(p.memory) == c, p.to_json()
+            expected.append(tuple((a, idx[((a,) + c)[:p.memory]])
                                   for a in p.alphabet if sft_contains(forbidden, x.prepend((a,)))))
         assert p.steps == tuple(expected), p.to_json()
 
@@ -468,9 +465,9 @@ def test_sft_parse_tests_each_prefix_and_letter_once(monkeypatch):
                         lambda alphabet, words, m: search(alphabet, Counting(words), m))
     dead = _dead_path(60)
     # 0^inf alone, of memory 0
-    assert [c.word for c in parse_presentation(dead).contexts] == [()]
+    assert parse_presentation(dead).contexts == ((),)
     assert not calls
-    assert [c.word for c in _explicit_vertex_sft(dead["adjacency"]).contexts] == [()]
+    assert _explicit_vertex_sft(dead["adjacency"]).contexts == ((),)
     assert max(calls.values()) == 1 and {len(w) for w in calls} == {2}
     # the dead path written with its forbidden words of length 3, given at
     # memory 2
@@ -480,7 +477,7 @@ def test_sft_parse_tests_each_prefix_and_letter_once(monkeypatch):
     forbidden = {w for w in itertools.product(range(n), repeat=3)
                  if not (adj[w[0]][w[1]] and adj[w[1]][w[2]])}
     p = SftShift(Alphabet(tuple(str(i) for i in range(n))), forbidden)
-    assert p.memory == 0 and [c.word for c in p.contexts] == [()]
+    assert p.memory == 0 and p.contexts == ((),)
     assert max(calls.values()) == 1 and {len(w) for w in calls} == {3}
     assert all(window_ok(forbidden, word[:-1]) for word in calls)
 
@@ -855,7 +852,7 @@ def test_finite_steps_are_prepending_to_each_point():
         idx = p.context_index
         expected = tuple(
             tuple((a, j) for a in p.alphabet
-                  if (j := idx.get(PointContext(c.point.prepend((a,))))) is not None)
+                  if (j := idx.get(c.prepend((a,)))) is not None)
             for c in p.contexts)
         assert p.steps == expected, p.to_json()
 
@@ -865,17 +862,17 @@ def test_finite_steps_are_prepending_to_each_point():
 
 
 def test_contains_examples(golden_mean, pair):
-    assert contains(golden_mean, pt(golden_mean, [], ["1", "0"]))
-    assert not contains(golden_mean, pt(golden_mean, ["1", "1"], ["0"]))
-    assert not contains(pair, pt(pair, ["0", "1"], ["0"]))
-    assert contains(pair, pt(pair, ["1"], ["0"]))
+    assert golden_mean.contains(pt(golden_mean, [], ["1", "0"]))
+    assert not golden_mean.contains(pt(golden_mean, ["1", "1"], ["0"]))
+    assert not pair.contains(pt(pair, ["0", "1"], ["0"]))
+    assert pair.contains(pt(pair, ["1"], ["0"]))
 
 
 def test_contains_normalization_invariance(golden_mean):
     a = Point((1, 0), (1, 0))
     b = Point((), (1, 0))
     assert a == b
-    assert contains(golden_mean, a) == contains(golden_mean, b)
+    assert golden_mean.contains(a) == golden_mean.contains(b)
 
 
 def test_sofic_contains_matches_state_sets(even):
@@ -885,7 +882,7 @@ def test_sofic_contains_matches_state_sets(even):
         Point((0,), (0, 0, 1, 1)),
     ]
     for x in samples:
-        assert contains(even, x) == bool(oracle_state_set(even, x))
+        assert even.contains(x) == bool(oracle_state_set(even, x))
 
 
 def _round_based_state_set(p, x):
@@ -927,12 +924,12 @@ def test_sofic_membership_and_context_read_the_cayley_table():
             x = Point(tuple(rng.randrange(n) for _ in range(rng.randint(0, 4))),
                       tuple(rng.randrange(n) for _ in range(rng.randint(1, 6))))
             states = _round_based_state_set(p, x)
-            assert contains(p, x) == bool(states), (obj, x)
+            assert p.contains(x) == bool(states), (obj, x)
             if states:
-                assert context_of(p, x) == StateSetContext(states), (obj, x)
+                assert p.context_of(x) == states, (obj, x)
             else:
                 with pytest.raises(ValidationError, match="not in the shift space"):
-                    context_of(p, x)
+                    p.context_of(x)
             points += 1
     assert points > 10000
 
@@ -942,25 +939,26 @@ def test_sofic_membership_and_context_read_the_cayley_table():
 
 
 def test_context_of_examples(golden_mean, pair, even):
-    c = context_of(golden_mean, pt(golden_mean, ["0"], ["1", "0"]))
-    assert c == SuffixContext((0,))
+    c = golden_mean.context_of(pt(golden_mean, ["0"], ["1", "0"]))
+    assert c == (0,)
     x = pt(pair, ["1"], ["0"])
-    assert context_of(pair, x) == PointContext(x)
+    assert pair.context_of(x) == x
     zeros = Point((), (0,))
-    got = context_of(even, zeros)
-    assert isinstance(got, StateSetContext)
-    assert got.states == oracle_state_set(even, zeros)
+    got = even.context_of(zeros)
+    assert isinstance(got, frozenset)
+    assert got == oracle_state_set(even, zeros)
 
 
 def test_context_of_rejects_nonmembers(golden_mean):
     with pytest.raises(ValidationError):
-        context_of(golden_mean, Point((1, 1), (0,)))
+        golden_mean.context_of(Point((1, 1), (0,)))
 
 
 def test_points_with_letters_outside_the_alphabet_are_rejected(pair, golden_mean, even):
     for p in (pair, golden_mean, even):
         for bad in (Point((), (-1,)), Point((0,), (-1,)), Point((), (len(p.alphabet),))):
-            for check in (contains, context_of, lambda q, x: in_cylinder(q, (), (), x)):
+            for check in (type(p).contains, type(p).context_of,
+                          lambda q, x: in_cylinder(q, (), (), x)):
                 with pytest.raises(AlphabetMismatchError):
                     check(p, bad)
     with pytest.raises(AlphabetMismatchError):
@@ -968,17 +966,17 @@ def test_points_with_letters_outside_the_alphabet_are_rejected(pair, golden_mean
 
 
 def test_realizable_contexts(full2, golden_mean, pair, even):
-    assert len(realizable_contexts(full2)) == 1
-    assert {c.word for c in realizable_contexts(golden_mean)} == {(0,), (1,)}
-    assert len(realizable_contexts(pair)) == 2
-    sets = {frozenset(even.states[q] for q in c.states) for c in realizable_contexts(even)}
+    assert len(full2.contexts) == 1
+    assert golden_mean.contexts == ((0,), (1,))
+    assert pair.contexts == pair.points and len(pair.contexts) == 2
+    sets = {frozenset(even.states[q] for q in c) for c in even.contexts}
     assert sets == {frozenset({"e"}), frozenset({"o"}), frozenset({"e", "o"})}
 
 
 def test_sofic_contexts_match_oracle_on_witnesses(even):
-    for ctx in realizable_contexts(even):
+    for ctx in even.contexts:
         x = even.witness(ctx)
-        assert oracle_state_set(even, x) == ctx.states
+        assert oracle_state_set(even, x) == ctx
 
 
 def test_sofic_contexts_are_the_oracle_state_sets_of_short_lassos():
@@ -990,9 +988,9 @@ def test_sofic_contexts_are_the_oracle_state_sets_of_short_lassos():
         except ValidationError:
             continue
         checked += 1
-        contexts = {ctx.states for ctx in p.contexts}
+        contexts = set(p.contexts)
         for ctx in p.contexts:
-            assert oracle_state_set(p, p.witness(ctx)) == ctx.states
+            assert oracle_state_set(p, p.witness(ctx)) == ctx
         short = [w for k in range(4) for w in p.alphabet.words_of_length(k)]
         for pre in short:
             for per in short:
@@ -1011,10 +1009,10 @@ def test_sofic_witness_reports_an_inconsistent_good_set_as_internal():
 
 def test_witnesses_realize_their_contexts(corpus):
     for p in corpus.values():
-        for ctx in realizable_contexts(p):
+        for ctx in p.contexts:
             x = p.witness(ctx)
-            assert contains(p, x)
-            assert context_of(p, x) == ctx
+            assert p.contains(x)
+            assert p.context_of(x) == ctx
 
 
 def test_sigma_surjectivity(corpus):
@@ -1032,22 +1030,22 @@ def test_sigma_surjectivity(corpus):
 
 
 def test_predecessor_examples(full2, golden_mean, pair):
-    any_ctx = realizable_contexts(full2)[0]
+    any_ctx = full2.contexts[0]
     assert predecessor_set(full2, any_ctx, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert predecessor_set(golden_mean, SuffixContext((1,)), 2) == [(0, 0), (1, 0)]
-    ctx = context_of(pair, pt(pair, ["1"], ["0"]))
+    assert predecessor_set(golden_mean, (1,), 2) == [(0, 0), (1, 0)]
+    ctx = pair.context_of(pt(pair, ["1"], ["0"]))
     assert predecessor_set(pair, ctx, 1) == []
 
 
 def test_predecessor_grade_zero_is_epsilon(corpus):
     for p in corpus.values():
-        for ctx in realizable_contexts(p):
+        for ctx in p.contexts:
             assert predecessor_set(p, ctx, 0) == [()]
 
 
 def test_predecessor_set_matches_oracle(corpus):
     for p in corpus.values():
-        for ctx in realizable_contexts(p):
+        for ctx in p.contexts:
             x = p.witness(ctx)
             for k in range(5):
                 assert predecessor_set(p, ctx, k) == oracle_predecessors(p, x, k)
@@ -1057,7 +1055,7 @@ def test_predecessors_agree_between_witnesses_of_one_context(golden_mean):
     # two different points with the same context have equal predecessor sets
     a = pt(golden_mean, [], ["0"])
     b = pt(golden_mean, ["0"], ["0", "1"])
-    assert context_of(golden_mean, a) == context_of(golden_mean, b)
+    assert golden_mean.context_of(a) == golden_mean.context_of(b)
     for k in range(5):
         assert oracle_predecessors(golden_mean, a, k) == oracle_predecessors(golden_mean, b, k)
 
@@ -1072,7 +1070,7 @@ def test_cylinder_examples(full2, golden_mean):
     y = pt(golden_mean, ["1"], ["0"])
     assert not in_cylinder(golden_mean, (1,), (), y)
     for p in (full2, golden_mean):
-        w = p.witness(realizable_contexts(p)[0])
+        w = p.witness(p.contexts[0])
         assert in_cylinder(p, (), (), w)
 
 

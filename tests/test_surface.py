@@ -22,10 +22,8 @@ API = {
     # acceptance suite
     "BipartiteExpression", "FgAbelianGroup", "FiniteModel", "IntMatrix", "action_sum",
     "cokernel", "compare_triples", "determinant", "kernel", "past_partition",
-    "predecessor_set", "realizable_contexts", "restricted_maps", "run_all_checks",
+    "predecessor_set", "restricted_maps", "run_all_checks",
     "smith_normal_form", "split_letters", "symbolic_expansion", "vertex_sft_from_adjacency",
-    # membership and contexts of a point
-    "contains", "context_of",
 }
 
 

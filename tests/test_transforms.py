@@ -9,13 +9,11 @@ from shiftk import (
     ResourceCapError,
     ValidationError,
     build_chain,
-    contains,
     higher_block,
     k_groups,
     language,
     parse_presentation,
     presentations,
-    realizable_contexts,
     split_letters,
     symbolic_expansion,
 )
@@ -189,15 +187,15 @@ def test_expansion_membership_oracle():
     # images of golden-mean points and their shifts belong to the expansion
     for pre, per in [((), (0,)), ((), (0, 1)), ((1,), (0,)), ((0, 1), (0,))]:
         x = Point(eta(pre), eta(per))
-        assert contains(out, x), (pre, per)
-        assert contains(out, x.shift())
+        assert out.contains(x), (pre, per)
+        assert out.contains(x.shift())
     # boundary point that any factor-only encoding would wrongly accept:
     # *1*000... would need a 1 before position 0
     bad = Point((star, one, star), (zero,))
-    assert not contains(out, bad)
+    assert not out.contains(bad)
     # star never doubles up or follows anything but 1
-    assert not contains(out, Point((star, star), (zero,)))
-    assert not contains(out, Point((zero, star), (zero,)))
+    assert not out.contains(Point((star, star), (zero,)))
+    assert not out.contains(Point((zero, star), (zero,)))
 
 
 def test_expansion_collapse_recovers_input():
@@ -213,7 +211,7 @@ def test_expansion_collapse_recovers_input():
             # the collapsed word is a factor of some input point
             return tuple(letters)
 
-        for ctx in realizable_contexts(out):
+        for ctx in out.contexts:
             w = collapse(out.witness(ctx))
             k = min(len(w), 4)
             assert w[:k] in set(language(p, k))
@@ -250,7 +248,7 @@ def test_split_full2_union_alternates():
         sides = [a in first for a in w]
         assert sides in ([True, False, True, False], [False, True, False, True])
     # every point starts on exactly one side
-    for ctx in realizable_contexts(union):
+    for ctx in union.contexts:
         x = union.witness(ctx)
         assert (x.letter(0) in first) == (x.letter(1) not in first)
     assert report.move["move"] == "split"
@@ -272,9 +270,9 @@ def test_split_single_point():
     p = make("single_point")
     expr = BipartiteExpression.from_mapping({"0": ["b", "c"]})
     union, second, _ = split_letters(p, expr)
-    assert {x.render(union.alphabet) for ctx in realizable_contexts(union)
+    assert {x.render(union.alphabet) for ctx in union.contexts
             for x in [union.witness(ctx)]} == {"(bc)*", "(cb)*"}
-    pts = [second.witness(c) for c in realizable_contexts(second)]
+    pts = [second.witness(c) for c in second.contexts]
     assert len(pts) == 1 and pts[0].per == (second.alphabet.index("cb"),)
 
 
@@ -283,13 +281,13 @@ def test_split_golden_mean_membership():
     union, second, _ = split_letters(gm, expr2())
     b0, b1, c0, c1 = (union.alphabet.index(s) for s in ("b0", "b1", "c0", "c1"))
     # image of (10)* under the first letter map
-    assert contains(union, Point((), (b1, c1, b0, c0)))
+    assert union.contains(Point((), (b1, c1, b0, c0)))
     # image of (10)* under the second map starts with c
-    assert contains(union, Point((), (c1, b0, c0, b1)))
+    assert union.contains(Point((), (c1, b0, c0, b1)))
     # 11 is forbidden in the golden mean, so its image is missing
-    assert not contains(union, Point((), (b1, c1)))
+    assert not union.contains(Point((), (b1, c1)))
     # non-alternating points are never in the union
-    assert not contains(union, Point((), (b0, b0)))
+    assert not union.contains(Point((), (b0, b0)))
 
 
 def test_split_refusals():
@@ -312,7 +310,7 @@ def test_split_union_step_map_is_block_antidiagonal():
     level = chain.levels[chain.stabilization.level]
     side = []
     for cls in level.classes:
-        starts = {union.witness(union.contexts[i]).letter(0) in first for i in cls.contexts}
+        starts = {union.witness(union.contexts[i]).letter(0) in first for i in cls}
         assert len(starts) == 1
         side.append(starts.pop())
     for i in range(t.rank):
