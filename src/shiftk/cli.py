@@ -5,7 +5,9 @@ compare, model verify.  All file input is the strict JSON presentation
 format; identical input and configuration produce byte-identical output.
 A table renders the payload its command prints under ``--format json``.
 ``transform`` looks its move up in one table, ``MOVES``; each move checks
-its own arguments.
+its own arguments.  Each command imports the modules it reads when it runs,
+and ``hashlib`` and ``tempfile`` are imported where a hash is taken or a
+cache file written, so a short call loads only what it uses.
 
 Exit codes: 0 success; 1 ``model verify`` found a violated identity; 2 bad
 input or refused operation; 4 internal error.  compare uses 0 = equivalent
@@ -18,21 +20,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .errors import ResourceCapError, ShiftError, ValidationError
-from .invariants import compare_triples, dimension_triple, k_groups
-from .model import FiniteModel, run_all_checks
-from .partitions import Stabilization, build_chain, chain_to_json, matrices_to_json
 from .presentations import dump_presentation, load_presentation
-from .transforms import BipartiteExpression, higher_block, split_letters, symbolic_expansion
 
 ENV_PREFIX = "SHIFTK_"
 DEFAULT_LMAX = 12
@@ -49,6 +45,8 @@ _RECORD_OBJECTS = {"stabilization": {"stable", "level", "checked_to"},
 def _source_hash() -> str:
     """Hash of this package's own sources, so a code change (to a record's layout, the
     version or a cap included) never serves stale records."""
+    import hashlib
+
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
@@ -101,6 +99,11 @@ def _matrix_lines(name: str, rows) -> list[str]:
 
 
 def _invariant_record(p, canonical: bytes, lmax: int) -> dict:
+    import hashlib
+
+    from .invariants import dimension_triple
+    from .partitions import build_chain
+
     chain = build_chain(p, lmax)
     triple = dimension_triple(chain)
     kg = triple.k_groups
@@ -118,6 +121,8 @@ def _invariant_record(p, canonical: bytes, lmax: int) -> dict:
 
 
 def _cache_path(cache_dir, lmax: int, canonical: bytes) -> Path:
+    import hashlib
+
     if cache_dir is None:   # the default, ~/.cache/shiftk: only now is the home looked up
         try:
             cache_dir = Path.home() / ".cache" / "shiftk"
@@ -137,7 +142,7 @@ def _cache_read(path: Path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
-    except (OSError, ValueError):   # ValueError: not UTF-8 or not JSON
+    except (OSError, ValueError, RecursionError):   # not UTF-8, not JSON or nested too deeply
         return None
     if not (isinstance(record, dict) and record.keys() == _RECORD_KEYS
             and isinstance(record["m_sequence"], list)
@@ -149,6 +154,8 @@ def _cache_read(path: Path):
 
 
 def _cache_write(path: Path, record: dict) -> None:
+    import tempfile
+
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -167,6 +174,8 @@ def _print_record(record: dict, fmt: str) -> None:
     if fmt == "json":
         _emit_json(record)
         return
+    from .partitions import Stabilization
+
     triple = record["triple"]
     _emit("\n".join([
         f"presentation: {record['presentation']}",
@@ -202,6 +211,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    from .partitions import Stabilization, build_chain, chain_to_json
+
     fmt, lmax = _fmt(args), _lmax(args)
     p = load_presentation(args.file)
     payload = {"presentation": p.content_hash(), **chain_to_json(build_chain(p, lmax))}
@@ -240,6 +251,8 @@ def _sig_text(grades) -> str:
 
 
 def cmd_matrices(args) -> int:
+    from .partitions import build_chain, matrices_to_json
+
     fmt, lmax = _fmt(args), _lmax(args)
     p = load_presentation(args.file)
     levels = matrices_to_json(build_chain(p, lmax))
@@ -258,6 +271,9 @@ def cmd_matrices(args) -> int:
 
 
 def cmd_kgroups(args) -> int:
+    from .invariants import k_groups
+    from .partitions import build_chain
+
     fmt = _fmt(args)
     p = load_presentation(args.file)
     kg = k_groups(build_chain(p, 1))   # limit data: the chain's length cannot change it
@@ -269,6 +285,9 @@ def cmd_kgroups(args) -> int:
 
 
 def cmd_triple(args) -> int:
+    from .invariants import dimension_triple
+    from .partitions import build_chain
+
     fmt = _fmt(args)
     p = load_presentation(args.file)
     payload = dimension_triple(build_chain(p, 1)).to_json()   # limit data, as in kgroups
@@ -282,12 +301,14 @@ def cmd_triple(args) -> int:
     return 0
 
 
-# move name -> (descriptor fields after "move", call returning the presentations to
-# write, then the report); a call looks its move up when it runs, so wrappers apply
+# move name -> (descriptor fields after "move", call of the transforms module t
+# returning the presentations to write, then the report); a call looks its move up
+# in t when it runs, so wrappers apply
 MOVES = {
-    "higher_block": (("n",), lambda p, d: higher_block(p, d["n"])),
-    "expand": (("a0", "star"), lambda p, d: symbolic_expansion(p, d["a0"], d["star"])),
-    "split": (("f",), lambda p, d: split_letters(p, BipartiteExpression.from_mapping(d["f"]))),
+    "higher_block": (("n",), lambda t, p, d: t.higher_block(p, d["n"])),
+    "expand": (("a0", "star"), lambda t, p, d: t.symbolic_expansion(p, d["a0"], d["star"])),
+    "split": (("f",), lambda t, p, d: t.split_letters(
+        p, t.BipartiteExpression.from_mapping(d["f"]))),
 }
 
 
@@ -298,6 +319,8 @@ def cmd_transform(args) -> int:
         move = json.loads(args.move)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"move descriptor is not valid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ValidationError("move descriptor is nested too deeply") from None
     if not isinstance(move, dict) or "move" not in move:
         raise ValidationError('move descriptor must be an object with a "move" field')
 
@@ -308,7 +331,9 @@ def cmd_transform(args) -> int:
     if set(move) != {"move", *fields}:
         names = ",".join(f'"{f}"' for f in ("move", *fields))
         raise ValidationError(f"{kind} descriptor fields: {{{names}}}")
-    *written, report = call(p, move)
+    from . import transforms
+
+    *written, report = call(transforms, p, move)
     out = Path(args.out)
     paths = []
     for pres in written:   # split's induced shift goes next to the first, once that is written
@@ -329,6 +354,9 @@ def cmd_transform(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .invariants import compare_triples, dimension_triple
+    from .partitions import build_chain
+
     fmt = _fmt(args)
     pa = load_presentation(args.file_a)
     pb = pa if args.file_b == args.file_a else load_presentation(args.file_b)
@@ -359,6 +387,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_model_verify(args) -> int:
+    from .model import FiniteModel, run_all_checks
+
     fmt = _fmt(args)
     model = FiniteModel(load_presentation(args.file))
     reports = run_all_checks(model, args.max_word_len)

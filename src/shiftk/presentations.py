@@ -39,7 +39,6 @@ language is that predecessor set taken over every context:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from functools import cached_property
 from itertools import compress
@@ -138,6 +137,8 @@ class Presentation:
         return json.dumps(self.to_json(), separators=(",", ":"), ensure_ascii=True).encode()
 
     def content_hash(self) -> str:
+        import hashlib   # OpenSSL is mapped on the first hash, not at import
+
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
     def __eq__(self, other):
@@ -712,7 +713,7 @@ def parse_presentation(obj) -> Presentation:
     if not isinstance(obj, dict):
         raise ValidationError("presentation must be a JSON object")
     kind = obj.get("type")
-    if kind not in _SCHEMAS:
+    if not (isinstance(kind, str) and kind in _SCHEMAS):
         raise ValidationError(f"unknown presentation type {kind!r}")
     extra = set(obj) - _SCHEMAS[kind]
     if extra:
@@ -736,6 +737,8 @@ def parse_presentation(obj) -> Presentation:
         for e in obj["edges"]:
             if not (isinstance(e, list) and len(e) == 3):
                 raise ValidationError(f"sofic edge {e!r} must be a [from, to, symbol] triple")
+            if not (isinstance(e[0], str) and isinstance(e[1], str)):
+                raise ValidationError(f"sofic edge {e!r}: from and to must be state names")
             edges.append((e[0], e[1], e[2]))
         return SoficShift.build(obj["states"], edges)
 
@@ -786,6 +789,8 @@ def load_presentation(path) -> Presentation:
             except json.JSONDecodeError as exc:
                 raise ValidationError(
                     f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+            except RecursionError:
+                raise ValidationError(f"{path}: JSON nested too deeply") from None
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import shiftk
 from helpers import (
     DEAD_LETTER_FORMS,
     GOLDEN_FORMS,
@@ -126,6 +127,18 @@ def test_a_file_that_is_not_utf8_is_bad_input(files, tmp_path, capsys):
     assert run(capsys, "kgroups", str(bad)) == (2, "", message)
     assert run(capsys, "invariants", str(bad), "--no-cache") == (2, "", message)
     assert run(capsys, "compare", files["full2"], str(bad)) == (3, "", message)
+
+
+DEEP = "[" * 100000 + "]" * 100000   # valid JSON nested past the recursion limit
+
+
+def test_a_file_nested_too_deeply_is_bad_input(files, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    message = f"error: {deep}: JSON nested too deeply\n"
+    assert run(capsys, "kgroups", str(deep)) == (2, "", message)
+    assert run(capsys, "model", "verify", str(deep)) == (2, "", message)
+    assert run(capsys, "compare", files["full2"], str(deep)) == (3, "", message)
 
 
 def test_invariants_at_short_lmax_read_the_stable_level(files, capsys, monkeypatch):
@@ -352,8 +365,9 @@ def test_transform_bad_descriptor(files, capsys):
      "image of '0' must be a [first, second] pair of strings"),
     ('{"move":"expand","a0":["0"],"star":"*"}', "a0 and star must be strings"),
     ('{"move":"expand","a0":"0","star":1}', "a0 and star must be strings"),
+    (DEEP, "move descriptor is nested too deeply"),
 ], ids=["n-string", "n-null", "n-float", "n-bool", "f-list", "image-list", "a0-list",
-        "star-int"])
+        "star-int", "nested"])
 def test_transform_malformed_descriptor_is_refused(files, capsys, descriptor, message):
     out = files["dir"] / "never-written.json"
     code, stdout, err = run(capsys, "transform", files["full2"], descriptor, str(out))
@@ -460,7 +474,7 @@ def test_compare_of_a_file_with_itself_loads_and_builds_it_once(tmp_path, capsys
     for fmt in ("table", "json"):
         expected = run(capsys, "compare", str(path), str(copy), "--format", fmt)
         calls = collections.Counter()
-        for module, name in ((cli, "load_presentation"), (cli, "build_chain")):
+        for module, name in ((cli, "load_presentation"), (partitions, "build_chain")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, real=real, name=name:
                                 calls.update([name]) or real(*a))
@@ -554,18 +568,23 @@ _POINT_0 = {"pre": [], "per": ["0"]}
      "state names must be strings"),
     ({"type": "sofic", "states": [["a"]], "edges": [[["a"], ["a"], "0"]]},
      "state names must be strings"),
+    ({"type": "sofic", "states": ["a", "b"], "edges": [["a", ["b"], "x"]]},
+     "from and to must be state names"),
+    ({"type": "sofic", "states": ["a", "b"], "edges": [[{"a": 1}, "b", "x"]]},
+     "from and to must be state names"),
     ({"type": "finite", "alphabet": ["ab", "a", "b"],
       "points": [{"pre": [], "per": "ab"}, {"pre": [], "per": ["b", "a"]}]},
      "pre and per must be lists of symbols"),
     ({"type": "finite", "alphabet": ["0", "1"], "points": [_POINT_0, {"pre": "1", "per": ["0"]}]},
      "pre and per must be lists of symbols"),
     ({"type": "finite", "alphabet": ["0"], "points": 5}, "points must be a list of points"),
+    ({"type": ["sft"], "alphabet": ["0"], "forbidden": []}, "unknown presentation type"),
     ({"type": "finite", "alphabet": ["0"], "points": [{"pre": [], "per": [["0"]]}]},
      "not in alphabet"),
     ({"type": "sft", "alphabet": ["0"], "forbidden": [[["0"]]]}, "not in alphabet"),
     ({"type": "sft_edges", "alphabet": ["0"], "edges": [["0", ["0"]]]}, "not in alphabet"),
 ], ids=["row-int", "entry-true", "entry-false", "entry-1.0", "entry-0.0", "state-int",
-        "state-list", "per-string", "pre-string", "points-int", "symbol-list-point",
+        "state-list", "endpoint-list", "endpoint-object", "per-string", "pre-string", "points-int", "type-list", "symbol-list-point",
         "symbol-list-forbidden", "symbol-list-edge"])
 def test_malformed_field_types_are_refused(tmp_path, capsys, obj, message):
     with pytest.raises(ValidationError, match=message):
@@ -592,6 +611,67 @@ def test_reused_parser_leaks_no_state(files, capsys):
                                capture_output=True, text=True, env=env, check=False)
         assert (fresh.returncode, fresh.stdout) == (code, out), command
     assert in_process[0][1] != in_process[3][1]
+
+
+# Runs shiftk.cli.main on argv in a fresh interpreter and prints its exit code
+# and the names in sys.modules once it has returned.  The interpreter runs with
+# -S, so what a site-packages .pth file imports at start-up is not counted.
+_MODULES_AT_EXIT = """
+import contextlib, io, json, sys
+from shiftk.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+HEAVY = {"hashlib", "tempfile", "shiftk.partitions", "shiftk.invariants", "shiftk.intlinalg",
+         "shiftk.model", "shiftk.transforms"}
+
+
+def modules_at_exit(script, *argv):
+    """Exit code and sys.modules of ``script`` run on ``argv`` with -S."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+def loaded(*argv):
+    """Exit code and the modules of HEAVY that the command ``argv`` loads."""
+    code, modules = modules_at_exit(_MODULES_AT_EXIT, *argv)
+    return code, HEAVY & modules
+
+
+def test_importing_the_package_loads_no_submodule():
+    script = "import json, sys, shiftk; print(json.dumps([0, sorted(sys.modules)]))"
+    _, modules = modules_at_exit(script)
+    assert "shiftk" in modules
+    assert sorted(m for m in modules if m.startswith("shiftk.") or m == "hashlib") == []
+    # each exported name resolves to its module's object
+    for module, names in shiftk._EXPORTS.items():
+        for name in names:
+            assert getattr(shiftk, name) is getattr(getattr(shiftk, module), name)
+    assert set(shiftk.__all__) <= set(dir(shiftk))
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_each_command_loads_only_the_modules_it_reads(files, fmt):
+    f = ("--format", fmt)
+    assert loaded("kgroups", files["full3"], *f) == (
+        0, {"shiftk.partitions", "shiftk.invariants", "shiftk.intlinalg"})
+    assert loaded("triple", files["full3"], *f) == (
+        0, {"shiftk.partitions", "shiftk.invariants", "shiftk.intlinalg"})
+    assert loaded("model", "verify", files["pair"], *f) == (0, {"shiftk.model"})
+
+
+def test_a_json_cache_hit_only_parses_and_hashes(files, tmp_path):
+    argv = ("invariants", files["golden_mean"], "--cache-dir", str(tmp_path / "cache"),
+            "--format", "json")
+    miss = loaded(*argv)
+    assert miss == (0, {"hashlib", "tempfile", "shiftk.partitions", "shiftk.invariants",
+                        "shiftk.intlinalg"})
+    assert loaded(*argv) == (0, {"hashlib"})
 
 
 def test_env_overrides_format(files, capsys, monkeypatch):
@@ -666,7 +746,7 @@ def test_a_cache_hit_is_served_only_from_a_whole_record(files, capsys, tmp_path)
     extra, short = {**record, "k2": None}, dict(record)
     del short["triple"]
     for bad in (b"[1]", b"{}", b"null", json.dumps(extra).encode(), json.dumps(short).encode(),
-                b"{", b"\xff\xfe"):
+                b"{", b"\xff\xfe", DEEP.encode()):
         path.write_bytes(bad)
         assert run(capsys, *args) == (0, fresh, ""), bad
         assert path.read_text() == fresh, bad      # the fresh record overwrote the bad one

@@ -82,15 +82,13 @@ def test_cli_reads_partitions_through_the_json_payloads_only():
 
 def test_readme_export_list_names_what_the_package_imports():
     # "The package exports, by module": one bullet per module, naming every
-    # name the package imports from it; a dotted name is a module attribute
+    # name the package resolves from it on first access (its lazy export
+    # table); a dotted name is a module attribute
     text = README.read_text(encoding="utf-8")
     block = text.split("The package exports, by module:\n\n", 1)[1].split("\n\n", 1)[0]
     listed = {}
     for bullet in block.split("\n* "):
         module, *names = re.findall(r"`([^`]+)`", bullet)
         listed[module] = {name for name in names if "." not in name}
-    imported = {}
-    for node in ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    imported = {module: set(names) for module, names in shiftk._EXPORTS.items()}
     assert listed == imported
