@@ -321,6 +321,8 @@ def cmd_transform(args) -> int:
         raise ValidationError(f"move descriptor is not valid JSON: {exc.msg}") from exc
     except RecursionError:
         raise ValidationError("move descriptor is nested too deeply") from None
+    except ValueError as exc:   # an integer literal past the interpreter's digit limit
+        raise ValidationError(f"move descriptor: {str(exc).split(';')[0]}") from None
     if not isinstance(move, dict) or "move" not in move:
         raise ValidationError('move descriptor must be an object with a "move" field')
 

@@ -12,22 +12,41 @@ rational arithmetic with no floating point anywhere.
 Matrices are sparse and exact: a ``Matrix`` stores only its nonzero
 entries, keyed by (row, col), and never stores a zero, so two matrices of
 one size are equal exactly when their stored nonzero entries are equal.
-An entry is an int or a Fraction.  Word operators, their transposes and
-supports, cylinder indicators and preimage counts hold ints (0/1 for all
-but the counts), so their products are int products; the seeded test
-functions are Fractions, and every division (``diag_inverse``,
-``fn_transfer``) goes through ``Fraction``, so no float can appear.  A
-word operator is a partial injection with at most n entries, and a product
-costs time in the stored entries it joins, not n^3.
+An entry is an int or a Fraction, or a ``Vec`` of them (below).  Word
+operators, their transposes and supports, cylinder indicators and
+preimage counts hold ints (0/1 for all but the counts), so their products
+are int products; the seeded test functions are Fractions, and every
+division (``diag_inverse``, ``fn_transfer``) goes through ``Fraction``, so
+no float can appear.  A word operator is a partial injection with at most
+n entries, and a product costs time in the stored entries it joins, not
+n^3.
+
+The checks of a family of identities run over the product ring Q^K (K
+copies of Q, added and multiplied componentwise), whose elements are
+``Vec``s: the K test functions f_1..f_K stack into one function F whose
+value at each point is the ``Vec`` (f_1(x), ..., f_K(x)), and the K word
+operators T_u of the representation axioms stack the same way.  This is
+exact, not an approximation: an identity over Q^K holds iff it holds in
+each component, and component k of a sum or product of matrices over Q^K
+is the sum or product of the component-k matrices, because every ring
+operation on a ``Vec`` acts on each component alone.  So one product over
+Q^K does the work of K products over Q, and when a Q^K identity fails,
+comparing component k of each side tells exactly which of the K identities
+fail.  Every product that meets a ``Vec`` has a scalar on its other side,
+so a product of two nonzero entries stays nonzero (Q^K has zero divisors,
+Q does not) and ``mat_mul`` stores no zero.  Each identity still records
+one check per test function (or word pair), with the message and in the
+order of the K scalar checks.
 
 ``run_all_checks`` builds each object once per model: one word operator
 per word and per distinct concatenation, one transpose per word, one
-cylinder indicator per word pair, one diagonal per test function and per
-shifted test function, and one product T_w phi(f) per word and test
-function.  They are built through the module's functions and kept for one
-call only.  The word operators are built for every word of length up to
-twice the checked length, so a length whose words would number more than
-``presentations.MAX_LANGUAGE_WORDS`` is refused before anything is built.
+cylinder indicator per word pair, one diagonal per distinct indicator,
+and, over Q^K, one diagonal of F per shift and per prepended word and one
+product T_w phi(F) per word.  They are built through the module's
+functions and kept for one call only.  The word operators are built for
+every word of length up to twice the checked length, so a length whose
+words would number more than ``presentations.MAX_LANGUAGE_WORDS`` is
+refused before anything is built.
 The model itself keeps the data below those functions: the basis index of
 w.x per word w (shared by ``op_word`` and ``fn_prepend``), and per k the
 basis index of the k-fold shift (k = 1 is the shift map that
@@ -55,13 +74,53 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul
 
 from . import presentations
 from .errors import ConsistencyError, ResourceCapError, ValidationError
 from .presentations import FiniteShift
 from .words import EPSILON, Word, prepend_normal_form
 
-Func = tuple[int | Fraction, ...]
+
+
+class Vec(tuple):
+    """An element of the product ring Q^K: K exact rationals, added and
+    multiplied componentwise.
+
+    An int or a Fraction times a ``Vec`` scales each component (a plain
+    tuple would repeat), and a ``Vec`` is falsy when every component is 0,
+    so a ``Matrix`` drops it like a zero entry:
+
+    >>> v, w = Vec((1, Fraction(1, 2), 0)), Vec((2, 2, 5))
+    >>> v + w, v * w
+    (Vec((3, Fraction(5, 2), 5)), Vec((2, Fraction(1, 1), 0)))
+    >>> 3 * v, Fraction(1, 2) * v == Vec((Fraction(1, 2), Fraction(1, 4), 0))
+    (Vec((3, Fraction(3, 2), 0)), True)
+    >>> bool(Vec((0, Fraction(0)))), Matrix(1, {(0, 0): Vec((0, 0)), (0, 1): w}).entries
+    (False, {(0, 1): Vec((2, 2, 5))})
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return Vec(map(add, self, other))
+
+    def __mul__(self, other):
+        if isinstance(other, Vec):
+            return Vec(map(mul, self, other))
+        return Vec([x * other for x in self])
+
+    def __rmul__(self, other):
+        return Vec([other * x for x in self])
+
+    def __bool__(self):
+        return any(self)
+
+    def __repr__(self) -> str:
+        return f"Vec({tuple.__repr__(self)})"
+
+
+Func = tuple[int | Fraction | Vec, ...]
 
 _ONE = 1   # the one int 1 object of CPython, which ``mat_mul`` tests by identity
 
@@ -265,10 +324,11 @@ def op_word(model: FiniteModel, u: Word) -> Matrix:
 
 
 def op_diagonal(model: FiniteModel, f: Func) -> Matrix:
-    """phi(f): ints and Fractions are stored as given, any other number as its Fraction."""
+    """phi(f): ints, Fractions and ``Vec``s are stored as given, any other
+    number as its Fraction."""
     if len(f) != model.n:
         raise ValidationError("function length does not match the basis")
-    return _trusted(model.n, {(i, i): v if isinstance(v, (int, Fraction)) else Fraction(v)
+    return _trusted(model.n, {(i, i): v if isinstance(v, (int, Fraction, Vec)) else Fraction(v)
                               for i, v in enumerate(f) if v})
 
 
@@ -340,8 +400,11 @@ class _Operators:
     ``labels`` the rendered words, for the words up to ``max_len``.
     ``diagonal`` maps each distinct cylinder indicator, in first-seen order,
     to its diagonal and ``cylinder`` maps each word pair (u, v) to the
-    diagonal of its indicator.  ``run_all_checks`` builds one of these for
-    its three checks.
+    diagonal of its indicator.  All of these are scalar matrices, one per
+    word or pair; ``verify_representation`` stacks them over the words u
+    into matrices over Q^K, and the indicators (the keys of ``diagonal``)
+    are the first test functions that ``verify_composition_rules`` stacks.
+    ``run_all_checks`` builds one of these for its three checks.
     """
 
     def __init__(self, model: FiniteModel, max_len: int):
@@ -364,16 +427,63 @@ class _Operators:
                 self.cylinder[u, v] = d
 
 
+def _stack(n: int, mats: list[Matrix]) -> Matrix:
+    """The n x n matrix over Q^K, K = len(mats), whose component k is ``mats[k]``."""
+    size = len(mats)
+    cols: dict = {}
+    for k, m in enumerate(mats):
+        for key, v in m.entries.items():
+            col = cols.get(key)
+            if col is None:
+                col = cols[key] = [0] * size
+            col[k] = v
+    return _trusted(n, {key: Vec(col) for key, col in cols.items()})
+
+
+def _component(m: Matrix, k: int) -> dict:
+    """The stored entries of component k of a matrix over Q^K."""
+    return {key: v[k] for key, v in m.entries.items() if v[k]}
+
+
+def _holds(lhs: Matrix, rhs: Matrix, size: int) -> list[bool] | None:
+    """None when lhs == rhs over Q^size, else whether each component k < size holds."""
+    if lhs == rhs:
+        return None
+    return [_component(lhs, k) == _component(rhs, k) for k in range(size)]
+
+
+def _record(rep: CheckReport, size: int, held: list, message) -> None:
+    """Record check j of ``held`` at each component k < size, k-major, under
+    ``message(k, j)``: all at once when every Q^K identity held (``None``)."""
+    if all(h is None for h in held):
+        rep.checks += size * len(held)
+        return
+    for k in range(size):
+        for j, h in enumerate(held):
+            rep.record(h is None or h[k], message(k, j))
+
+
+_AXIOMS = ("composition: T_u T_v != T_uv", "cylinder projection: axiom (2) fails")
+
+
 def verify_representation(ops: _Operators) -> CheckReport:
-    """Both representation axioms as exact matrix identities."""
+    """Both representation axioms as exact matrix identities, over Q^K with
+    T_u stacked over the K words u: per word v, one product T_u T_v for every
+    u against the stacked T_uv, and one T_v (T_u^t T_u) T_v^t against the
+    stacked cylinder diagonals.  Each (u, v) still records its two checks, in
+    the order u, then v, then the axiom."""
     rep = CheckReport("representation")
-    for u in ops.words:
-        for v in ops.words:
-            lbl = f"u={ops.labels[u]} v={ops.labels[v]}"
-            rep.record(mat_mul(ops.word[u], ops.word[v]) == ops.word[u + v],
-                       f"composition: T_u T_v != T_uv at {lbl}")
-            rhs = mat_mul(ops.word[v], mat_mul(ops.support[u], ops.t[v]))
-            rep.record(ops.cylinder[u, v] == rhs, f"cylinder projection: axiom (2) fails at {lbl}")
+    n, words, size = ops.model.n, ops.words, len(ops.words)
+    word = _stack(n, [ops.word[u] for u in words])
+    support = _stack(n, [ops.support[u] for u in words])
+    held = []
+    for v in words:
+        t_v = ops.word[v]
+        held.append(_holds(mat_mul(word, t_v), _stack(n, [ops.word[u + v] for u in words]), size))
+        held.append(_holds(_stack(n, [ops.cylinder[u, v] for u in words]),
+                           mat_mul(t_v, mat_mul(support, ops.t[v])), size))
+    _record(rep, size, held, lambda k, j: (
+        f"{_AXIOMS[j % 2]} at u={ops.labels[words[k]]} v={ops.labels[words[j // 2]]}"))
     return rep
 
 
@@ -413,41 +523,44 @@ def _test_functions(ops: _Operators) -> list[Func]:
     return list(seen)
 
 
+_WORD_RULES = ("prepend rule", "prepend commutation", "compose commutation")
+
+
 def verify_composition_rules(ops: _Operators) -> CheckReport:
-    """Prepend/compose/transfer identities against the word operators."""
+    """Prepend/compose/transfer identities against the word operators, over
+    Q^K for the K test functions f_1..f_K: phi(F) of the stacked function
+    F = (f_1, ..., f_K) takes five products per word and three per level.
+    Each identity still records one check per test function, in the order
+    word (or level), then test function, then identity."""
     rep = CheckReport("composition rules")
     model, max_len = ops.model, ops.max_len
     funcs = _test_functions(ops)
-    phis = [ops.diagonal[f] if f in ops.diagonal else op_diagonal(model, f) for f in funcs]
-    # diagonals of f after the k-fold shift, k = 0..max_len, one row per test function
-    composed = []
-    for f, phi_f in zip(funcs, phis):
-        row, g = [phi_f], f
-        for _ in range(max_len):
-            g = fn_compose_shift(model, g)
-            row.append(op_diagonal(model, g))
-        composed.append(row)
+    size = len(funcs)
+    stacked = tuple(map(Vec, zip(*funcs)))   # F, one Vec per basis point
+    phi = op_diagonal(model, stacked)
+    # diagonals of F after the k-fold shift, k = 0..max_len
+    composed, g = [phi], stacked
+    for _ in range(max_len):
+        g = fn_compose_shift(model, g)
+        composed.append(op_diagonal(model, g))
 
-    # T_w phi(f) per word and test function, read again by the compose expansion
-    tw_phi: dict[tuple[Word, int], Matrix] = {}
+    # T_w phi(F) per word, read again by the compose expansion
+    tw_phi: dict[Word, Matrix] = {}
     for w in ops.words:
         tw, tw_t = ops.word[w], ops.t[w]
-        lbl = ops.labels[w]
-        for k, (f, phi_f, row) in enumerate(zip(funcs, phis, composed)):
-            lam = op_diagonal(model, fn_prepend(model, w, f))
-            tw_t_phi = mat_mul(tw_t, phi_f)
-            rep.record(lam == mat_mul(tw_t_phi, tw), f"prepend rule fails at w={lbl}")
-            rep.record(tw_t_phi == mat_mul(lam, tw_t),
-                       f"prepend commutation fails at w={lbl}")
-            tw_phi[w, k] = mat_mul(tw, phi_f)
-            rep.record(tw_phi[w, k] == mat_mul(row[len(w)], tw),
-                       f"compose commutation fails at w={lbl}")
+        lam = op_diagonal(model, fn_prepend(model, w, stacked))
+        tw_t_phi = mat_mul(tw_t, phi)
+        tw_phi[w] = mat_mul(tw, phi)
+        held = [_holds(lam, mat_mul(tw_t_phi, tw), size),
+                _holds(tw_t_phi, mat_mul(lam, tw_t), size),
+                _holds(tw_phi[w], mat_mul(composed[len(w)], tw), size)]
+        _record(rep, size, held, lambda k, j: f"{_WORD_RULES[j]} fails at w={ops.labels[w]}")
 
     for n in range(1, max_len + 1):
         level = [u for u in ops.words if len(u) == n]
-        for k, row in enumerate(composed):
-            total = _sum(model.n, (mat_mul(tw_phi[u, k], ops.t[u]) for u in level))
-            rep.record(row[n] == total, f"compose expansion fails at n={n}")
+        total = _sum(model.n, (mat_mul(tw_phi[u], ops.t[u]) for u in level))
+        _record(rep, size, [_holds(composed[n], total, size)],
+                lambda k, j: f"compose expansion fails at n={n}")
 
         # sum over u, v of T_u T_v^t T_v T_u^t, with the sum over v taken first
         supports = _sum(model.n, (ops.support[v] for v in level))
@@ -460,10 +573,10 @@ def verify_composition_rules(ops: _Operators) -> CheckReport:
             raise ConsistencyError("preimage-count function has a zero entry")
         s = _sum(model.n, (ops.word[u] for u in level))
         st_dinv = mat_mul(mat_transpose(s), diag_inverse(dsum))
-        for f, phi_f in zip(funcs, phis):
-            lhs = op_diagonal(model, fn_transfer(model, f, n))
-            rep.record(lhs == mat_mul(st_dinv, mat_mul(phi_f, s)),
-                       f"transfer formula fails at n={n}")
+        transfer = tuple(map(Vec, zip(*(fn_transfer(model, f, n) for f in funcs))))
+        _record(rep, size, [_holds(op_diagonal(model, transfer),
+                                   mat_mul(st_dinv, mat_mul(phi, s)), size)],
+                lambda k, j: f"transfer formula fails at n={n}")
     return rep
 
 

@@ -795,6 +795,8 @@ def load_presentation(path) -> Presentation:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except ValueError as exc:   # an integer literal past the interpreter's digit limit
+        raise ValidationError(f"{path}: {str(exc).split(';')[0]}") from None
     return parse_presentation(obj)
 
 

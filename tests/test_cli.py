@@ -141,6 +141,29 @@ def test_a_file_nested_too_deeply_is_bad_input(files, tmp_path, capsys):
     assert run(capsys, "compare", files["full2"], str(deep)) == (3, "", message)
 
 
+# an integer literal of 5000 digits, past the interpreter's int conversion limit
+LONG_INT = "1" * 5000
+LONG_INT_REASON = ("Exceeds the limit (4300 digits) for integer string conversion: "
+                   "value has 5000 digits")
+
+
+def test_a_file_with_an_over_long_integer_is_bad_input(files, tmp_path, capsys):
+    long = tmp_path / "long.json"
+    long.write_text('{"type": "sft_matrix", "adjacency": [[' + LONG_INT + "]]}")
+    message = f"error: {long}: {LONG_INT_REASON}\n"
+    assert run(capsys, "kgroups", str(long)) == (2, "", message)
+    assert run(capsys, "invariants", str(long), "--no-cache") == (2, "", message)
+    assert run(capsys, "compare", files["full2"], str(long)) == (3, "", message)
+
+
+def test_a_move_descriptor_with_an_over_long_integer_is_refused(files, capsys):
+    out = files["dir"] / "never-written.json"
+    descriptor = '{"move": "higher_block", "n": ' + LONG_INT + "}"
+    assert run(capsys, "transform", files["full2"], descriptor, str(out)) == (
+        2, "", f"error: move descriptor: {LONG_INT_REASON}\n")
+    assert not out.exists()
+
+
 def test_invariants_at_short_lmax_read_the_stable_level(files, capsys, monkeypatch):
     # golden_mean stabilizes at level 1: lmax 1 shows levels 0..1 only, and
     # the limit invariants are still read at the stable level

@@ -171,9 +171,15 @@ def _violated(report, prefix):
 
 
 def _summary(reports):
-    """Per report: the number of violations and the first one."""
-    return {name: (len(rep.violations), rep.violations[0] if rep.violations else None)
+    """Per report: the number of violations, the first one and a digest of all of
+    them in order."""
+    return {name: (len(rep.violations), rep.violations[0] if rep.violations else None,
+                   hashlib.sha256("".join(v + "\n" for v in rep.violations).encode())
+                   .hexdigest()[:16])
             for name, rep in reports.items()}
+
+
+_NO_VIOLATIONS = (0, None, "e3b0c44298fc1c14")
 
 
 def test_checker_catches_iterated_transfer(monkeypatch):
@@ -185,9 +191,9 @@ def test_checker_catches_iterated_transfer(monkeypatch):
     reports = _mutant_reports(monkeypatch, "pair", "fn_transfer", iterated)
     assert _violated(reports["composition rules"], "transfer formula")
     assert _summary(reports) == {
-        "representation": (0, None),
-        "structure": (0, None),
-        "composition rules": (6, "transfer formula fails at n=2"),
+        "representation": _NO_VIOLATIONS,
+        "structure": _NO_VIOLATIONS,
+        "composition rules": (6, "transfer formula fails at n=2", "4f728a887ad0a8c4"),
     }
 
 
@@ -201,9 +207,9 @@ def test_checker_catches_swapped_basis_columns(monkeypatch):
     assert (_violated(reports["representation"], "composition")
             or _violated(reports["structure"], "range projection"))
     assert _summary(reports) == {
-        "representation": (20, "composition: T_u T_v != T_uv at u=e v=e"),
-        "structure": (6, "unit: T_epsilon is not the identity"),
-        "composition rules": (114, "prepend rule fails at w=e"),
+        "representation": (20, "composition: T_u T_v != T_uv at u=e v=e", "19f69b397e31190b"),
+        "structure": (6, "unit: T_epsilon is not the identity", "9d8f688ad36efe6c"),
+        "composition rules": (114, "prepend rule fails at w=e", "fa00364495620b69"),
     }
 
 
@@ -211,10 +217,27 @@ def test_checker_catches_compose_without_shift(monkeypatch):
     reports = _mutant_reports(monkeypatch, "chain3", "fn_compose_shift", lambda m, f: f)
     assert _violated(reports["composition rules"], "compose commutation")
     assert _summary(reports) == {
-        "representation": (0, None),
-        "structure": (0, None),
-        "composition rules": (37, "compose commutation fails at w=1"),
+        "representation": _NO_VIOLATIONS,
+        "structure": _NO_VIOLATIONS,
+        "composition rules": (37, "compose commutation fails at w=1", "7904b37a2bd3ab9e"),
     }
+
+
+def test_checker_names_only_the_test_function_whose_transfer_is_wrong(monkeypatch):
+    # over Q^K the transfer formula is one identity for all K test functions;
+    # when it fails, each function is still checked, and only the wrong one fails
+    chain3 = model("chain3")
+    target = model_module._test_functions(model_module._Operators(chain3, 3))[5]
+    real = model_module.fn_transfer
+
+    def wrong_for_one(m, f, steps=1):
+        out = real(m, f, steps)
+        return (out[0] + F(1, 3),) + out[1:] if f == target else out
+
+    reports = _mutant_reports(monkeypatch, "chain3", "fn_transfer", wrong_for_one, max_len=3)
+    assert reports["composition rules"].violations == [
+        f"transfer formula fails at n={n}" for n in (1, 2, 3)]
+    assert reports["representation"].ok and reports["structure"].ok
 
 
 def test_checker_catches_a_corrupted_prepend_index(monkeypatch):
@@ -388,19 +411,24 @@ def test_word_lengths_past_the_language_cap_are_refused_before_anything_is_built
 
 
 _MATRIX_BUILDERS = ("op_word", "op_diagonal", "mat_identity", "mat_zero", "mat_transpose",
-                    "mat_mul", "_sum", "diag_inverse")
+                    "mat_mul", "_sum", "diag_inverse", "_stack")
 
 
 def test_every_matrix_the_checks_build_stores_nonzero_ints_and_fractions(monkeypatch):
     # no float and no stored zero in any matrix of run_all_checks, on the corpus
-    # models and 50 seeded random finite shifts at L = 2 and 3
-    built = Counter()
+    # models and 50 seeded random finite shifts at L = 2 and 3: an entry is a
+    # nonzero int or Fraction, or a Vec of ints and Fractions that are not all 0
+    built, kinds = Counter(), set()
 
     def checked(name, real):
         def build(*args):
             m = real(*args)
             for v in m.entries.values():
-                assert type(v) in (int, F) and v != 0, (name, v)
+                if type(v) is model_module.Vec:
+                    assert all(type(x) in (int, F) for x in v) and any(v), (name, v)
+                else:
+                    assert type(v) in (int, F) and v != 0, (name, v)
+                kinds.add(type(v))
             built[name] += 1
             return m
         return build
@@ -414,6 +442,7 @@ def test_every_matrix_the_checks_build_stores_nonzero_ints_and_fractions(monkeyp
         for max_len in (2, 3):
             assert all(rep.ok for rep in run_all_checks(m, max_len))
     assert set(built) == set(_MATRIX_BUILDERS)
+    assert kinds == {int, F, model_module.Vec}
 
 
 def test_model_rejects_foreign_points():
