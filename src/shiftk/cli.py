@@ -3,7 +3,11 @@
 Subcommands: invariants, classes, matrices, kgroups, triple, transform,
 compare, model verify.  All file input is the strict JSON presentation
 format; identical input and configuration produce byte-identical output.
-A table renders the payload its command prints under ``--format json``.
+Each ``cmd_*`` returns ``(payload, table, exit code)``: the payload that
+``--format json`` prints, a function rendering the table from that payload
+alone, and the exit code; ``main`` checks the format before the command
+runs and writes the payload or its table at its one write site, so every
+table is a rendering of the command's JSON.
 ``transform`` looks its move up in one table, ``MOVES``; each move checks
 its own arguments.  Each command imports the modules it reads when it runs,
 and ``hashlib`` and ``tempfile`` are imported where a hash is taken or a
@@ -12,7 +16,8 @@ cache file written, so a short call loads only what it uses.
 Exit codes: 0 success; 1 ``model verify`` found a violated identity; 2 bad
 input or refused operation; 4 internal error.  compare uses 0 = equivalent
 (an intertwiner was found), 1 = distinguished, 2 = inconclusive and 3 for
-bad input or a usage error.
+bad input or a usage error.  Any command exits 141 (the shell's code for a
+death by SIGPIPE) when its standard output is closed before it is written.
 """
 
 from __future__ import annotations
@@ -80,22 +85,8 @@ def _lmax(args) -> int:
     return lmax
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
-def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, indent=2))
-
-
 # ---------------------------------------------------------------------------
 # invariant records and cache
-
-
-def _matrix_lines(name: str, rows) -> list[str]:
-    return [f"{name}:"] + ["  [" + " ".join(f"{x:3d}" for x in row) + "]" for row in rows]
 
 
 def _invariant_record(p, canonical: bytes, lmax: int) -> dict:
@@ -170,14 +161,11 @@ def _cache_write(path: Path, record: dict) -> None:
                 os.unlink(tmp)
 
 
-def _print_record(record: dict, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json(record)
-        return
+def _record_table(record: dict) -> str:
     from .partitions import Stabilization
 
     triple = record["triple"]
-    _emit("\n".join([
+    return "\n".join([
         f"presentation: {record['presentation']}",
         f"tool version: {record['tool_version']}",
         "m-sequence: " + " ".join(str(m) for m in record["m_sequence"]),
@@ -187,15 +175,15 @@ def _print_record(record: dict, fmt: str) -> None:
         f"triple rank: {triple['rank']}",
         "step map: " + json.dumps(triple["step_map"]),
         "delta mask: " + json.dumps(triple["delta_mask"]),
-    ]))
+    ])
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, table, exit code), as the module docstring says
 
 
-def cmd_invariants(args) -> int:
-    fmt, lmax = _fmt(args), _lmax(args)
+def cmd_invariants(args) -> tuple:
+    lmax = _lmax(args)
     p = load_presentation(args.file)
     canonical = p.canonical_bytes()   # rendered once: the cache key and the record's hash
     cache_file = None
@@ -206,19 +194,21 @@ def cmd_invariants(args) -> int:
         record = _invariant_record(p, canonical, lmax)
         if cache_file:
             _cache_write(cache_file, record)
-    _print_record(record, fmt)
-    return 0
+    return record, _record_table, 0
 
 
-def cmd_classes(args) -> int:
-    from .partitions import Stabilization, build_chain, chain_to_json
+def cmd_classes(args) -> tuple:
+    from .partitions import build_chain, chain_to_json
 
-    fmt, lmax = _fmt(args), _lmax(args)
+    lmax = _lmax(args)
     p = load_presentation(args.file)
     payload = {"presentation": p.content_hash(), **chain_to_json(build_chain(p, lmax))}
-    if fmt == "json":
-        _emit_json(payload)
-        return 0
+    return payload, _classes_table, 0
+
+
+def _classes_table(payload: dict) -> str:
+    from .partitions import Stabilization
+
     lines = ["m-sequence: " + " ".join(str(m) for m in payload["m_sequence"]),
              "stabilization: " + Stabilization(**payload["stabilization"]).render()]
     m_sets = payload["m_sets"]   # a level past the last entry has that entry's sets
@@ -231,8 +221,7 @@ def cmd_classes(args) -> int:
                 members += f", ... ({len(cls['contexts'])} contexts)"
             grades = payload["signatures"][cls["representative"]][:lv["level"] + 1]
             lines.append(f"  class {ci} [{mark}] {{{members}}} {_sig_text(grades)}")
-    _emit("\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
 def _sig_text(grades) -> str:
@@ -250,55 +239,54 @@ def _sig_text(grades) -> str:
     return " ".join(parts)
 
 
-def cmd_matrices(args) -> int:
+def cmd_matrices(args) -> tuple:
     from .partitions import build_chain, matrices_to_json
 
-    fmt, lmax = _fmt(args), _lmax(args)
+    lmax = _lmax(args)
     p = load_presentation(args.file)
-    levels = matrices_to_json(build_chain(p, lmax))
-    if fmt == "json":
-        _emit_json({"presentation": p.content_hash(), "matrices": levels})
-        return 0
+    payload = {"presentation": p.content_hash(), "matrices": matrices_to_json(build_chain(p, lmax))}
+    return payload, _matrices_table, 0
+
+
+def _matrices_table(payload: dict) -> str:
     lines = []
-    for lv in levels:
+    for lv in payload["matrices"]:
         lines.append(f"level {lv['level'] + 1} -> {lv['level']}: "
                      f"{lv['m_next']} classes into {lv['m']}")
         for i, cls in enumerate(lv["classes"]):
             images = "".join(f" {a}->{j}" for a, j in cls["image"].items())
             lines.append(f"  class {i} in {cls['parent']}:{images}")
-    _emit("\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_kgroups(args) -> int:
+def cmd_kgroups(args) -> tuple:
     from .invariants import k_groups
     from .partitions import build_chain
 
-    fmt = _fmt(args)
     p = load_presentation(args.file)
     kg = k_groups(build_chain(p, 1))   # limit data: the chain's length cannot change it
-    if fmt == "json":
-        _emit_json({"k0": kg.k0.to_json(), "k1": kg.k1.to_json()})
-    else:
-        _emit(f"K0: {kg.k0.render()}\nK1: {kg.k1.render()}")
-    return 0
+    return {"k0": kg.k0.to_json(), "k1": kg.k1.to_json()}, _kgroups_table, 0
 
 
-def cmd_triple(args) -> int:
+def _kgroups_table(payload: dict) -> str:
+    from .intlinalg import FgAbelianGroup
+
+    return "\n".join(f"{k.upper()}: {FgAbelianGroup(**payload[k]).render()}"
+                     for k in ("k0", "k1"))
+
+
+def cmd_triple(args) -> tuple:
     from .invariants import dimension_triple
     from .partitions import build_chain
 
-    fmt = _fmt(args)
     p = load_presentation(args.file)
-    payload = dimension_triple(build_chain(p, 1)).to_json()   # limit data, as in kgroups
-    if fmt == "json":
-        _emit_json(payload)
-    else:
-        lines = [f"rank: {payload['rank']}"]
-        lines.extend(_matrix_lines("step map", payload["step_map"]))
-        lines.append("delta mask: " + json.dumps(payload["delta_mask"]))
-        _emit("\n".join(lines))
-    return 0
+    return dimension_triple(build_chain(p, 1)).to_json(), _triple_table, 0   # as in kgroups
+
+
+def _triple_table(payload: dict) -> str:
+    rows = ["  [" + " ".join(f"{x:3d}" for x in row) + "]" for row in payload["step_map"]]
+    return "\n".join([f"rank: {payload['rank']}", "step map:", *rows,
+                      "delta mask: " + json.dumps(payload["delta_mask"])])
 
 
 # move name -> (descriptor fields after "move", call of the transforms module t
@@ -312,8 +300,7 @@ MOVES = {
 }
 
 
-def cmd_transform(args) -> int:
-    fmt = _fmt(args)
+def cmd_transform(args) -> tuple:
     p = load_presentation(args.file)
     try:
         move = json.loads(args.move)
@@ -341,67 +328,58 @@ def cmd_transform(args) -> int:
     for pres in written:   # split's induced shift goes next to the first, once that is written
         path = out.with_name(out.stem + ".second" + out.suffix) if paths else out
         dump_presentation(pres, path)
-        paths.append(path)
-    payload = {
-        "written": [str(path) for path in paths],
-        "report": report.to_json(),
-    }
-    if fmt == "json":
-        _emit_json(payload)
-    else:
-        lines = [f"wrote {path}" for path in paths]
-        lines.append("report: " + json.dumps(report.to_json()))
-        _emit("\n".join(lines))
-    return 0
+        paths.append(str(path))
+    return {"written": paths, "report": report.to_json()}, _transform_table, 0
 
 
-def cmd_compare(args) -> int:
+def _transform_table(payload: dict) -> str:
+    lines = [f"wrote {path}" for path in payload["written"]]
+    lines.append("report: " + json.dumps(payload["report"]))
+    return "\n".join(lines)
+
+
+def cmd_compare(args) -> tuple:
     from .invariants import compare_triples, dimension_triple
     from .partitions import build_chain
 
-    fmt = _fmt(args)
     pa = load_presentation(args.file_a)
     pb = pa if args.file_b == args.file_a else load_presentation(args.file_b)
     ta = dimension_triple(build_chain(pa, 1))   # as in kgroups
     tb = ta if pb is pa else dimension_triple(build_chain(pb, 1))
     outcome = compare_triples(ta, tb)
-    verdict, witness = outcome.verdict, outcome.witness
     # an equivalent verdict carries an intertwiner, which keeps the K-groups,
     # so b's rows are a's and b's I - S is not factored
-    ka, kb = ta.k_groups, (ta.k_groups if verdict == "equivalent" else tb.k_groups)
+    ka, kb = ta.k_groups, (ta.k_groups if outcome.verdict == "equivalent" else tb.k_groups)
     rows = [("K0", ka.k0.render(), kb.k0.render()),
             ("K1", ka.k1.render(), kb.k1.render()),
             ("triple rank", str(ta.rank), str(tb.rank))]
-
-    if fmt == "json":
-        _emit_json({
-            "a": pa.content_hash(),
-            "b": pb.content_hash(),
-            "rows": [{"name": n, "a": a, "b": b} for (n, a, b) in rows],
-            "verdict": verdict,
-            "witness": witness,
-        })
-    else:
-        lines = [f"{n}: {a} | {b}" for (n, a, b) in rows]
-        lines.append(f"verdict: {verdict}" + (f" ({witness})" if witness else ""))
-        _emit("\n".join(lines))
-    return outcome.exit_code
+    payload = {"a": pa.content_hash(), "b": pb.content_hash(),
+               "rows": [{"name": n, "a": a, "b": b} for (n, a, b) in rows],
+               "verdict": outcome.verdict, "witness": outcome.witness}
+    return payload, _compare_table, outcome.exit_code
 
 
-def cmd_model_verify(args) -> int:
+def _compare_table(payload: dict) -> str:
+    verdict, witness = payload["verdict"], payload["witness"]
+    lines = [f"{r['name']}: {r['a']} | {r['b']}" for r in payload["rows"]]
+    lines.append(f"verdict: {verdict}" + (f" ({witness})" if witness else ""))
+    return "\n".join(lines)
+
+
+def cmd_model_verify(args) -> tuple:
     from .model import FiniteModel, run_all_checks
 
-    fmt = _fmt(args)
     model = FiniteModel(load_presentation(args.file))
     reports = run_all_checks(model, args.max_word_len)
-    if fmt == "json":
-        _emit_json([
-            {"name": r.name, "checks": r.checks, "violations": r.violations}
-            for r in reports
-        ])
-    else:
-        _emit("\n".join(r.render() for r in reports))
-    return 0 if all(r.ok for r in reports) else 1
+    payload = [{"name": r.name, "checks": r.checks, "violations": r.violations}
+               for r in reports]
+    return payload, _model_table, 0 if all(r.ok for r in reports) else 1
+
+
+def _model_table(payload: list) -> str:
+    from .model import CheckReport
+
+    return "\n".join(CheckReport(**r).render() for r in payload)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """One parser per process: every default is None or fixed and the
-    environment is read by the commands, so reuse carries no state."""
+    environment is read when a command runs, so reuse carries no state."""
     return build_parser()
 
 
@@ -476,7 +454,16 @@ def main(argv=None) -> int:
             sys.exit(3)
         raise
     try:
-        return args.fn(args)
+        fmt = _fmt(args)   # before the command, so a bad format writes no file
+        payload, table, code = args.fn(args)
+        text = json.dumps(payload, indent=2) if fmt == "json" else table(payload)
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout is closed: point it at devnull so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValidationError, ResourceCapError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3 if args.command == "compare" else 2

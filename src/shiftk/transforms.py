@@ -194,23 +194,19 @@ def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport
     move = {"move": "higher_block", "n": n}
 
     if isinstance(p, SftShift):
-        # the recoding's windows are the words of length h = max(n, memory)
-        # (the windows, or their paths when n is larger) read as their blocks,
-        # with the edges of their last window, each adding one more block
+        # the recoding's edges are the words of length h + 1, h = max(n, memory),
+        # read as blocks: each word of length h (a window, or a path when n is
+        # larger) as its blocks, then the block each edge of its last window ends
         graph, idx = p.window_graph, {w: i for i, w in enumerate(blocks)}
-        after = {}   # (n-1)-word -> {letter: the block it starts, that letter appended}
-        for i, w in enumerate(blocks):
-            after.setdefault(w[:-1], {})[w[-1]] = i
         h = max(n, p.memory)
         heads = [(w, w) for w in graph]     # (word of length h, its last window)
         for _ in range(h - p.memory):
             heads = [(u + (a,), w2) for u, w in heads for a, w2 in graph[w]]
-        out_graph = {}
+        words = []
         for u, w in heads:
             seq = tuple(idx[u[j:j + n]] for j in range(h - n + 1))
-            rest, tail = seq[1:], after[u[h - n + 1:]]
-            out_graph[seq] = [(j, rest + (j,)) for j in [tail[a] for a, _ in graph[w]]]
-        out = SftShift._from_graph(Alphabet(tuple(names)), h - n + 1, out_graph)
+            words += [seq + (idx[u[h - n + 1:] + (a,)],) for a, _ in graph[w]]
+        out = SftShift._from_words(Alphabet(tuple(names)), words, h - n + 2)
         return out, TransformReport(p.content_hash(), move, {"blocks": symbol_map})
 
     # sofic: the graph whose states are paths of length n-1; grouping the

@@ -292,6 +292,88 @@ def test_transform_outputs_are_pinned_byte_for_byte(tmp_path, capsys, monkeypatc
             assert written == case["files"], (case["file"], case["move"])
 
 
+def _commands_on(name, path, other, tmp_path):
+    """Every command on the corpus file ``name`` at ``path``: each transform
+    move, compare against itself and ``other``, and invariants with no cache."""
+    alphabet = parse_presentation(CORPUS_OBJECTS[name]).alphabet.symbols
+    split = {a: [f"b{i}", f"c{i}"] for i, a in enumerate(alphabet)}
+    moves = [{"move": "higher_block", "n": 2}, {"move": "expand", "a0": alphabet[0], "star": "*"},
+             {"move": "split", "f": split}]
+    return ([("invariants", path, "--no-cache"), ("classes", path, "--lmax", "3"),
+             ("matrices", path, "--lmax", "3"), ("kgroups", path), ("triple", path),
+             ("compare", path, path), ("compare", path, other), ("model", "verify", path)]
+            + [("transform", path, json.dumps(m), str(tmp_path / "out.json")) for m in moves])
+
+
+def _table_of(argv):
+    """The table function that the command ``argv`` returns."""
+    args = cli._parser().parse_args(list(argv))
+    return args.fn(args)[1]
+
+
+def _table_renders_json(capsys, table_argv, json_argv):
+    """Run both formats; the table is the returned table function applied to
+    the printed JSON, with the same exit code.  Whether a payload was printed."""
+    code, table, err = run(capsys, *table_argv, "--format", "table")
+    json_code, payload, json_err = run(capsys, *json_argv, "--format", "json")
+    assert (code, err) == (json_code, json_err), table_argv
+    if code in (2, 3) and not payload:   # refused: no payload, in either format
+        assert table == "", table_argv
+        return False
+    assert table == _table_of(json_argv)(json.loads(payload)) + "\n", table_argv
+    return True
+
+
+def test_each_table_renders_its_json_payload(tmp_path, capsys):
+    # main prints the payload or the table rendered from it alone
+    names = sorted(CORPUS_OBJECTS)
+    paths = {}
+    for name in names:
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(CORPUS_OBJECTS[name]))
+    rendered = collections.Counter()
+    for i, name in enumerate(names):
+        other = paths[names[(i + 1) % len(names)]]
+        for argv in _commands_on(name, paths[name], other, tmp_path):
+            if _table_renders_json(capsys, argv, argv):
+                rendered[" ".join(argv[:2]) if argv[0] == "model" else argv[0]] += 1
+        # invariants through a cache, a cold call then a hit, one cache per format
+        table_argv, json_argv = (("invariants", paths[name], "--cache-dir",
+                                  str(tmp_path / f"cache-{name}-{fmt}")) for fmt in ("t", "j"))
+        for _ in ("miss", "hit"):
+            assert _table_renders_json(capsys, table_argv, json_argv)
+    assert rendered == {"invariants": 11, "classes": 11, "matrices": 11, "kgroups": 11,
+                        "triple": 11, "compare": 22, "model verify": 5, "transform": 24}
+
+
+def test_a_bad_format_is_refused_before_the_command_runs(files, capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("SHIFTK_FORMAT", "yaml")
+    out = tmp_path / "out.json"
+    move = '{"move":"higher_block","n":2}'
+    for argv, code in ((("transform", files["full2"], move, str(out)), 2),
+                       (("compare", files["full2"], files["full3"]), 3)):
+        assert run(capsys, *argv) == (code, "", "error: unknown output format 'yaml'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("kgroups",), ("classes", "--format", "json")])
+def test_a_closed_stdout_exits_141_silently(files, argv):
+    # the read end of the child's stdout pipe is closed before it writes; a
+    # buffered stdout fails at main's flush, an unbuffered one at the write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "shiftk.cli", argv[0], files["full3"],
+                                   *argv[1:]], stdout=write, stderr=subprocess.PIPE,
+                                  env={**env, **unbuffered}, check=False)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b""), unbuffered
+
+
 def test_kgroups_and_triple(files, capsys):
     code, out, _ = run(capsys, "kgroups", files["full3"])
     assert code == 0 and "K0: Z/2" in out and "K1: 0" in out

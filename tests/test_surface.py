@@ -92,3 +92,18 @@ def test_readme_export_list_names_what_the_package_imports():
         listed[module] = {name for name in names if "." not in name}
     imported = {module: set(names) for module, names in shiftk._EXPORTS.items()}
     assert listed == imported
+
+
+def test_only_main_writes_the_output():
+    # each cmd_* returns its payload and table; main picks the format and
+    # writes one or the other, so no command may write or read the format
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    banned, commands, offending = {"stdout", "print", "_emit", "_fmt"}, 0, {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("cmd_"):
+            commands += 1
+            used = {node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+            if used & banned:
+                offending[stmt.name] = sorted(used & banned)
+    assert (commands, offending) == (8, {})
