@@ -13,8 +13,10 @@ Three finitely-presentable kinds are supported:
   infinite paths.  Sofic presentations are trimmed so that every state lies
   on a bi-infinite path, which makes them shift-surjective.
 
-Every presentation exposes a finite set of *contexts*: for each point x a
-finite datum context(x) through which every predecessor set
+A parse builds only the canonical form (the points, the live window graph
+or the trimmed graph); what is read off it is built on first use.  Every
+presentation exposes a finite set of *contexts*: for each point x a finite
+datum context(x) through which every predecessor set
 
     P_k(x) = { u of length k : u . x lies in the shift }
 
@@ -52,8 +54,9 @@ from .errors import (
 from .words import EPSILON, Alphabet, Point, Word
 
 
-# Size caps of the enumerative parts, read at call time: an SFT's suffix
-# windows, a sofic monoid and a recoding's blocks or paths count against
+# Size caps of the enumerative parts, read at call time: an SFT's live
+# windows at its own memory and an `sft` search's windows at parse, a sofic
+# monoid at first use and a recoding's blocks or paths count against
 # MAX_CONTEXTS, a language or predecessor set against MAX_LANGUAGE_WORDS.
 # A cap only decides whether a call is refused, never what it returns.
 MAX_CONTEXTS = 4096
@@ -73,10 +76,7 @@ class Presentation:
         """All realizable contexts, in canonical order: a finite shift's points
         by (pre, per), an SFT's windows sorted, a sofic shift's state sets by
         their sorted states."""
-        ctxs = self._realizable_contexts()
-        if not ctxs:
-            raise ValidationError("presentation describes the empty shift space")
-        return ctxs
+        return self._realizable_contexts()
 
     @cached_property
     def context_index(self) -> dict:
@@ -286,8 +286,8 @@ class SftShift(Presentation):
     def _from_words(cls, alphabet: Alphabet, words, length: int) -> "SftShift":
         """The SFT whose factors of ``length`` (>= 2) are among ``words``, the
         edges of its window graph at memory length - 1, read straight off
-        them.  At memory 1 every letter is a window, as in a matrix."""
-        graph = {(a,): [] for a in alphabet} if length == 2 else {}
+        them."""
+        graph = {}
         for w in sorted(words):
             graph.setdefault(w[:-1], []).append((w[-1], w[1:]))
         for w in {w[1:] for w in words} - graph.keys():
@@ -366,18 +366,20 @@ def _forbidden_word_graph(alphabet: Alphabet, words: set, m: int) -> dict:
     """The admissible windows of length m (no factor in ``words``), each with
     its (letter, next admissible window) edges, by one depth-first pass over
     the admissible prefixes that tests each (prefix, letter) once (only the
-    last letter of a word can complete a forbidden factor its prefix lacks),
-    stopped once the windows pass the cap.  At memory 1 every letter is a
-    window, a forbidden one with no edges, as in the matrix and edge forms."""
+    last letter of a word can complete a forbidden factor its prefix lacks).
+    The forbidden words do not bound the windows (one word of length 20
+    leaves 2^19 binary ones), so the search is refused once they pass the cap."""
     lengths = sorted({len(w) for w in words})
-    graph = {(a,): [] for a in alphabet} if m == 1 else {}
+    graph = {}
     stack = [EPSILON]
-    while stack and len(graph) <= MAX_CONTEXTS:
+    while stack:
         w = stack.pop()
         ok = [u for u in (w + (a,) for a in alphabet)
               if not any(u[-k:] in words for k in lengths if k <= len(u))]
         if len(w) < m:
             stack.extend(ok)
+        elif len(graph) == MAX_CONTEXTS:
+            raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
         else:
             graph[w] = [(u[-1], u[1:]) for u in ok]
     return graph
@@ -385,8 +387,8 @@ def _forbidden_word_graph(alphabet: Alphabet, words: set, m: int) -> dict:
 
 def _own_memory(m: int, graph: dict) -> tuple[int, dict]:
     """The memory and live window graph of the SFT whose window graph at
-    memory m is ``graph``: every window, each counted against the cap, with
-    its (letter, next window) edges in letter order.
+    memory m is ``graph``: every window with its (letter, next window)
+    edges in letter order.
 
     The live windows start an infinite path (``_live``); none is the empty
     shift.  The memory then drops while the shift is (m-1)-step, that is,
@@ -395,10 +397,9 @@ def _own_memory(m: int, graph: dict) -> tuple[int, dict]:
     avc.  (That av and bv have the same successor letters is not enough
     one-sided: [[1,0],[1,0]] = {0^inf, 10^inf} passes it and is not
     0-step.)  One step down, the windows are the (m-1)-prefixes and the
-    edges the old windows, both still sorted.
+    edges the old windows, both still sorted.  Only the windows at the own
+    memory, the contexts, count against the cap.
     """
-    if len(graph) > MAX_CONTEXTS:
-        raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
     live = _live({w: [w2 for _, w2 in out] for w, out in graph.items()})[0]
     if not live:
         raise ValidationError("presentation describes the empty shift space")
@@ -411,6 +412,8 @@ def _own_memory(m: int, graph: dict) -> tuple[int, dict]:
             break
         graph = {v: tuple((c, (v + (c,))[1:]) for c in cs) for v, cs in follow.items()}
         m -= 1
+    if len(graph) > MAX_CONTEXTS:
+        raise ResourceCapError(f"number of suffix windows exceeds cap {MAX_CONTEXTS}")
     return m, graph
 
 
@@ -462,24 +465,10 @@ class SoficShift(Presentation):
 
     kind = "sofic"
 
-    def __init__(self, states: tuple[str, ...], alphabet: Alphabet,
-                 edges: tuple[tuple[int, int, int], ...]):
-        self.states = states
-        self.alphabet = alphabet
-        self.edges = tuple(sorted(set(edges)))
-        n = len(states)
-        for (q, r, a) in self.edges:
-            if not (0 <= q < n and 0 <= r < n and 0 <= a < len(alphabet)):
-                raise ValidationError("edge indices out of range")
-        rows = [[0] * n for _ in self.alphabet]
-        for (q, r, a) in self.edges:
-            rows[a][q] |= 1 << r
-        self._rows = tuple(tuple(r) for r in rows)
-        self.contexts  # force emptiness check
-
     @classmethod
     def build(cls, state_names, edge_triples) -> "SoficShift":
-        """Trim and canonicalize a labeled graph given by names."""
+        """Trim and canonicalize a labeled graph given by names: the one
+        constructor."""
         names = list(state_names)
         known = set(names)
         if len(known) != len(names):
@@ -505,10 +494,20 @@ class SoficShift(Presentation):
         symbols = tuple(sorted({s for (_, _, s) in triples}))
         alphabet = Alphabet(symbols)
         sidx = {q: i for i, q in enumerate(kept)}
-        edges = tuple(sorted((sidx[q], sidx[r], alphabet.index(s)) for (q, r, s) in triples))
-        return cls(kept, alphabet, edges)
+        p = object.__new__(cls)
+        p.states, p.alphabet = kept, alphabet
+        p.edges = tuple(sorted((sidx[q], sidx[r], alphabet.index(s)) for (q, r, s) in triples))
+        return p
 
     # boolean-matrix monoid -----------------------------------------------------
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        # each letter's matrix: row q masks the states its edges from q reach
+        rows = [[0] * len(self.states) for _ in self.alphabet]
+        for (q, r, a) in self.edges:
+            rows[a][q] |= 1 << r
+        return tuple(map(tuple, rows))
 
     def _pre_mask(self, a: int, mask: int) -> int:
         rows = self._rows[a]

@@ -183,9 +183,9 @@ def higher_block(p: Presentation, n: int) -> tuple[Presentation, TransformReport
         raise ValidationError("higher-block recoding expects an SFT or sofic presentation")
 
     blocks = language(p, n)
-    # each block starts a window of an SFT output and has its own matrix in a
-    # sofic output's monoid, so an output with more blocks than the context
-    # cap would be refused: refuse before building it
+    # each block starts a window of an SFT output, refused at parse past the
+    # context cap, and has its own matrix in a sofic output's monoid, refused
+    # at its first use: refuse either output before building it
     cap = presentations.MAX_CONTEXTS
     if len(blocks) > cap:
         raise ResourceCapError(f"higher-block alphabet of {len(blocks)} blocks exceeds cap {cap}")

@@ -447,6 +447,35 @@ def test_transform_split_writes_both_files(files, capsys, tmp_path):
     assert (tmp_path / "union.second.json").exists()
 
 
+def test_a_sofic_output_past_the_cap_is_written_and_refused_at_first_use(
+        tmp_path, capsys, monkeypatch):
+    # the even shift's monoid has 7 matrices, and its 2-block recoding's and
+    # its expansion after 1's have 13 each: under a cap of 10 the move reads
+    # the input and writes the output graph, which no context was built for
+    monkeypatch.setattr(presentations, "MAX_CONTEXTS", 10)
+    even = tmp_path / "even.json"
+    even.write_text(json.dumps(CORPUS_OBJECTS["even"]))
+    for move in ('{"move":"higher_block","n":2}', '{"move":"expand","a0":"1","star":"*"}'):
+        out_path = tmp_path / "out.json"
+        code, out, err = run(capsys, "transform", str(even), move, str(out_path))
+        assert (code, err) == (0, "") and out.startswith(f"wrote {out_path}\n"), move
+        assert json.loads(out_path.read_text())["type"] == "sofic", move
+        assert run(capsys, "invariants", str(out_path), "--no-cache") == (
+            2, "", "error: sofic subset construction exceeds cap 10\n"), move
+
+
+def test_a_sofic_cache_hit_multiplies_no_matrix(tmp_path, capsys, monkeypatch):
+    even = tmp_path / "even.json"
+    even.write_text(json.dumps(CORPUS_OBJECTS["even"]))
+    argv = ("invariants", str(even), "--cache-dir", str(tmp_path / "cache"), "--format", "json")
+    miss = run(capsys, *argv)
+    calls = []
+    mat_mul = presentations._mat_mul
+    monkeypatch.setattr(presentations, "_mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    assert run(capsys, *argv) == miss and miss[0] == 0
+    assert calls == []
+
+
 def test_transform_split_refused_without_surjectivity(files, capsys):
     code, _, err = run(capsys, "transform", files["pair"],
                        '{"move":"split","f":{"0":["b0","c0"],"1":["b1","c1"]}}',

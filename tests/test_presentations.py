@@ -120,6 +120,50 @@ def test_sofic_trim_is_canonical():
     assert p.to_json()["edges"] == [["a", "a", "0"], ["a", "b", "1"], ["b", "a", "0"]]
 
 
+def test_sofic_parse_holds_only_the_trimmed_graph():
+    # the matrices, the Cayley table and the contexts are built on first use
+    for name, obj in CORPUS_OBJECTS.items():
+        if obj["type"] == "sofic":
+            p = parse_presentation(obj)
+            assert set(vars(p)) == {"states", "alphabet", "edges"}, name
+            p.contexts
+            assert {"_rows", "_monoid", "contexts"} <= set(vars(p)), name
+
+
+@pytest.mark.parametrize("obj", [
+    {"type": "finite", "alphabet": ["0"], "points": []},
+    {"type": "sft", "alphabet": ["0", "1"], "forbidden": [["0"], ["1"]]},
+    {"type": "sft_edges", "alphabet": ["0", "1", "2"], "edges": [["0", "1"], ["1", "2"]]},
+    {"type": "sft_matrix", "adjacency": [[0, 1], [0, 0]]},
+    {"type": "sofic", "states": ["a", "b", "c"], "edges": [["a", "b", "0"], ["b", "c", "1"]]},
+], ids=lambda obj: obj["type"])
+def test_every_kind_refuses_the_empty_shift_at_parse(obj):
+    with pytest.raises(ValidationError, match="^presentation describes the empty shift space$"):
+        parse_presentation(obj)
+
+
+def test_the_full_2_shift_parses_at_every_given_memory():
+    # all binary words of length 13 and of 14: 4096 and 8192 windows at the
+    # memory given, one at the shift's own memory 0
+    full2 = parse_presentation(CORPUS_OBJECTS["full2"]).canonical_bytes()
+    assert full2 == b'{"type":"sft","alphabet":["0","1"],"forbidden":[]}'
+    for length in (13, 14):
+        obj = {"type": "sft_edges", "alphabet": ["0", "1"],
+               "edges": [list(w) for w in itertools.product("01", repeat=length)]}
+        assert parse_presentation(obj).canonical_bytes() == full2, length
+
+
+def test_a_forbidden_word_search_past_the_cap_is_refused(monkeypatch):
+    # the full 2-shift on 0 and 1, with 2 forbidden, given at memory 4: the
+    # search meets 16 admissible windows, and its own memory has one
+    obj = {"type": "sft", "alphabet": ["0", "1", "2"], "forbidden": [["2"], ["2"] * 5]}
+    monkeypatch.setattr(presentations, "MAX_CONTEXTS", 15)
+    with pytest.raises(ResourceCapError, match="^number of suffix windows exceeds cap 15$"):
+        parse_presentation(obj)
+    monkeypatch.setattr(presentations, "MAX_CONTEXTS", 16)
+    assert parse_presentation(obj).to_json() == dict(obj, forbidden=[["2"]])
+
+
 # ---------------------------------------------------------------------------
 # language
 
@@ -161,9 +205,12 @@ def test_language_cap(monkeypatch):
 
 
 def test_sofic_subset_cap(monkeypatch):
-    monkeypatch.setattr(presentations, "MAX_CONTEXTS", 2)
-    with pytest.raises(ResourceCapError):
-        parse_presentation(CORPUS_OBJECTS["even"]).contexts
+    # the monoid of the even shift has 7 matrices: the graph parses under a
+    # cap of 6, and its first use is refused
+    monkeypatch.setattr(presentations, "MAX_CONTEXTS", 6)
+    p = parse_presentation(CORPUS_OBJECTS["even"])
+    with pytest.raises(ResourceCapError, match="^sofic subset construction exceeds cap 6$"):
+        p.contexts
 
 
 def test_sft_window_cap_counts_every_window(monkeypatch):
@@ -192,7 +239,7 @@ def test_each_cap_refuses_one_past_it_with_its_own_message(monkeypatch):
     cases = [
         ("MAX_CONTEXTS", 6, lambda: parse_presentation(six),
          "number of suffix windows exceeds cap"),
-        ("MAX_CONTEXTS", 7, lambda: parse_presentation(CORPUS_OBJECTS["even"]),
+        ("MAX_CONTEXTS", 7, lambda: parse_presentation(CORPUS_OBJECTS["even"]).contexts,
          "sofic subset construction exceeds cap"),
         ("MAX_CONTEXTS", 8, lambda: higher_block(full2, 3),
          "higher-block alphabet of 8 blocks exceeds cap"),
@@ -390,10 +437,11 @@ def _dead_path(n):
             "adjacency": [[int(j == i + 1 or i == j == 0) for j in range(n)] for i in range(n)]}
 
 
-def _round_based_window_graph(obj, cap):
-    """The window graph of an SFT given as JSON, from its forbidden words alone:
-    all admissible windows (or "cap" past ``cap`` of them), trimmed by whole
-    passes, with the (letter, next live window) edges of each live window."""
+def _round_based_window_graph(obj):
+    """The window graph of an SFT given as JSON at the memory it was given,
+    from its forbidden words alone: the number of admissible windows, and
+    those trimmed by whole passes, each live window with its (letter, next
+    live window) edges."""
     if obj["type"] == "sft_matrix":
         adj = obj["adjacency"]
         n = len(adj)
@@ -404,8 +452,6 @@ def _round_based_window_graph(obj, cap):
         forbidden = {tuple(idx[s] for s in w) for w in obj["forbidden"]}
     m = max(map(len, forbidden), default=1) - 1
     windows = [w for w in itertools.product(range(n), repeat=m) if window_ok(forbidden, w)]
-    if len(windows) > cap:
-        return "cap"
 
     def after(w, a):
         return (w + (a,))[-m:] if m else ()
@@ -414,32 +460,47 @@ def _round_based_window_graph(obj, cap):
         return tuple((a, after(w, a)) for a in range(n)
                      if window_ok(forbidden, w + (a,)) and after(w, a) in alive)
     live = _round_based_live({w: [w2 for _, w2 in edges(w, windows)] for w in windows})
-    return {w: edges(w, live) for w in sorted(live)}
+    return len(windows), {w: edges(w, live) for w in sorted(live)}
 
 
 def test_sft_window_graph_is_the_round_based_trim(monkeypatch):
     # the trim at the given memory, then lowered to the least memory at which
-    # the words of length given memory + 1 are those of its edges
+    # the words of length given memory + 1 are those of its edges.  The cap
+    # reads the live windows at that least memory; an `sft` file's search,
+    # which its forbidden words do not bound, reads its admissible windows
+    # at the given memory as it finds them
     rng = random.Random(71)
     objs = [obj for obj in CORPUS_OBJECTS.values() if obj["type"] in ("sft", "sft_matrix")]
     objs += [_dead_path(n) for n in (1, 2, 3, 7)]
     for i in range(300):
         objs.append(_random_sft(rng, rng.randint(0, 4)) if i % 2 else _random_vertex_sft(rng))
-    for cap in (presentations.MAX_CONTEXTS, 5):
+    seen = collections.Counter()
+    for cap in (presentations.MAX_CONTEXTS, 5, 2):
         monkeypatch.setattr(presentations, "MAX_CONTEXTS", cap)
         for obj in objs:
-            expected = _round_based_window_graph(obj, cap)
-            if expected == "cap":
+            admissible, expected = _round_based_window_graph(obj)
+            n = len(obj.get("alphabet") or obj["adjacency"])
+            if obj["type"] == "sft" and admissible > cap:
+                seen["search"] += 1
                 with pytest.raises(ResourceCapError, match="suffix windows exceeds cap"):
                     parse_presentation(obj)
-            elif not expected:
+                continue
+            if not expected:
                 with pytest.raises(ValidationError, match="empty shift space"):
                     parse_presentation(obj)
-            else:
-                p = parse_presentation(obj)
-                edges = {w + (a,) for w, out in expected.items() for a, _ in out}
-                assert p.memory == oracle_memory(len(p.alphabet), edges), obj
-                assert p.window_graph == oracle_window_graph(edges, p.memory), obj
+                continue
+            edges = {w + (a,) for w, out in expected.items() for a, _ in out}
+            memory = oracle_memory(n, edges)
+            graph = oracle_window_graph(edges, memory)
+            if len(graph) > cap:
+                seen["live"] += 1
+                with pytest.raises(ResourceCapError, match="suffix windows exceeds cap"):
+                    parse_presentation(obj)
+                continue
+            p = parse_presentation(obj)
+            assert p.memory == memory and p.window_graph == graph, obj
+            seen["over the cap only as given"] += admissible > cap
+    assert min(seen.values()) >= 10, seen
 
 
 def _explicit_vertex_sft(adjacency):
@@ -699,16 +760,21 @@ def test_memory1_forms_hold_only_their_successor_lists(monkeypatch):
 
 
 def test_memory1_forms_meet_one_cap_rule(monkeypatch):
-    # every letter of an SFT of memory 1 counts against the context cap, in
-    # each form: three forbidden letters do not bring five letters under 3
+    # only the live windows of an SFT, at its own memory, count against the
+    # context cap, in each form: three forbidden letters of five leave the
+    # golden mean on 0 and 1, two windows, and so does its edge list at
+    # memory 2.  Its forbidden words at memory 2 are searched at memory 2,
+    # where at least the windows 00, 01 and 10 are admissible: more than 2.
     allowed = {(0, 0), (0, 1), (1, 0)}
     forms = memory1_forms(5, allowed, [(2,), (3,), (4,), (1, 1)])
-    monkeypatch.setattr(presentations, "MAX_CONTEXTS", 3)
-    for obj in forms:
-        with pytest.raises(ResourceCapError,
-                           match="^number of suffix windows exceeds cap 3$"):
-            parse_presentation(obj)
-    monkeypatch.setattr(presentations, "MAX_CONTEXTS", 5)
+    edges, *searched = inflated_forms(forms[1], random.Random(2039), 1)
+    forms.append(edges)
+    for cap, objs in ((1, forms), (2, searched)):
+        monkeypatch.setattr(presentations, "MAX_CONTEXTS", cap)
+        for obj in objs:
+            with pytest.raises(ResourceCapError,
+                               match=f"^number of suffix windows exceeds cap {cap}$"):
+                parse_presentation(obj)
     assert len({parse_presentation(obj).canonical_bytes() for obj in forms}) == 1
 
 

@@ -107,3 +107,29 @@ def test_only_main_writes_the_output():
             if used & banned:
                 offending[stmt.name] = sorted(used & banned)
     assert (commands, offending) == (8, {})
+
+
+# Parsing builds a presentation's canonical form and nothing derived from it:
+# the functions a parse runs, by (class or None, name), and the derived
+# attributes they must not read
+PARSE_PATH = {(None, "parse_presentation"), (None, "vertex_sft_from_adjacency"),
+              (None, "_forbidden_word_graph"), (None, "_own_memory"), (None, "_live"),
+              ("SoficShift", "build"), ("FiniteShift", "__init__"), ("SftShift", "__init__"),
+              ("SftShift", "_from_words"), ("SftShift", "_from_graph")}
+DERIVED = {"contexts", "context_index", "steps", "_rows", "_monoid", "_good", "sigma_surjective"}
+
+
+def test_parsing_reads_nothing_derived():
+    tree = ast.parse((SRC / "presentations.py").read_text(encoding="utf-8"))
+    defs = [(None, stmt) for stmt in tree.body]
+    defs += [(stmt.name, node) for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+             for node in stmt.body]
+    found, offending = set(), {}
+    for owner, node in defs:
+        if isinstance(node, ast.FunctionDef) and (owner, node.name) in PARSE_PATH:
+            found.add((owner, node.name))
+            used = {n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+            if used & DERIVED:
+                offending[node.name] = sorted(used & DERIVED)
+    assert (found, offending) == (PARSE_PATH, {})

@@ -124,10 +124,11 @@ def test_higher_block_refuses_more_blocks_than_contexts_before_building(monkeypa
 
     def built(*args, **kwargs):
         raise AssertionError("output presentation built")
-    for cls in (SftShift, SoficShift):
-        monkeypatch.setattr(cls, "__init__", built)
-    # an SFT is recoded into its block graph
+    monkeypatch.setattr(SftShift, "__init__", built)
+    # an SFT is recoded into its block graph, and a sofic graph is made by
+    # build, its one constructor
     monkeypatch.setattr(SftShift, "_from_graph", classmethod(built))
+    monkeypatch.setattr(SoficShift, "build", classmethod(built))
     for p, n in ((sft, 3), (sofic, 4)):
         assert len(language(p, n)) > 7 >= len(language(p, n - 1))
         with pytest.raises(ResourceCapError):
